@@ -24,8 +24,7 @@ from .stationary import (Splitting, StationaryConfig, diagnostics,
                          iteration_matrix_applier, iterate,
                          optimal_omega_estimate, split, ssor_iterate)
 from .storage import (ColCompressed, DiagCompressed, RowCompressed, Triplets,
-                      build, matvec_col, matvec_diag, matvec_row,
-                      read_matrix_market, to_dense, to_triplets,
+                      build, read_matrix_market, to_dense, to_triplets,
                       write_matrix_market)
 from .symmetric import LanczosState, lanczos, minres
 
@@ -42,8 +41,7 @@ __all__ = [
     "gmres", "hilbert",
     "ic0_pentadiagonal", "indefinite_kron", "induced_matrix_norm",
     "iterate", "iteration_matrix_applier", "jacobi_preconditioner",
-    "lanczos", "make_givens", "matvec_col", "matvec_diag", "matvec_row",
-    "mic_pentadiagonal", "minimax_error_bound", "minres",
+    "lanczos", "make_givens", "mic_pentadiagonal", "minimax_error_bound", "minres",
     "optimal_omega_estimate", "pcg", "poisson_test", "poly_apply_Cb",
     "poly_apply_pmA", "poly_monomial_coeffs", "poly_precond_build", "qmr",
     "qmr_alt", "random_sparse", "read_matrix_market", "semi_iterative",

@@ -4,7 +4,9 @@ Includes the underlying three-term factorization A U = U T with
 B-orthogonal columns, plain CG in both its direct and its efficient
 two-coefficient formulation, the tridiagonal matrix assembled from the CG
 coefficients whose extreme eigenvalues approximate those of A, residual
-stopping rules, and the classical energy-norm convergence bound.
+stopping rules, and the classical energy-norm convergence bound.  The
+efficient form is preconditioned CG with C = I: :func:`cg` runs the PCG
+iteration of :mod:`krylov.precond`.
 """
 
 import math
@@ -12,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TridiagSym
-from .report import BREAKDOWN, CONVERGED, MAX_ITER, SolveReport, residual_threshold
+from .core import TridiagSym, sturm_extreme_eigs
+from .precond import _pcg
+from .report import BREAKDOWN, SolveReport, _Run
 from .storage import as_matvec
 
 _ZERO = 1e-14  # relative breakdown threshold for "exact zero" tests
@@ -76,20 +79,15 @@ def cg_basic(a, b, x0=None, tol=1e-10, tol_kind="abs", max_iter=None,
     efficient form :func:`cg` is preferred.  History records the recurrence
     residual norms.
     """
-    a_apply = as_matvec(a)
-    b = np.asarray(b, dtype=float)
-    n = b.size
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    max_iter = max_iter if max_iter is not None else n
-    r = b - a_apply(x)
+    run = _Run(a, b, x0, tol, tol_kind, max_iter)
+    a_apply, x, r = run.a_apply, run.x, run.r
     u = r.copy()
-    u_prev = np.zeros(n)
+    u_prev = np.zeros(r.size)
     d_prev = beta_prev = 0.0
-    history = [float(np.linalg.norm(r))]
-    threshold = residual_threshold(tol, tol_kind, float(np.linalg.norm(b)), history[0])
-    for i in range(1, max_iter + 1):
-        if history[-1] <= threshold:
-            return SolveReport(x, i - 1, history, CONVERGED)
+    history = [run.r_norm]
+    for i in range(1, run.max_iter + 1):
+        if run.stop(history[-1]):
+            return run.finish(x, i - 1, history)
         v = a_apply(u)
         d = float(u @ v)
         if d <= 0.0:
@@ -105,8 +103,7 @@ def cg_basic(a, b, x0=None, tol=1e-10, tol_kind="abs", max_iter=None,
         history.append(float(np.linalg.norm(r)))
         if callback is not None:
             callback({"i": i, "x": x.copy(), "r": r.copy(), "u": u_prev.copy()})
-    status = CONVERGED if history[-1] <= threshold else MAX_ITER
-    return SolveReport(x, max_iter, history, status)
+    return run.finish(x, run.max_iter, history)
 
 
 def cg(a, b, x0=None, tol=1e-10, tol_kind="abs", max_iter=None,
@@ -115,7 +112,8 @@ def cg(a, b, x0=None, tol=1e-10, tol_kind="abs", max_iter=None,
 
     Per iteration: eta_i = r_i' r_i, step length lambda_i = eta_{i-1} / d_i
     with d_i = p_i' A p_i, and direction update p_{i+1} = r_i + mu_i p_i
-    with mu_i = eta_i / eta_{i-1}.
+    with mu_i = eta_i / eta_{i-1}.  This is :func:`~krylov.precond.pcg`
+    with C = I and runs the same iteration.
 
     The history records true residual norms ||b - A x_i|| (recomputed with
     an extra matvec each iteration, affordable at desk scale, so that
@@ -124,42 +122,10 @@ def cg(a, b, x0=None, tol=1e-10, tol_kind="abs", max_iter=None,
     needed to rebuild the tridiagonal eigenvalue-estimation matrix:
     ``lambda_hat``, ``mu``, ``d_hat``, ``recurrence_residuals``.
     """
-    a_apply = as_matvec(a)
-    b = np.asarray(b, dtype=float)
-    n = b.size
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    max_iter = max_iter if max_iter is not None else n
-    r = b - a_apply(x)
-    p = r.copy()
-    eta = float(r @ r)
-    rec = [math.sqrt(eta)]
-    history = [float(np.linalg.norm(r))]
-    extras = {"lambda_hat": [], "mu": [], "d_hat": [], "recurrence_residuals": rec}
-    threshold = residual_threshold(tol, tol_kind, float(np.linalg.norm(b)), history[0])
-    b_scale = float(r @ r)
-    for i in range(1, max_iter + 1):
-        if rec[-1] <= threshold or eta <= _ZERO ** 2 * b_scale:
-            return SolveReport(x, i - 1, history, CONVERGED, extras=extras)
-        v = a_apply(p)
-        d = float(p @ v)
-        if d <= 0.0:
-            return SolveReport(x, i - 1, history, BREAKDOWN, reason="not-spd", extras=extras)
-        lam = eta / d
-        x = x + lam * p
-        r = r - lam * v
-        eta_new = float(r @ r)
-        mu = eta_new / eta
-        extras["lambda_hat"].append(lam)
-        extras["mu"].append(mu)
-        extras["d_hat"].append(d)
-        p = r + mu * p
-        eta = eta_new
-        rec.append(math.sqrt(eta))
-        history.append(float(np.linalg.norm(b - a_apply(x))))
-        if callback is not None:
-            callback({"i": i, "x": x.copy(), "r": r.copy(), "p": p.copy()})
-    status = CONVERGED if rec[-1] <= threshold else MAX_ITER
-    return SolveReport(x, max_iter, history, status, extras=extras)
+    run = _Run(a, b, x0, tol, tol_kind, max_iter)
+    extras = {"lambda_hat": [], "mu": [], "d_hat": [], "recurrence_residuals": []}
+    return _pcg(run, run.a_apply, run.r, None, extras, "recurrence_residuals",
+                callback, ("r", "p"), true_residual=True)
 
 
 def assemble_tbar(report: SolveReport, steps=None) -> TridiagSym:
@@ -237,8 +203,6 @@ def estimate_extremes_by_cg(a, b, iters=25, tol_eig=1e-10):
     the tridiagonal coefficient matrix and returns its Sturm extremes.
     A few dozen iterations usually give satisfactory estimates.
     """
-    from .core import sturm_extreme_eigs
-
     report = cg(a, b, tol=0.0, tol_kind="abs", max_iter=iters)
     tbar = assemble_tbar(report)
     return sturm_extreme_eigs(tbar, tol=tol_eig)

@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from .report import BREAKDOWN, CONVERGED, MAX_ITER, SolveReport, residual_threshold
+from .core import spectral_radius_estimate
+from .report import BREAKDOWN, SolveReport, _Run
 from .stationary import Splitting
 
 # Consecutive increasing residuals tolerated before declaring the spectral
@@ -51,12 +52,6 @@ def cheb_U(k: int, x: float) -> float:
     return curr
 
 
-def shifted_argument(alpha: float, beta: float):
-    """The affine map mu with mu(alpha) = -1, mu(beta) = 1, as a callable."""
-    span = beta - alpha
-    return lambda x: (2.0 * x - alpha - beta) / span
-
-
 def minimax_error_bound(alpha: float, beta: float, j: int) -> float:
     """Optimal error-reduction factor 1/T_j(mu(1)) after j accelerated steps."""
     _check_interval(alpha, beta)
@@ -83,27 +78,24 @@ def semi_iterative(base: Splitting, b, alpha, beta, tol=1e-6,
     ("interval-mismatch").
     """
     _check_interval(alpha, beta)
-    b = np.asarray(b, dtype=float)
-    n = b.size
-    max_iter = max_iter if max_iter is not None else 100 * n
+    run = _Run(base.a_apply, b, x0, tol, tol_kind, max_iter, sweeps=100)
+    b, x_prev = run.b, run.x
     mu1 = 1.0 + 2.0 * (1.0 - beta) / (beta - alpha)
-    x_prev = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
 
     def baseline_step(x):
         return x + base.m_solve(b - base.a_apply(x))
 
-    history = [float(np.linalg.norm(b - base.a_apply(x_prev)))]
-    threshold = residual_threshold(tol, tol_kind, float(np.linalg.norm(b)), history[0])
-    if history[0] <= threshold:
-        return SolveReport(x_prev, 0, history, CONVERGED)
+    history = [run.r_norm]
+    if run.stop(history[0]):
+        return run.finish(x_prev, 0, history)
     x = baseline_step(x_prev)
     history.append(float(np.linalg.norm(b - base.a_apply(x))))
     g_prev, g = 1.0, mu1
     rising = 0
     span = beta - alpha
-    for k in range(1, max_iter):
-        if history[-1] <= threshold:
-            return SolveReport(x, k, history, CONVERGED)
+    for k in range(1, run.max_iter):
+        if run.stop(history[-1]):
+            return run.finish(x, k, history)
         g_next = 2.0 * mu1 * g - g_prev
         z = baseline_step(x)
         x_next = (g / g_next) * (4.0 / span) * z \
@@ -115,8 +107,7 @@ def semi_iterative(base: Splitting, b, alpha, beta, tol=1e-6,
         rising = rising + 1 if history[-1] > history[-2] else 0
         if rising >= _DIVERGENCE_RUN:
             return SolveReport(x, k + 1, history, BREAKDOWN, reason="interval-mismatch")
-    status = CONVERGED if history[-1] <= threshold else MAX_ITER
-    return SolveReport(x, max_iter, history, status)
+    return run.finish(x, run.max_iter, history)
 
 
 def estimate_interval(g_apply, n, m_max=1000, margin=0.0):
@@ -127,8 +118,6 @@ def estimate_interval(g_apply, n, m_max=1000, margin=0.0):
     (similar to) symmetric, so its spectrum is real and symmetric bounds
     apply; the choice of a sharper asymmetric interval is up to the caller.
     """
-    from .core import spectral_radius_estimate
-
     rho = spectral_radius_estimate(g_apply, n, m_max=m_max) * (1.0 + margin)
     if not rho < 1.0:
         raise ValueError(f"estimated radius {rho:g} is not below 1: "

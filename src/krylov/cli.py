@@ -4,8 +4,9 @@ studies, preconditioner comparisons, and eigenvalue estimation.
 Subcommands: generate, solve, spectrum, precond-compare, eigs.  Output is
 CSV (with a ``# key=value ...`` config echo line) and MatrixMarket files;
 numbers carry 17 significant digits so identical arguments and seed yield
-byte-identical files.  Exit codes: 0 converged/ok, 2 usage error, 3 not
-converged, 4 breakdown.
+byte-identical files.  Exit codes: 0 converged/ok, 2 usage error or bad
+input, 3 not converged, 4 breakdown (a breakdown report or an incomplete
+factorization meeting a nonpositive pivot).
 """
 
 import argparse
@@ -47,6 +48,11 @@ def _config_line(pairs) -> str:
     return "# " + " ".join(f"{k}={_fmt(v)}" for k, v in pairs)
 
 
+def _write_text(path, text):
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def _write_csv(path, config_pairs, header, rows):
     lines = [_config_line(config_pairs), header]
     for row in rows:
@@ -55,15 +61,7 @@ def _write_csv(path, config_pairs, header, rows):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
-def _resolve_seed(args):
-    env = os.environ.get("KRYLOV_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
+        _write_text(path, text)
 
 
 def _load_problem(args, parser):
@@ -72,12 +70,13 @@ def _load_problem(args, parser):
             t = storage.read_matrix_market(fh.read())
         a = storage.build(t, "row")
         if getattr(args, "rhs", None):
-            b = _read_rhs(args.rhs, t.n)
+            with open(args.rhs) as fh:
+                b = storage.read_vector_market(fh.read(), t.n)
         else:
             b = a.matvec(np.ones(t.n))
         return problems.ProblemInstance(a, b, None, f"file({args.matrix})"), None
     name = args.problem
-    seed = _resolve_seed(args)
+    seed = int(os.environ.get("KRYLOV_SEED", args.seed))
     if name == "poisson":
         return problems.poisson_test(args.n), args.n
     if name == "cavity":
@@ -91,42 +90,6 @@ def _load_problem(args, parser):
     parser.error(f"unknown problem {name!r}")
 
 
-def _read_rhs(path, n):
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("%%MatrixMarket"):
-        raise ValueError(f"{path}: not a MatrixMarket file")
-    body = [ln for ln in lines[1:] if not ln.lstrip().startswith("%")]
-    nrows, ncols, nnz = (int(t) for t in body[0].split())
-    if nrows != n or ncols != 1:
-        raise ValueError(f"{path}: expected a {n} x 1 vector")
-    b = np.zeros(n)
-    for ln in body[1:1 + nnz]:
-        i, _, v = ln.split()
-        b[int(i) - 1] = float(v)
-    return b
-
-
-def _write_rhs(path, b):
-    lines = ["%%MatrixMarket matrix coordinate real general",
-             f"{b.size} 1 {b.size}"]
-    for i, v in enumerate(b):
-        lines.append(f"{i + 1} 1 {v:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_symmetric_mtx(path, t):
-    t = t.coalesced()
-    keep = t.rows >= t.cols
-    lines = ["%%MatrixMarket matrix coordinate real symmetric",
-             f"{t.n} {t.n} {int(np.count_nonzero(keep))}"]
-    for i, j, v in zip(t.rows[keep], t.cols[keep], t.vals[keep]):
-        lines.append(f"{i + 1} {j + 1} {v:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def cmd_generate(args, parser):
     inst, _ = _load_problem(args, parser)
     t = storage.to_triplets(inst.a).coalesced()
@@ -134,13 +97,9 @@ def cmd_generate(args, parser):
     if isinstance(inst.a, np.ndarray):
         print("warning: matrix is dense; MatrixMarket output stores every entry",
               file=sys.stderr)
-    if diags["symmetric"]:
-        _write_symmetric_mtx(args.out, t)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(storage.write_matrix_market(t))
+    _write_text(args.out, storage.write_matrix_market(t, symmetric=diags["symmetric"]))
     rhs_path = args.rhs_out or _default_rhs_path(args.out)
-    _write_rhs(rhs_path, inst.b)
+    _write_text(rhs_path, storage.write_vector_market(inst.b))
     print(f"n={t.n} nnz={t.nnz} matrix={args.out} rhs={rhs_path}")
     for key, val in sorted(diags.items()):
         print(f"{key}={val}")
@@ -194,19 +153,19 @@ def cmd_solve(args, parser):
     if method in symmetric_methods and not diags["symmetric"]:
         print(f"warning: method {method} assumes a symmetric matrix", file=sys.stderr)
 
-    c_apply, poly_m = _build_preconditioner(args.precond, inst, band,
-                                            args.block_size, parser)
-    t0 = time.perf_counter()
     try:
+        c_apply, poly_m = _build_preconditioner(args.precond, inst, band,
+                                                args.block_size, parser)
+        t0 = time.perf_counter()
         report = _dispatch_solve(method, inst, args, parser, restart=restart,
                                  tol=tol, tol_kind=tol_kind, max_iter=max_iter,
                                  c_apply=c_apply, poly_m=poly_m)
-    except (ValueError, pcmod.IcBreakdownError) as exc:
+    except pcmod.IcBreakdownError as exc:  # other ValueErrors exit 2 from main
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_BREAKDOWN
     wall_ms = (time.perf_counter() - t0) * 1e3
 
-    rows, header = _history_rows(method, report)
+    rows, header = _history_rows(report)
     pairs = [("command", "solve"), ("problem", inst.label), ("method", args.method),
              ("precond", args.precond or "none"), ("tol", tol),
              ("tol_kind", tol_kind)]
@@ -240,14 +199,8 @@ def _dispatch_solve(method, inst, args, parser, restart, tol, tol_kind,
     if method == "cg-basic":
         return cg_basic(a, b, tol=tol, tol_kind=tol_kind, max_iter=max_iter)
     if method == "cg":
-        if poly_m is not None:
-            lmin, lmax = estimate_extremes_by_cg(a, b, iters=min(25, n))
-            return pcmod.solve_poly_pcg(a, b, poly_m, lmin, lmax, tol=tol,
-                                        tol_kind=tol_kind, max_iter=max_iter)
-        if c_apply is not None:
-            return pcmod.pcg(a, b, c_apply, tol=tol, tol_kind=tol_kind,
-                             max_iter=max_iter)
-        return cg(a, b, tol=tol, tol_kind=tol_kind, max_iter=max_iter)
+        return _solve_cg(inst, c_apply, poly_m, tol=tol, tol_kind=tol_kind,
+                         max_iter=max_iter)
     if method == "minres":
         return symmetric.minres(a, b, tol=tol, tol_kind=tol_kind, max_iter=max_iter)
     krylov_map = {
@@ -269,7 +222,18 @@ def _dispatch_solve(method, inst, args, parser, restart, tol, tol_kind,
     return krylov_map[method](a, b, **kwargs)
 
 
-def _history_rows(method, report):
+def _solve_cg(inst, c_apply, poly_m, **kw):
+    """CG, PCG with ``c_apply``, or polynomial PCG of degree ``poly_m``."""
+    a, b = inst.a, inst.b
+    if poly_m is not None:
+        lmin, lmax = estimate_extremes_by_cg(a, b, iters=min(25, inst.n))
+        return pcmod.solve_poly_pcg(a, b, poly_m, lmin, lmax, **kw)
+    if c_apply is not None:
+        return pcmod.pcg(a, b, c_apply, **kw)
+    return cg(a, b, **kw)
+
+
+def _history_rows(report):
     true_norms = report.extras.get("true_residual_norms")
     tags = report.extras.get("history_tags")
     if tags is not None:  # bicgstab: interleaved half/full steps
@@ -333,29 +297,10 @@ def cmd_precond_compare(args, parser):
     for N in n_list:
         inst = problems.poisson_test(N)
         for name in methods:
-            if name == "cg":
-                rep = cg(inst.a, inst.b, tol=args.tol, tol_kind="abs",
-                               max_iter=100 * inst.n)
-            elif name in ("ic", "mic"):
-                factory = pcmod.ic0_pentadiagonal if name == "ic" else pcmod.mic_pentadiagonal
-                factors = factory(inst.a, N)
-                rep = pcmod.pcg(inst.a, inst.b,
-                                lambda r: pcmod.apply_ic_solve(factors, r),
-                                tol=args.tol, tol_kind="abs", max_iter=100 * inst.n)
-            elif name == "block":
-                factors = pcmod.block_precond(inst.a, N)
-                rep = pcmod.pcg(inst.a, inst.b,
-                                lambda r: pcmod.apply_block_solve(factors, r),
-                                tol=args.tol, tol_kind="abs", max_iter=100 * inst.n)
-            elif name.startswith("poly:"):
-                m = int(name.split(":", 1)[1])
-                lmin, lmax = estimate_extremes_by_cg(
-                    inst.a, inst.b, iters=min(25, inst.n))
-                rep = pcmod.solve_poly_pcg(inst.a, inst.b, m, lmin, lmax,
-                                           tol=args.tol, tol_kind="abs",
-                                           max_iter=100 * inst.n)
-            else:
-                parser.error(f"unknown comparison method {name!r}")
+            spec = "none" if name == "cg" else name
+            c_apply, poly_m = _build_preconditioner(spec, inst, N, None, parser)
+            rep = _solve_cg(inst, c_apply, poly_m, tol=args.tol, tol_kind="abs",
+                            max_iter=100 * inst.n)
             rows.append((N, name, rep.iterations))
     pairs = [("command", "precond-compare"), ("tol", args.tol),
              ("methods", args.methods)]

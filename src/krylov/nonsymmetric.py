@@ -15,8 +15,8 @@ it uses (C A)' = A' C, valid for symmetric C).
 
 import numpy as np
 
-from .core import make_givens
-from .report import BREAKDOWN, CONVERGED, MAX_ITER, SolveReport, residual_threshold
+from .core import _TridiagQR, make_givens
+from .report import BREAKDOWN, SolveReport, _Run
 from .storage import as_matvec, as_rmatvec
 
 _ZERO = 1e-14
@@ -25,28 +25,24 @@ _ZERO = 1e-14
 INVARIANT_SUBSPACE = "invariant_subspace"
 SERIOUS_BREAKDOWN = "serious_breakdown"
 LU_BREAKDOWN = "lu_breakdown"
-STAGNATION = "stagnation"
 
 
-def _operator(a, c_apply=None):
-    """(matvec, rmatvec) pair, optionally left-preconditioned by symmetric C."""
-    mv, rmv = as_matvec(a), None
-    try:
-        rmv = as_rmatvec(a)
-    except ValueError:
-        pass
-    if c_apply is None:
-        return mv, rmv
-    pmv = lambda x: c_apply(mv(x))
-    prmv = (lambda x: rmv(c_apply(x))) if rmv is not None else None
-    return pmv, prmv
+def _mgs_step(a_apply, us):
+    """One modified Gram-Schmidt Arnoldi step from the last basis vector.
 
-
-def _start(a_apply, b, x0):
-    b = np.asarray(b, dtype=float)
-    x = np.zeros(b.size) if x0 is None else np.array(x0, dtype=float)
-    r0 = b - a_apply(x)
-    return b, x, r0
+    Returns ``(v, col, hnext, scale)``: v = A u_i orthogonalized against
+    ``us``, col its projections with hnext = ||v|| appended (column i of
+    the Hessenberg matrix), and scale = ||A u_i|| for the breakdown test.
+    """
+    v = a_apply(us[-1])
+    scale = float(np.linalg.norm(v))
+    col = np.zeros(len(us) + 1)
+    for j, u in enumerate(us):
+        col[j] = float(u @ v)
+        v = v - col[j] * u
+    hnext = float(np.linalg.norm(v))
+    col[-1] = hnext
+    return v, col, hnext, scale
 
 
 class ArnoldiBasis:
@@ -73,15 +69,7 @@ def arnoldi(a, u1, steps) -> ArnoldiBasis:
     cols = []
     invariant_at = None
     for i in range(steps):
-        v = a_apply(us[i])
-        scale = np.linalg.norm(v)
-        col = np.zeros(i + 2)
-        for j in range(i + 1):
-            hji = float(us[j] @ v)
-            col[j] = hji
-            v = v - hji * us[j]
-        hnext = float(np.linalg.norm(v))
-        col[i + 1] = hnext
+        v, col, hnext, scale = _mgs_step(a_apply, us)
         cols.append(col)
         if hnext <= _ZERO * max(scale, 1.0):
             invariant_at = i + 1
@@ -108,46 +96,31 @@ def gmres(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     solution, which cannot happen for nonsingular A and is reported as a
     breakdown.
     """
-    a_apply, _ = _operator(a, c_apply)
-    b_in = np.asarray(b, dtype=float)
-    rhs = c_apply(b_in) if c_apply is not None else b_in
-    b_arr, x, r0 = _start(a_apply, rhs, x0)
-    n = b_arr.size
-    max_iter = max_iter if max_iter is not None else n
-    cycle = restart if restart is not None else max_iter
+    run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply)
+    a_apply, x = run.a_apply, run.x
+    cycle = restart if restart is not None else run.max_iter
     if cycle < 1:
         raise ValueError("restart must be at least 1")
-    history = [float(np.linalg.norm(r0))]
-    threshold = residual_threshold(tol, tol_kind, float(np.linalg.norm(b_arr)), history[0])
+    history = [run.r_norm]
     total = 0
     while True:
-        r0 = b_arr - a_apply(x)
+        r0 = run.b - a_apply(x)
         beta = float(np.linalg.norm(r0))
-        if beta <= threshold:
-            return SolveReport(x, total, history, CONVERGED)
+        if run.stop(beta):
+            return run.finish(x, total, history, res=beta)
         us = [r0 / beta]
         rcols = []   # columns of the triangular factor
         rots = []    # Givens pairs
         g1 = []      # rotated rhs components
         g = beta
         breakdown = None
-        steps_here = 0
-        while steps_here < cycle and total < max_iter:
-            i = steps_here
-            v = a_apply(us[i])
-            scale = float(np.linalg.norm(v))
-            col = np.zeros(i + 1)
-            for j in range(i + 1):
-                hji = float(us[j] @ v)
-                col[j] = hji
-                v = v - hji * us[j]
-            hnext = float(np.linalg.norm(v))
+        for i in range(min(cycle, run.max_iter - total)):
+            v, col, hnext, scale = _mgs_step(a_apply, us)
             for j in range(i):
                 col[j], col[j + 1] = rots[j].apply(col[j], col[j + 1])
             rot, rii = make_givens(col[i], hnext)
             col[i] = rii
             total += 1
-            steps_here += 1
             if rii == 0.0:
                 # Degenerate column: the least-squares system lost rank and
                 # the rotation carries no information; stop before touching g.
@@ -161,8 +134,8 @@ def gmres(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
             if callback is not None:
                 callback({"i": total, "g": g})
             lucky = hnext <= _ZERO * max(scale, 1.0)
-            if abs(g) <= threshold or lucky:
-                if lucky and abs(g) > threshold:
+            if run.stop(abs(g)) or lucky:
+                if lucky and abs(g) > run.threshold:
                     breakdown = INVARIANT_SUBSPACE
                 break
             us.append(v / hnext)
@@ -172,19 +145,12 @@ def gmres(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
             y = np.zeros(m)
             for j in range(m - 1, -1, -1):
                 s = g1[j] - sum(rcols[l][j] * y[l] for l in range(j + 1, m))
-                diag = rcols[j][j]
-                if diag == 0.0:
-                    return SolveReport(x, total, history, BREAKDOWN, reason="singular-R")
-                y[j] = s / diag
+                y[j] = s / rcols[j][j]  # nonzero: singular columns are never kept
             x = x + sum(y[j] * us[j] for j in range(m))
-        if breakdown:
-            if abs(g) <= threshold:
-                return SolveReport(x, total, history, CONVERGED)
+        if breakdown and abs(g) > run.threshold:
             return SolveReport(x, total, history, BREAKDOWN, reason=breakdown)
-        if abs(g) <= threshold:
-            return SolveReport(x, total, history, CONVERGED)
-        if total >= max_iter:
-            return SolveReport(x, total, history, MAX_ITER)
+        if run.stop(abs(g)) or total >= run.max_iter:
+            return run.finish(x, total, history, res=abs(g))
 
 
 class BiLanczosState:
@@ -252,24 +218,17 @@ def bicg(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     ``extras["mu"]`` (they define the residual polynomials that CGS
     squares).  Breakdown when a pivot or an inner product vanishes.
     """
-    a_apply, at_apply = _operator(a, c_apply)
-    if at_apply is None:
-        raise ValueError("bicg needs the transpose action of the operator")
-    b_in = np.asarray(b, dtype=float)
-    rhs = c_apply(b_in) if c_apply is not None else b_in
-    b_arr, x, r = _start(a_apply, rhs, x0)
-    n = b_arr.size
-    max_iter = max_iter if max_iter is not None else n
+    run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply, transpose="bicg")
+    a_apply, at_apply, x, r = run.a_apply, run.at_apply, run.x, run.r
     r_hat = r.copy()
     p, p_hat = r.copy(), r.copy()
     eta = float(r_hat @ r)
-    history = [float(np.linalg.norm(r))]
+    history = [run.r_norm]
     extras = {"lambda_hat": [], "mu": []}
-    threshold = residual_threshold(tol, tol_kind, float(np.linalg.norm(b_arr)), history[0])
     scale0 = history[0] ** 2
-    for i in range(1, max_iter + 1):
-        if history[-1] <= threshold:
-            return SolveReport(x, i - 1, history, CONVERGED, extras=extras)
+    for i in range(1, run.max_iter + 1):
+        if run.stop(history[-1]):
+            return run.finish(x, i - 1, history, extras)
         if abs(eta) <= _ZERO ** 2 * scale0:
             return SolveReport(x, i - 1, history, BREAKDOWN,
                                reason=SERIOUS_BREAKDOWN, extras=extras)
@@ -294,8 +253,7 @@ def bicg(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
         if callback is not None:
             callback({"i": i, "x": x.copy(), "r": r.copy(),
                       "r_hat": r_hat.copy(), "p": p.copy(), "p_hat": p_hat.copy()})
-    status = CONVERGED if history[-1] <= threshold else MAX_ITER
-    return SolveReport(x, max_iter, history, status, extras=extras)
+    return run.finish(x, run.max_iter, history, extras)
 
 
 def qmr(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
@@ -308,73 +266,45 @@ def qmr(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     are recorded in ``extras["true_residual_norms"]``.  On symmetric A with
     the default shadow start the method coincides with MINRES.
     """
-    a_apply, at_apply = _operator(a, c_apply)
-    if at_apply is None:
-        raise ValueError("qmr needs the transpose action of the operator")
-    b_in = np.asarray(b, dtype=float)
-    rhs = c_apply(b_in) if c_apply is not None else b_in
-    b_arr, x, r0 = _start(a_apply, rhs, x0)
-    n = b_arr.size
-    max_iter = max_iter if max_iter is not None else n
-    beta0 = float(np.linalg.norm(r0))
+    run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply, transpose="qmr")
+    a_apply, at_apply, x = run.a_apply, run.at_apply, run.x
+    beta0 = run.r_norm
     history = [beta0]
     extras = {"true_residual_norms": [beta0]}
-    threshold = residual_threshold(tol, tol_kind, float(np.linalg.norm(b_arr)), beta0)
-    if beta0 <= threshold:
-        return SolveReport(x, 0, history, CONVERGED, extras=extras)
-    u = r0 / beta0
+    if run.stop(beta0):
+        return run.finish(x, 0, history, extras)
+    u = run.r / beta0
     w = u.copy()
-    u_prev = np.zeros(n)
-    w_prev = np.zeros(n)
+    u_prev = np.zeros(u.size)
+    w_prev = np.zeros(u.size)
     alpha_prev = beta_prev = 0.0
-    g = beta0
-    p_prev1 = np.zeros(n)
-    p_prev2 = np.zeros(n)
-    rot_prev1 = rot_prev2 = None
-    status, reason = MAX_ITER, None
-    it = 0
-    for i in range(1, max_iter + 1):
-        it = i
+    qr = _TridiagQR(beta0, u.size)
+    for i in range(1, run.max_iter + 1):
         v = a_apply(u)
         gamma = float(w @ v)
         u_hat = v - gamma * u - beta_prev * u_prev
         alpha = float(np.linalg.norm(u_hat))
-        r_im2, r_im1, r_ii = 0.0, beta_prev, gamma
-        p = u.copy()
-        if i > 2:
-            r_im2, r_im1 = rot_prev2.apply(0.0, beta_prev)
-            p -= r_im2 * p_prev2
-        if i > 1:
-            r_im1, r_ii = rot_prev1.apply(r_im1, gamma)
-            p -= r_im1 * p_prev1
-        rot, r_ii = make_givens(r_ii, alpha)
-        if r_ii == 0.0:
-            status, reason, it = BREAKDOWN, "singular-R", i - 1
-            break
-        p /= r_ii
-        xi, g = rot.apply(g, 0.0)
-        x = x + xi * p
-        history.append(abs(g))
-        extras["true_residual_norms"].append(float(np.linalg.norm(b_arr - a_apply(x))))
+        x_next = qr.step(x, u, beta_prev, gamma, alpha)
+        if x_next is None:
+            return SolveReport(x, i - 1, history, BREAKDOWN, reason="singular-R", extras=extras)
+        x = x_next
+        history.append(abs(qr.g))
+        extras["true_residual_norms"].append(float(np.linalg.norm(run.b - a_apply(x))))
         if callback is not None:
-            callback({"i": i, "x": x.copy(), "g": g})
-        if alpha <= _ZERO * max(float(np.linalg.norm(v)), 1.0) or abs(g) <= threshold:
-            status = CONVERGED
-            break
+            callback({"i": i, "x": x.copy(), "g": qr.g})
+        invariant = alpha <= _ZERO * max(float(np.linalg.norm(v)), 1.0)
+        if run.stop(history[-1], invariant):
+            return run.finish(x, i, history, extras, exact=invariant)
         u_next = u_hat / alpha
         w_hat = at_apply(w) - gamma * w - alpha_prev * w_prev
         beta = float(u_next @ w_hat)
         if abs(beta) <= _ZERO * float(np.linalg.norm(w_hat)):
-            status, reason = BREAKDOWN, SERIOUS_BREAKDOWN
-            break
+            return SolveReport(x, i, history, BREAKDOWN, reason=SERIOUS_BREAKDOWN,
+                               extras=extras)
         u_prev, u = u, u_next
         w_prev, w = w, w_hat / beta
         alpha_prev, beta_prev = alpha, beta
-        p_prev2, p_prev1 = p_prev1, p
-        rot_prev2, rot_prev1 = rot_prev1, rot
-    if status is MAX_ITER and history[-1] <= threshold:
-        status = CONVERGED
-    return SolveReport(x, it, history, status, reason=reason, extras=extras)
+    return run.finish(x, run.max_iter, history, extras)
 
 
 def qmr_alt(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
@@ -387,37 +317,27 @@ def qmr_alt(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     tridiagonal matrix may not exist, surfacing as a zero pivot ell_i
     ("lu_breakdown") while plain :func:`qmr` proceeds.
     """
-    a_apply, at_apply = _operator(a, c_apply)
-    if at_apply is None:
-        raise ValueError("qmr_alt needs the transpose action of the operator")
-    b_in = np.asarray(b, dtype=float)
-    rhs = c_apply(b_in) if c_apply is not None else b_in
-    b_arr, x, r0 = _start(a_apply, rhs, x0)
-    n = b_arr.size
-    max_iter = max_iter if max_iter is not None else n
-    beta0 = float(np.linalg.norm(r0))
+    run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply, transpose="qmr_alt")
+    a_apply, at_apply, x = run.a_apply, run.at_apply, run.x
+    beta0 = run.r_norm
     history = [beta0]
     extras = {"true_residual_norms": [beta0]}
-    threshold = residual_threshold(tol, tol_kind, float(np.linalg.norm(b_arr)), beta0)
-    if beta0 <= threshold:
-        return SolveReport(x, 0, history, CONVERGED, extras=extras)
-    u = r0 / beta0
+    if run.stop(beta0):
+        return run.finish(x, 0, history, extras)
+    u = run.r / beta0
     v = u.copy()
     q = u.copy()
     z = u.copy()
     f = 1.0
     g = beta0
-    p_prev = np.zeros(n)
+    p_prev = np.zeros(u.size)
     rot_prev = None
-    status, reason = MAX_ITER, None
-    it = 0
-    for i in range(1, max_iter + 1):
-        it = i
+    for i in range(1, run.max_iter + 1):
         q_hat = a_apply(q)
         num = float(z @ q_hat)
         if abs(num) <= _ZERO * float(np.linalg.norm(z)) * float(np.linalg.norm(q_hat)):
-            status, reason, it = BREAKDOWN, LU_BREAKDOWN, i - 1
-            break
+            return SolveReport(x, i - 1, history, BREAKDOWN, reason=LU_BREAKDOWN,
+                               extras=extras)
         ell = num / f
         u_hat = q_hat - ell * u
         alpha = float(np.linalg.norm(u_hat))
@@ -428,33 +348,30 @@ def qmr_alt(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
             p -= r_im1 * p_prev
         rot, r_ii = make_givens(r_ii, alpha)
         if r_ii == 0.0:
-            status, reason, it = BREAKDOWN, "singular-R", i - 1
-            break
+            return SolveReport(x, i - 1, history, BREAKDOWN, reason="singular-R", extras=extras)
         p /= r_ii
         xi, g = rot.apply(g, 0.0)
         x = x + xi * p
         history.append(abs(g))
-        extras["true_residual_norms"].append(float(np.linalg.norm(b_arr - a_apply(x))))
+        extras["true_residual_norms"].append(float(np.linalg.norm(run.b - a_apply(x))))
         if callback is not None:
             callback({"i": i, "x": x.copy(), "g": g})
-        if alpha <= _ZERO * max(float(np.linalg.norm(q_hat)), 1.0) or abs(g) <= threshold:
-            status = CONVERGED
-            break
+        invariant = alpha <= _ZERO * max(float(np.linalg.norm(q_hat)), 1.0)
+        if run.stop(history[-1], invariant):
+            return run.finish(x, i, history, extras, exact=invariant)
         u = u_hat / alpha
         v = (at_apply(z) - ell * v) / alpha
         f_next = float(v @ u)
         if abs(f_next) <= _ZERO:
-            status, reason = BREAKDOWN, SERIOUS_BREAKDOWN
-            break
+            return SolveReport(x, i, history, BREAKDOWN, reason=SERIOUS_BREAKDOWN,
+                               extras=extras)
         phi = alpha * f_next / (ell * f)
         q = u - phi * q
         z = v - phi * z
         f = f_next
         p_prev = p
         rot_prev = rot
-    if status is MAX_ITER and history[-1] <= threshold:
-        status = CONVERGED
-    return SolveReport(x, it, history, status, reason=reason, extras=extras)
+    return run.finish(x, run.max_iter, history, extras)
 
 
 def bidiagonalize(a, u1_hat, steps):
@@ -508,51 +425,36 @@ def bidiag_solve(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     number is kappa(A)**2; of little practical interest but a useful
     cross-check.  History records true residual norms.
     """
-    a_apply, at_apply = _operator(a, c_apply)
-    if at_apply is None:
-        raise ValueError("bidiag_solve needs the transpose action of the operator")
-    b_in = np.asarray(b, dtype=float)
-    rhs = c_apply(b_in) if c_apply is not None else b_in
-    b_arr, x, r0 = _start(a_apply, rhs, x0)
-    n = b_arr.size
-    max_iter = max_iter if max_iter is not None else n
-    beta0 = float(np.linalg.norm(r0))
+    run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply, transpose="bidiag_solve")
+    a_apply, at_apply, x = run.a_apply, run.at_apply, run.x
+    beta0 = run.r_norm
     history = [beta0]
-    threshold = residual_threshold(tol, tol_kind, float(np.linalg.norm(b_arr)), beta0)
-    if beta0 <= threshold:
-        return SolveReport(x, 0, history, CONVERGED)
-    u = r0 / beta0
+    if run.stop(beta0):
+        return run.finish(x, 0, history)
+    u = run.r / beta0
     v_prev = 0.0
     beta_prev = 0.0
     xi = None
-    status, reason = MAX_ITER, None
-    it = 0
-    for i in range(1, max_iter + 1):
-        it = i
+    for i in range(1, run.max_iter + 1):
         v_hat = at_apply(u) - beta_prev * v_prev
         alpha = float(np.linalg.norm(v_hat))
         if alpha <= _ZERO * beta0:
-            status, reason, it = BREAKDOWN, "zero-alpha", i - 1
-            break
+            return SolveReport(x, i - 1, history, BREAKDOWN, reason="zero-alpha")
         v = v_hat / alpha
         xi = beta0 / alpha if i == 1 else -xi * beta_prev / alpha
         x = x + xi * v
-        history.append(float(np.linalg.norm(b_arr - a_apply(x))))
+        history.append(float(np.linalg.norm(run.b - a_apply(x))))
         if callback is not None:
             callback({"i": i, "x": x.copy()})
-        if history[-1] <= threshold:
-            status = CONVERGED
-            break
+        if run.stop(history[-1]):
+            return run.finish(x, i, history)
         u_hat = a_apply(v) - alpha * u
         beta = float(np.linalg.norm(u_hat))
         if beta <= _ZERO * beta0:
-            status = CONVERGED  # vanishing beta means the iterate is exact
-            break
+            return run.finish(x, i, history, exact=True)  # the iterate is exact
         u = u_hat / beta
         v_prev, beta_prev = v, beta
-    if status is MAX_ITER and history[-1] <= threshold:
-        status = CONVERGED
-    return SolveReport(x, it, history, status, reason=reason)
+    return run.finish(x, run.max_iter, history)
 
 
 def cgs(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
@@ -563,23 +465,18 @@ def cgs(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     squaring whatever oscillation Bi-CG exhibits.  Breakdown when an inner
     product against the fixed shadow residual vanishes.
     """
-    a_apply, _ = _operator(a, c_apply)
-    b_in = np.asarray(b, dtype=float)
-    rhs = c_apply(b_in) if c_apply is not None else b_in
-    b_arr, x, r = _start(a_apply, rhs, x0)
-    n = b_arr.size
-    max_iter = max_iter if max_iter is not None else n
+    run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply)
+    a_apply, x, r = run.a_apply, run.x, run.r
     r_hat0 = r.copy()
     p = r.copy()
     gvec = r.copy()
     eta = float(r_hat0 @ r)
-    history = [float(np.linalg.norm(r))]
+    history = [run.r_norm]
     extras = {"lambda_hat": [], "mu": []}
-    threshold = residual_threshold(tol, tol_kind, float(np.linalg.norm(b_arr)), history[0])
     scale0 = max(history[0] ** 2, 1e-300)
-    for i in range(1, max_iter + 1):
-        if history[-1] <= threshold:
-            return SolveReport(x, i - 1, history, CONVERGED, extras=extras)
+    for i in range(1, run.max_iter + 1):
+        if run.stop(history[-1]):
+            return run.finish(x, i - 1, history, extras)
         if abs(eta) <= _ZERO ** 2 * scale0:
             return SolveReport(x, i - 1, history, BREAKDOWN,
                                reason=SERIOUS_BREAKDOWN, extras=extras)
@@ -602,8 +499,7 @@ def cgs(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
         history.append(float(np.linalg.norm(r)))
         if callback is not None:
             callback({"i": i, "x": x.copy(), "r": r.copy()})
-    status = CONVERGED if history[-1] <= threshold else MAX_ITER
-    return SolveReport(x, max_iter, history, status, extras=extras)
+    return run.finish(x, run.max_iter, history, extras)
 
 
 def bicgstab(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
@@ -619,23 +515,18 @@ def bicgstab(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     Coefficient sequences are recorded for consistency checks.  A vanishing
     t with a nonzero half residual leaves omega undefined (breakdown).
     """
-    a_apply, _ = _operator(a, c_apply)
-    b_in = np.asarray(b, dtype=float)
-    rhs = c_apply(b_in) if c_apply is not None else b_in
-    b_arr, x, r = _start(a_apply, rhs, x0)
-    n = b_arr.size
-    max_iter = max_iter if max_iter is not None else n
+    run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply)
+    a_apply, x, r = run.a_apply, run.x, run.r
     r_hat0 = r.copy()
     p = r.copy()
     eta = float(r_hat0 @ r)
-    history = [float(np.linalg.norm(r))]
+    history = [run.r_norm]
     extras = {"history_tags": ["initial"], "etas": [eta],
               "lambda_hat": [], "omegas": [], "mu": []}
-    threshold = residual_threshold(tol, tol_kind, float(np.linalg.norm(b_arr)), history[0])
     scale0 = max(history[0] ** 2, 1e-300)
-    for i in range(1, max_iter + 1):
-        if history[-1] <= threshold:
-            return SolveReport(x, i - 1, history, CONVERGED, extras=extras)
+    for i in range(1, run.max_iter + 1):
+        if run.stop(history[-1]):
+            return run.finish(x, i - 1, history, extras)
         if abs(eta) <= _ZERO ** 2 * scale0:
             return SolveReport(x, i - 1, history, BREAKDOWN,
                                reason=SERIOUS_BREAKDOWN, extras=extras)
@@ -650,8 +541,8 @@ def bicgstab(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
         half_norm = float(np.linalg.norm(r_half))
         history.append(half_norm)
         extras["history_tags"].append("half")
-        if half_norm <= threshold:
-            return SolveReport(x_half, i, history, CONVERGED, extras=extras)
+        if run.stop(half_norm):
+            return run.finish(x_half, i, history, extras)
         t = a_apply(r_half)
         t_norm2 = float(t @ t)
         if t_norm2 <= (_ZERO * half_norm) ** 2:
@@ -673,5 +564,4 @@ def bicgstab(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
         if callback is not None:
             callback({"i": i, "x": x.copy(), "r": r.copy(),
                       "r_half": r_half.copy(), "t": t.copy(), "omega": omega})
-    status = CONVERGED if history[-1] <= threshold else MAX_ITER
-    return SolveReport(x, max_iter, history, status, extras=extras)
+    return run.finish(x, run.max_iter, history, extras)

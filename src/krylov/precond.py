@@ -1,5 +1,9 @@
 """Preconditioned CG and the preconditioner families it uses.
 
+The PCG iteration here is the package's only CG loop: plain CG
+(:func:`krylov.cg.cg`) is PCG with C = I, and :func:`solve_poly_pcg` is
+PCG with C = I on the transformed system p_m(A) x = C(A) b.
+
 A preconditioner is exposed as an applier ``s = C @ r`` with C symmetric
 positive definite and C approximately inv(A).  Four families are built
 here: the diagonal (Jacobi) scaling, incomplete Cholesky on the
@@ -15,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from .report import BREAKDOWN, CONVERGED, MAX_ITER, SolveReport, residual_threshold
+from .report import BREAKDOWN, SolveReport, _Run
 from .storage import as_matvec, to_dense, to_triplets
 
 
@@ -37,46 +41,66 @@ def pcg(a, b, c_apply=None, x0=None, tol=1e-10, tol_kind="abs", max_iter=None,
     (stopping uses these); ``extras["c_norms"]`` records sqrt(eta_i), the
     C-norm of the residual.
     """
-    a_apply = as_matvec(a)
-    if c_apply is None:
-        c_apply = lambda r: r
-    b = np.asarray(b, dtype=float)
-    n = b.size
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    max_iter = max_iter if max_iter is not None else n
-    r = b - a_apply(x)
-    s = c_apply(r)
+    run = _Run(a, b, x0, tol, tol_kind, max_iter)
+    return _pcg(run, run.a_apply, run.r, c_apply, {"c_norms": []}, "c_norms",
+                callback, ("r", "s", "p"))
+
+
+def _pcg(run, op, r, c_apply, extras, norm_key, callback, keys,
+         true_residual=False, stop_on_true=False):
+    """The PCG iteration behind :func:`pcg`, :func:`cg` and :func:`solve_poly_pcg`.
+
+    Iterates on the operator ``op`` from ``run.x`` with residual ``r``
+    (``op`` may be a transformed operator, ``r`` its residual), with C =
+    ``c_apply`` or the identity.  ``extras[norm_key]`` records sqrt(eta_i);
+    an ``extras`` holding ``"d_hat"`` also records the coefficients
+    ``lambda_hat``, ``mu`` and ``d_hat``.  History records ||r_i||, or with
+    ``true_residual`` the norm of ``run.b - A x_i`` of the original system
+    (one more matvec).  Stopping uses ||r_i||, or that true norm with
+    ``stop_on_true``; eta_i <= 1e-28 ||r_0||**2 counts as an exact solve.
+    The callback receives ``i``, ``x`` and the vectors named in ``keys``.
+    """
+    x = run.x
+    s = r if c_apply is None else c_apply(r)
     eta = float(r @ s)
-    history = [float(np.linalg.norm(r))]
-    extras = {"c_norms": [math.sqrt(max(eta, 0.0))]}
+    history = [run.r_norm]
+    extras[norm_key].append(math.sqrt(max(eta, 0.0)))
     if eta < 0.0:
         return SolveReport(x, 0, history, BREAKDOWN, reason="precond-not-spd", extras=extras)
-    threshold = residual_threshold(tol, tol_kind, float(np.linalg.norm(b)), history[0])
-    scale = history[0] ** 2
+    scale = float(r @ r)
+    res = run.r_norm
     p = s.copy()
-    for i in range(1, max_iter + 1):
-        if history[-1] <= threshold or abs(eta) <= 1e-28 * scale:
-            return SolveReport(x, i - 1, history, CONVERGED, extras=extras)
-        v = a_apply(p)
+    for i in range(1, run.max_iter + 1):
+        exact = abs(eta) <= 1e-28 * scale
+        if run.stop(res, exact):
+            return run.finish(x, i - 1, history, extras, res, exact)
+        v = op(p)
         d = float(p @ v)
         if d <= 0.0:
             return SolveReport(x, i - 1, history, BREAKDOWN, reason="not-spd", extras=extras)
         lam = eta / d
         x = x + lam * p
         r = r - lam * v
-        s = c_apply(r)
+        s = r if c_apply is None else c_apply(r)
         eta_new = float(r @ s)
         if eta_new < 0.0:
             return SolveReport(x, i, history, BREAKDOWN, reason="precond-not-spd", extras=extras)
         mu = eta_new / eta
         p = s + mu * p
         eta = eta_new
-        history.append(float(np.linalg.norm(r)))
-        extras["c_norms"].append(math.sqrt(eta))
+        if "d_hat" in extras:
+            extras["lambda_hat"].append(lam)
+            extras["mu"].append(mu)
+            extras["d_hat"].append(d)
+        extras[norm_key].append(math.sqrt(eta))
+        # With C = I, sqrt(eta) is ||r|| without a second reduction.
+        res = math.sqrt(eta) if c_apply is None else float(np.linalg.norm(r))
+        history.append(float(np.linalg.norm(run.b - run.a_apply(x))) if true_residual else res)
+        res = history[-1] if stop_on_true else res
         if callback is not None:
-            callback({"i": i, "x": x.copy(), "r": r.copy(), "s": s.copy(), "p": p.copy()})
-    status = CONVERGED if history[-1] <= threshold else MAX_ITER
-    return SolveReport(x, max_iter, history, status, extras=extras)
+            vecs = {"r": r, "s": s, "p": p}
+            callback({"i": i, "x": x.copy(), **{k: vecs[k].copy() for k in keys}})
+    return run.finish(x, run.max_iter, history, extras, res)
 
 
 def jacobi_preconditioner(a):
@@ -141,19 +165,7 @@ def ic0_pentadiagonal(a, band) -> IcFactors:
     (terms with out-of-range indices dropped).  For a Stieltjes matrix all
     pivots stay positive; a nonpositive pivot raises IcBreakdownError.
     """
-    diag, b, c = _pentadiagonal_bands(a, band)
-    n = diag.size
-    dt = np.empty(n)
-    for i in range(n):
-        v = diag[i]
-        if i >= 1 and b[i] != 0.0:
-            v -= b[i] * b[i] / dt[i - 1]
-        if i >= band and c[i] != 0.0:
-            v -= c[i] * c[i] / dt[i - band]
-        if v <= 0.0:
-            raise IcBreakdownError(f"ic-pivot: nonpositive pivot {v:g} at row {i}")
-        dt[i] = v
-    return IcFactors(n, band, diag, b, c, dt)
+    return _ic_factor(a, band, modified=False)
 
 
 def mic_pentadiagonal(a, band) -> IcFactors:
@@ -168,22 +180,26 @@ def mic_pentadiagonal(a, band) -> IcFactors:
     matrix R = M - A have zero row sums and nonpositive eigenvalues, so the
     smallest eigenvalue of inv(M) A is exactly 1 (constant eigenvector).
     """
+    return _ic_factor(a, band, modified=True)
+
+
+def _ic_factor(a, band, modified):
+    """Pivots of IC(0) or MIC: one recurrence, the MIC compensation terms
+    zero for IC (exact, as b*(b + 0.0) == b*b)."""
     diag, b, c = _pentadiagonal_bands(a, band)
     n = diag.size
-
-    def b_at(i):
-        return b[i] if 0 <= i < n else 0.0
-
-    def c_at(i):
-        return c[i] if 0 <= i < n else 0.0
-
+    b_comp = np.zeros(n)  # c_{i+band-1}, the fill dropped beside b_i
+    c_comp = np.zeros(n)  # b_{i-band+1}, the fill dropped beside c_i
+    if modified and n > band:
+        b_comp[1:n - band + 1] = c[band:]
+        c_comp[band:] = b[1:n - band + 1]
     dt = np.empty(n)
     for i in range(n):
         v = diag[i]
         if i >= 1:
-            v -= b[i] * (b[i] + c_at(i + band - 1)) / dt[i - 1]
+            v -= b[i] * (b[i] + b_comp[i]) / dt[i - 1]
         if i >= band:
-            v -= c[i] * (c[i] + b_at(i - band + 1)) / dt[i - band]
+            v -= c[i] * (c[i] + c_comp[i]) / dt[i - band]
         if v <= 0.0:
             raise IcBreakdownError(f"ic-pivot: nonpositive pivot {v:g} at row {i}")
         dt[i] = v
@@ -464,36 +480,9 @@ def solve_poly_pcg(a, b, m, lmin, lmax, x0=None, tol=1e-10, tol_kind="abs",
     may be indefinite and the run can break down or diverge.
     """
     p = poly_precond_build(m, lmin, lmax)
-    a_apply = as_matvec(a)
-    b = np.asarray(b, dtype=float)
-    n = b.size
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    max_iter = max_iter if max_iter is not None else n
+    run = _Run(a, b, x0, tol, tol_kind, max_iter)
     pm = lambda v: poly_apply_pmA(p, a, v)
-    b_t = poly_apply_Cb(p, a, b)
-    r_t = b_t - pm(x)
-    d_t = r_t.copy()
-    eta = float(r_t @ r_t)
-    history = [float(np.linalg.norm(b - a_apply(x)))]
-    extras = {"transformed_residuals": [math.sqrt(eta)], "eps_m": p.eps}
-    threshold = residual_threshold(tol, tol_kind, float(np.linalg.norm(b)), history[0])
-    scale = max(eta, 1e-300)
-    for i in range(1, max_iter + 1):
-        if history[-1] <= threshold or eta <= 1e-28 * scale:
-            return SolveReport(x, i - 1, history, CONVERGED, extras=extras)
-        v = pm(d_t)
-        dd = float(d_t @ v)
-        if dd <= 0.0:
-            return SolveReport(x, i - 1, history, BREAKDOWN, reason="not-spd", extras=extras)
-        lam = eta / dd
-        x = x + lam * d_t
-        r_t = r_t - lam * v
-        eta_new = float(r_t @ r_t)
-        d_t = r_t + (eta_new / eta) * d_t
-        eta = eta_new
-        history.append(float(np.linalg.norm(b - a_apply(x))))
-        extras["transformed_residuals"].append(math.sqrt(eta))
-        if callback is not None:
-            callback({"i": i, "x": x.copy()})
-    status = CONVERGED if history[-1] <= threshold else MAX_ITER
-    return SolveReport(x, max_iter, history, status, extras=extras)
+    r_t = poly_apply_Cb(p, a, run.b) - pm(run.x)
+    extras = {"transformed_residuals": [], "eps_m": p.eps}
+    return _pcg(run, pm, r_t, None, extras, "transformed_residuals", callback, (),
+                true_residual=True, stop_on_true=True)

@@ -25,6 +25,39 @@ class ProblemInstance:
         return self.b.size
 
 
+def _kron_sum(N, t_diag):
+    """A = T (x) I_N + I_N (x) T, T = tridiag(-1, t_diag, -1), in diag format.
+
+    This is the five-point stencil with center 2 t_diag on an N x N grid,
+    the first grid index fastest.
+    """
+    center = 2.0 * t_diag
+    rows, cols, vals = [], [], []
+    for j in range(1, N + 1):
+        for i in range(1, N + 1):
+            p = (j - 1) * N + (i - 1)
+            rows.append(p)
+            cols.append(p)
+            vals.append(center)
+            if i > 1:
+                rows.append(p)
+                cols.append(p - 1)
+                vals.append(-1.0)
+            if i < N:
+                rows.append(p)
+                cols.append(p + 1)
+                vals.append(-1.0)
+            if j > 1:
+                rows.append(p)
+                cols.append(p - N)
+                vals.append(-1.0)
+            if j < N:
+                rows.append(p)
+                cols.append(p + N)
+                vals.append(-1.0)
+    return build(Triplets(N * N, rows, cols, vals), "diag")
+
+
 def poisson_test(N: int) -> ProblemInstance:
     """Five-point Poisson model problem on the unit square.
 
@@ -42,30 +75,7 @@ def poisson_test(N: int) -> ProblemInstance:
         raise ValueError("N must be at least 1")
     n = N * N
     h = 1.0 / (N + 1)
-    rows, cols, vals = [], [], []
-    for j in range(1, N + 1):
-        for i in range(1, N + 1):
-            p = (j - 1) * N + (i - 1)
-            rows.append(p)
-            cols.append(p)
-            vals.append(4.0)
-            if i > 1:
-                rows.append(p)
-                cols.append(p - 1)
-                vals.append(-1.0)
-            if i < N:
-                rows.append(p)
-                cols.append(p + 1)
-                vals.append(-1.0)
-            if j > 1:
-                rows.append(p)
-                cols.append(p - N)
-                vals.append(-1.0)
-            if j < N:
-                rows.append(p)
-                cols.append(p + N)
-                vals.append(-1.0)
-    a = build(Triplets(n, rows, cols, vals), "diag")
+    a = _kron_sum(N, 2.0)
     ij = np.add.outer(np.arange(1, N + 1), np.arange(1, N + 1))  # [j, i] -> i + j
     b = (h ** 3) * ij.reshape(n).astype(float)
     return ProblemInstance(a, b, None, f"poisson(N={N})")
@@ -160,30 +170,7 @@ def indefinite_kron(N: int) -> ProblemInstance:
     if N < 2:
         raise ValueError("N must be at least 2")
     n = N * N
-    rows, cols, vals = [], [], []
-    for j in range(1, N + 1):
-        for i in range(1, N + 1):
-            p = (j - 1) * N + (i - 1)
-            rows.append(p)
-            cols.append(p)
-            vals.append(2.0)
-            if i > 1:
-                rows.append(p)
-                cols.append(p - 1)
-                vals.append(-1.0)
-            if i < N:
-                rows.append(p)
-                cols.append(p + 1)
-                vals.append(-1.0)
-            if j > 1:
-                rows.append(p)
-                cols.append(p - N)
-                vals.append(-1.0)
-            if j < N:
-                rows.append(p)
-                cols.append(p + N)
-                vals.append(-1.0)
-    a = build(Triplets(n, rows, cols, vals), "diag")
+    a = _kron_sum(N, 1.0)
     x_true = np.ones(n)
     return ProblemInstance(a, a.matvec(x_true), x_true, f"indefinite_kron(N={N})")
 

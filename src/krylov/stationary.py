@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .report import BREAKDOWN, CONVERGED, MAX_ITER, SolveReport, residual_threshold
+from .report import BREAKDOWN, SolveReport, _Run
 from .storage import as_matvec, operator_size, to_dense, to_triplets
 
 POINT_METHODS = ("jacobi", "gauss_seidel", "sor")
@@ -214,26 +214,21 @@ def iterate(a, b, cfg: StationaryConfig, x0=None) -> SolveReport:
     if cfg.method == "ssor":
         return ssor_iterate(a, b, cfg.omega, tol=cfg.tol, tol_kind=cfg.tol_kind,
                             max_iter=cfg.max_iter, x0=x0)
-    b = np.asarray(b, dtype=float)
-    n = b.size
     sp = split(a, cfg.method, omega=cfg.omega, block_size=cfg.block_size)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    max_iter = cfg.max_iter if cfg.max_iter is not None else 100 * n
-    r = b - sp.a_apply(x)
-    history = [float(np.linalg.norm(r))]
-    threshold = residual_threshold(cfg.tol, cfg.tol_kind, float(np.linalg.norm(b)), history[0])
-    for it in range(max_iter):
-        if history[-1] <= threshold:
-            return SolveReport(x, it, history, CONVERGED)
+    run = _Run(sp.a_apply, b, x0, cfg.tol, cfg.tol_kind, cfg.max_iter, sweeps=100)
+    x, r = run.x, run.r
+    history = [run.r_norm]
+    for it in range(run.max_iter):
+        if run.stop(history[-1]):
+            return run.finish(x, it, history)
         try:
             u = sp.m_solve(r)
         except (np.linalg.LinAlgError, ZeroDivisionError, FloatingPointError) as exc:
             return SolveReport(x, it, history, BREAKDOWN, reason=str(exc))
         x = x + u
-        r = b - sp.a_apply(x)
+        r = run.b - sp.a_apply(x)
         history.append(float(np.linalg.norm(r)))
-    status = CONVERGED if history[-1] <= threshold else MAX_ITER
-    return SolveReport(x, max_iter, history, status)
+    return run.finish(x, run.max_iter, history)
 
 
 def ssor_iterate(a, b, omega, tol=1e-6, tol_kind="rel_to_r0", max_iter=None,
@@ -252,32 +247,26 @@ def ssor_iterate(a, b, omega, tol=1e-6, tol_kind="rel_to_r0", max_iter=None,
     d = _diagonal_of(a, n)
     if np.any(d == 0.0):
         raise ValueError("matrix has a zero diagonal entry")
+    run = _Run(a, b, x0, tol, tol_kind, max_iter, sweeps=100)
     if np.any(d < 0.0):
-        return SolveReport(np.zeros(n) if x0 is None else np.array(x0, dtype=float),
-                           0, [float(np.linalg.norm(b))], BREAKDOWN,
+        return SolveReport(run.x, 0, [run.r_norm], BREAKDOWN,
                            reason="negative diagonal entry: D^(1/2) undefined")
     hat = _HatStructure(a, d)
-    max_iter = max_iter if max_iter is not None else 100 * n
-    a_apply = as_matvec(a)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = run.x
     xhat = hat.sqd * x
     bhat = b / hat.sqd
-    r = b - a_apply(x)
-    history = [float(np.linalg.norm(r))]
-    threshold = residual_threshold(tol, tol_kind, float(np.linalg.norm(b)), history[0])
+    history = [run.r_norm]
     diag_hat = np.full(n, 1.0 / omega)
-    for it in range(max_iter):
-        if history[-1] <= threshold:
-            return SolveReport(x, it, history, CONVERGED)
+    for it in range(run.max_iter):
+        if run.stop(history[-1]):
+            return run.finish(x, it, history)
         rhat = bhat - hat.apply(xhat)
         xhat = xhat + hat.forward_solve(diag_hat, rhat)
         rhat = bhat - hat.apply(xhat)
         xhat = xhat + hat.backward_solve(diag_hat, rhat)
         x = xhat / hat.sqd
-        r = b - a_apply(x)
-        history.append(float(np.linalg.norm(r)))
-    status = CONVERGED if history[-1] <= threshold else MAX_ITER
-    return SolveReport(x, max_iter, history, status)
+        history.append(float(np.linalg.norm(b - run.a_apply(x))))
+    return run.finish(x, run.max_iter, history)
 
 
 class _HatStructure(_PointStructure):

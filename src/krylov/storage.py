@@ -190,18 +190,6 @@ def _check_dim(x, n):
     return x
 
 
-def matvec_row(a: RowCompressed, x):
-    return a.matvec(x)
-
-
-def matvec_col(a: ColCompressed, x):
-    return a.matvec(x)
-
-
-def matvec_diag(a: DiagCompressed, x):
-    return a.matvec(x)
-
-
 def build(triplets: Triplets, target: str):
     """Assemble a storage format from triplets (duplicates summed).
 
@@ -225,22 +213,9 @@ def build(triplets: Triplets, target: str):
             if 0 < slot[i] < k:
                 cols[i, slot[i]:] = cols[i, slot[i] - 1]
         return RowCompressed(n, k, vals, cols)
-    if target == "col":
-        k = max(1, int(np.max(np.bincount(t.cols, minlength=n))) if t.cols.size else 1)
-        vals = np.zeros((k, n))
-        rows = np.tile(np.arange(n)[None, :], (k, 1))
-        order = np.lexsort((t.rows, t.cols))
-        slot = np.zeros(n, dtype=np.int64)
-        for e in order:
-            i, j, v = t.rows[e], t.cols[e], t.vals[e]
-            s = slot[j]
-            vals[s, j] = v
-            rows[s, j] = i
-            slot[j] += 1
-        for j in range(n):
-            if 0 < slot[j] < k:
-                rows[slot[j]:, j] = rows[slot[j] - 1, j]
-        return ColCompressed(n, k, vals, rows)
+    if target == "col":  # the column panels of A are the row panels of A'
+        at = build(Triplets(n, t.cols, t.rows, t.vals), "row")
+        return ColCompressed(n, at.k, at.vals.T.copy(), at.cols.T.copy())
     if target == "diag":
         if t.rows.size == 0:
             return DiagCompressed(n, 1, np.zeros((n, 1)), np.array([0]))
@@ -310,21 +285,19 @@ _MM_GENERAL = "%%MatrixMarket matrix coordinate real general"
 _MM_SYMMETRIC = "%%MatrixMarket matrix coordinate real symmetric"
 
 
-def read_matrix_market(text: str) -> Triplets:
-    """Parse MatrixMarket coordinate real (general or symmetric) text.
+def _parse_coordinate(text: str):
+    """Validated content of MatrixMarket coordinate real text.
 
-    Symmetric files store the lower triangle; the strictly-lower entries are
-    mirrored on read.  Indices are 1-based on disk, 0-based in the result.
+    Returns ``(symmetric, nrows, ncols, entries)`` with 0-based ``(i, j, v)``
+    entries.  Rejects an unknown header, a malformed size line, an entry
+    count other than the announced one, malformed or non-finite entries,
+    and indices outside the announced size.
     """
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty MatrixMarket input")
     header = lines[0].rstrip()
-    if header == _MM_GENERAL:
-        symmetric = False
-    elif header == _MM_SYMMETRIC:
-        symmetric = True
-    else:
+    if header not in (_MM_GENERAL, _MM_SYMMETRIC):
         raise ValueError(f"unsupported MatrixMarket header: {header!r}")
     body = [ln for ln in lines[1:] if ln.strip() and not ln.lstrip().startswith("%")]
     if not body:
@@ -336,11 +309,9 @@ def read_matrix_market(text: str) -> Triplets:
         nrows, ncols, nnz = (int(tok) for tok in size)
     except ValueError as exc:
         raise ValueError(f"malformed size line: {body[0]!r}") from exc
-    if nrows != ncols:
-        raise ValueError("only square matrices are supported")
     if len(body) - 1 != nnz:
         raise ValueError(f"expected {nnz} entries, found {len(body) - 1}")
-    rows, cols, vals = [], [], []
+    entries = []
     for ln in body[1:]:
         tok = ln.split()
         if len(tok) != 3:
@@ -351,24 +322,69 @@ def read_matrix_market(text: str) -> Triplets:
             raise ValueError(f"malformed entry line: {ln!r}") from exc
         if not (1 <= i <= nrows and 1 <= j <= ncols):
             raise ValueError(f"index out of range in line {ln!r}")
-        rows.append(i - 1)
-        cols.append(j - 1)
+        if not np.isfinite(v):
+            raise ValueError(f"non-finite value in line {ln!r}")
+        entries.append((i - 1, j - 1, v))
+    return header == _MM_SYMMETRIC, nrows, ncols, entries
+
+
+def read_matrix_market(text: str) -> Triplets:
+    """Parse MatrixMarket coordinate real (general or symmetric) text.
+
+    Symmetric files store the lower triangle; the strictly-lower entries are
+    mirrored on read.  Indices are 1-based on disk, 0-based in the result.
+    """
+    symmetric, nrows, ncols, entries = _parse_coordinate(text)
+    if nrows != ncols:
+        raise ValueError("only square matrices are supported")
+    rows, cols, vals = [], [], []
+    for i, j, v in entries:
+        rows.append(i)
+        cols.append(j)
         vals.append(v)
         if symmetric and i != j:
-            rows.append(j - 1)
-            cols.append(i - 1)
+            rows.append(j)
+            cols.append(i)
             vals.append(v)
     return Triplets(nrows, rows, cols, vals)
 
 
-def write_matrix_market(triplets: Triplets) -> str:
-    """Serialize triplets as MatrixMarket coordinate real general text.
+def write_matrix_market(triplets: Triplets, symmetric=False) -> str:
+    """Serialize triplets as MatrixMarket coordinate real text.
 
     Entries are coalesced, sorted by (row, column), written 1-based with 17
-    significant digits.
+    significant digits.  The general kind lists every entry; with
+    ``symmetric=True`` (for a symmetric matrix) the symmetric kind lists
+    the lower triangle only.
     """
     t = triplets.coalesced()
-    out = [_MM_GENERAL, f"{t.n} {t.n} {t.rows.size}"]
-    for i, j, v in zip(t.rows, t.cols, t.vals):
+    keep = t.rows >= t.cols if symmetric else np.ones(t.rows.size, dtype=bool)
+    out = [_MM_SYMMETRIC if symmetric else _MM_GENERAL,
+           f"{t.n} {t.n} {int(np.count_nonzero(keep))}"]
+    for i, j, v in zip(t.rows[keep], t.cols[keep], t.vals[keep]):
         out.append(f"{i + 1} {j + 1} {v:.17g}")
+    return "\n".join(out) + "\n"
+
+
+def read_vector_market(text: str, n: int) -> np.ndarray:
+    """Parse an n x 1 MatrixMarket coordinate real general file as a vector.
+
+    Validation is that of :func:`read_matrix_market`; entries absent from
+    the file are zero and duplicates are summed.
+    """
+    symmetric, nrows, ncols, entries = _parse_coordinate(text)
+    if symmetric or nrows != n or ncols != 1:
+        raise ValueError(f"expected a general {n} x 1 vector")
+    b = np.zeros(n)
+    for i, _, v in entries:
+        b[i] += v
+    return b
+
+
+def write_vector_market(b) -> str:
+    """Serialize a vector as an n x 1 MatrixMarket coordinate real general
+    file listing every entry, 1-based, with 17 significant digits."""
+    b = np.asarray(b, dtype=float)
+    out = [_MM_GENERAL, f"{b.size} 1 {b.size}"]
+    out += [f"{i + 1} 1 {v:.17g}" for i, v in enumerate(b)]
     return "\n".join(out) + "\n"

@@ -7,10 +7,12 @@ stored Givens rotations.  Only the last two basis vectors and the last two
 direction vectors are kept; the full basis is never stored.
 """
 
+import math
+
 import numpy as np
 
-from .core import TridiagSym, make_givens
-from .report import BREAKDOWN, CONVERGED, MAX_ITER, SolveReport, residual_threshold
+from .core import TridiagSym, _TridiagQR
+from .report import BREAKDOWN, SolveReport, _Run
 from .storage import as_matvec
 
 _ZERO = 1e-14
@@ -88,63 +90,33 @@ def minres(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     the triangular factor cannot occur while beta stays nonzero and is
     flagged defensively as a breakdown.
     """
-    a_apply = as_matvec(a)
-    b = np.asarray(b, dtype=float)
-    n = b.size
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    max_iter = max_iter if max_iter is not None else n
-    r0 = b - a_apply(x)
-    beta0 = float(np.linalg.norm(r0))
+    run = _Run(a, b, x0, tol, tol_kind, max_iter)
+    a_apply, x = run.a_apply, run.x
+    beta0 = run.r_norm
     history = [beta0]
     extras = {"true_residual_norms": [beta0]}
-    threshold = residual_threshold(tol, tol_kind, float(np.linalg.norm(b)), beta0)
-    if beta0 == 0.0:
-        return SolveReport(x, 0, history, CONVERGED, extras=extras)
-    u = r0 / beta0
-    u_prev = np.zeros(n)
+    if beta0 == 0.0 or not math.isfinite(beta0):
+        return run.finish(x, 0, history, extras, exact=True)
+    u = run.r / beta0
+    u_prev = np.zeros(u.size)
     beta_prev = 0.0
-    g = beta0
-    p_prev1 = np.zeros(n)
-    p_prev2 = np.zeros(n)
-    rot_prev1 = rot_prev2 = None  # Givens pairs (i-1) and (i-2)
-    status, reason = MAX_ITER, None
-    it = 0
-    for i in range(1, max_iter + 1):
-        it = i
+    qr = _TridiagQR(beta0, u.size)
+    for i in range(1, run.max_iter + 1):
         v = a_apply(u)
         gamma = float(u @ v)
         v = v - gamma * u - beta_prev * u_prev
         beta = float(np.linalg.norm(v))
-        # Rotate the new tridiagonal column (0, beta_prev, gamma, beta)'.
-        r_im2 = 0.0
-        r_im1 = beta_prev
-        r_ii = gamma
-        p = u.copy()
-        if i > 2:
-            r_im2, r_im1 = rot_prev2.apply(0.0, beta_prev)
-            p -= r_im2 * p_prev2
-        if i > 1:
-            r_im1, r_ii = rot_prev1.apply(r_im1, gamma)
-            p -= r_im1 * p_prev1
-        rot, r_ii = make_givens(r_ii, beta)
-        if r_ii == 0.0:
-            status, reason = BREAKDOWN, "singular-R"
-            it = i - 1
-            break
-        p /= r_ii
-        xi, g = rot.apply(g, 0.0)
-        x = x + xi * p
-        history.append(abs(g))
-        extras["true_residual_norms"].append(float(np.linalg.norm(b - a_apply(x))))
+        x_next = qr.step(x, u, beta_prev, gamma, beta)
+        if x_next is None:
+            return SolveReport(x, i - 1, history, BREAKDOWN, reason="singular-R", extras=extras)
+        x = x_next
+        history.append(abs(qr.g))
+        extras["true_residual_norms"].append(float(np.linalg.norm(run.b - a_apply(x))))
         if callback is not None:
-            callback({"i": i, "x": x.copy(), "g": g})
-        if beta <= _ZERO * beta0 or abs(g) <= threshold:
-            status = CONVERGED
-            break
+            callback({"i": i, "x": x.copy(), "g": qr.g})
+        invariant = beta <= _ZERO * beta0
+        if run.stop(history[-1], invariant):
+            return run.finish(x, i, history, extras, exact=invariant)
         u_prev, u = u, v / beta
         beta_prev = beta
-        p_prev2, p_prev1 = p_prev1, p
-        rot_prev2, rot_prev1 = rot_prev1, rot
-    if status is MAX_ITER and history[-1] <= threshold:
-        status = CONVERGED
-    return SolveReport(x, it, history, status, reason=reason, extras=extras)
+    return run.finish(x, run.max_iter, history, extras)

@@ -217,3 +217,43 @@ def test_matrix_file_round_trip_through_solver(tmp_path, capsys):
                 "--precond", "ic", "--tol", "1e-8", "--tol-kind", "abs",
                 "--out", str(tmp_path / "h.csv")])
     assert code == 0
+
+
+def _rhs_file(tmp_path, body):
+    path = tmp_path / "r.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n" + body)
+    return path
+
+
+@pytest.mark.parametrize("body", [
+    "4 1 1\n0 1 2.0\n",          # index 0 (the file is 1-based)
+    "4 1 1\n5 1 2.0\n",          # index past n
+    "4 1 3\n1 1 2.0\n",          # fewer entries than announced
+], ids=["index-zero", "index-past-n", "missing-entries"])
+def test_solve_rejects_bad_rhs_file(tmp_path, capsys, body):
+    mtx = tmp_path / "A.mtx"
+    assert run(["generate", "--problem", "poisson", "--n", "2", "--out", str(mtx)]) == 0
+    code = run(["solve", "--matrix", str(mtx), "--rhs", str(_rhs_file(tmp_path, body)),
+                "--method", "cg", "--out", str(tmp_path / "h.csv")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--method", "gmres,restart=0"],
+    ["--method", "sor"],                                   # no --omega
+    ["--method", "block-jacobi", "--block-size", "3"],     # 3 does not divide 16
+], ids=["gmres-restart-0", "sor-without-omega", "block-size-not-dividing"])
+def test_solve_usage_value_error_exit_code(tmp_path, capsys, extra):
+    code = run(["solve", "--problem", "poisson", "--n", "4", *extra,
+                "--out", str(tmp_path / "u.csv")])
+    assert code == 2
+
+
+def test_solve_ic_pivot_breakdown_exit_code(tmp_path, capsys):
+    # the indefinite Kronecker sum has the IC pattern but meets a
+    # nonpositive pivot while being factored
+    code = run(["solve", "--problem", "indefinite", "--n", "6", "--method", "cg",
+                "--precond", "ic", "--out", str(tmp_path / "i.csv")])
+    assert code == 4
+    assert "ic-pivot" in capsys.readouterr().err

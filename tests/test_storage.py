@@ -4,6 +4,7 @@ import pytest
 from krylov.storage import (DiagCompressed, RowCompressed,
                             Triplets, build, read_matrix_market, to_dense,
                             to_triplets, write_matrix_market)
+from krylov.storage import read_vector_market, write_vector_market
 from krylov.problems import poisson_test
 
 
@@ -192,3 +193,40 @@ def test_triplets_validation():
         Triplets(2, [0], [2], [1.0])
     with pytest.raises(ValueError):
         Triplets(2, [0], [0], [np.inf])
+
+
+def test_vector_market_round_trip(rng):
+    b = rng.standard_normal(7)
+    text = write_vector_market(b)
+    assert text.splitlines()[:2] == ["%%MatrixMarket matrix coordinate real general", "7 1 7"]
+    np.testing.assert_array_equal(read_vector_market(text, 7), b)
+
+
+def test_vector_market_sparse_entries_and_duplicates():
+    text = "%%MatrixMarket matrix coordinate real general\n3 1 3\n1 1 2.0\n3 1 1.0\n3 1 0.5\n"
+    np.testing.assert_array_equal(read_vector_market(text, 3), [2.0, 0.0, 1.5])
+
+
+@pytest.mark.parametrize("text", [
+    "%%MatrixMarket matrix coordinate real general\n3 1 1\n0 1 1.0\n",
+    "%%MatrixMarket matrix coordinate real general\n3 1 1\n4 1 1.0\n",
+    "%%MatrixMarket matrix coordinate real general\n3 1 2\n1 1 1.0\n",
+    "%%MatrixMarket matrix coordinate real general\n3 1 1\n1 1 inf\n",
+    "%%MatrixMarket matrix coordinate real general\n4 1 1\n1 1 1.0\n",
+    "%%MatrixMarket matrix coordinate real symmetric\n3 1 1\n1 1 1.0\n",
+], ids=["index-zero", "index-past-n", "missing-entries", "non-finite", "wrong-length",
+        "symmetric-kind"])
+def test_vector_market_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        read_vector_market(text, 3)
+
+
+def test_matrix_market_symmetric_writer_keeps_lower_triangle():
+    a = poisson_test(3).a
+    text = write_matrix_market(to_triplets(a), symmetric=True)
+    lines = text.splitlines()
+    assert lines[0] == "%%MatrixMarket matrix coordinate real symmetric"
+    assert lines[1] == "9 9 21"  # 9 diagonal + 12 strictly lower entries
+    assert all(int(i) >= int(j) for i, j, _ in (ln.split() for ln in lines[2:]))
+    np.testing.assert_array_equal(to_dense(read_matrix_market(text)), to_dense(a))
+
