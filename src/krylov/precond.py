@@ -7,7 +7,8 @@ PCG with C = I on the transformed system p_m(A) x = C(A) b.
 A preconditioner is exposed as an applier ``s = C @ r`` with C symmetric
 positive definite and C approximately inv(A).  Four families are built
 here: the diagonal (Jacobi) scaling, incomplete Cholesky on the
-pentadiagonal Stieltjes structure (plain and modified), a block incomplete
+pentadiagonal Stieltjes structure (plain and modified; pivots and
+triangular solves run on a level schedule of the rows), a block incomplete
 factorization for block-tridiagonal matrices, and the Chebyshev polynomial
 approximation of inv(A).
 """
@@ -20,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .report import BREAKDOWN, SolveReport, _Run
-from .storage import as_matvec, to_dense, to_triplets
+from .storage import _point_parts, _Sweep, as_matvec, to_dense, to_triplets
 
 
 class IcBreakdownError(RuntimeError):
@@ -105,10 +106,7 @@ def _pcg(run, op, r, c_apply, extras, norm_key, callback, keys,
 
 def jacobi_preconditioner(a):
     """Diagonal scaling C = inv(diag(A))."""
-    t = to_triplets(a).coalesced()
-    d = np.zeros(t.n)
-    mask = t.rows == t.cols
-    d[t.rows[mask]] = t.vals[mask]
+    d = _point_parts(a)[0]
     if np.any(d == 0.0):
         raise ValueError("matrix has a zero diagonal entry")
     return lambda r: r / d
@@ -125,7 +123,7 @@ class IcFactors:
     Only the pivot vector ``dt`` is new storage: the factored form
     (L D)(inv(D))(L D)' reuses the matrix's own sub-band entries ``b``
     (first subdiagonal) and ``c`` (N-th subdiagonal) as the strict lower
-    triangle of (L D).
+    triangle of (L D), kept as level-scheduled sweeps ``lower``/``upper``.
     """
 
     n: int
@@ -134,25 +132,23 @@ class IcFactors:
     b: np.ndarray   # b[i] = A[i, i-1] (b[0] = 0)
     c: np.ndarray   # c[i] = A[i, i-N] (c[i] = 0 for i < N)
     dt: np.ndarray  # pivots
+    lower: _Sweep
+    upper: _Sweep
 
 
 def _pentadiagonal_bands(a, band):
     """Extract (diag, sub1, subN) from a pentadiagonal Stieltjes matrix."""
+    if band < 1:
+        raise ValueError(f"band offset must be at least 1, got {band}")
     t = to_triplets(a).coalesced()
-    n = t.n
-    diag = np.zeros(n)
-    b = np.zeros(n)
-    c = np.zeros(n)
-    for i, j, v in zip(t.rows, t.cols, t.vals):
-        off = int(j - i)
-        if off == 0:
-            diag[i] = v
-        elif off == -1:
-            b[i] = v
-        elif off == -band:
-            c[i] = v
-        elif off not in (1, band):
-            raise ValueError(f"entry ({i}, {j}) off the pentadiagonal pattern")
+    off = t.cols - t.rows
+    outside = np.flatnonzero(~np.isin(off, (0, -1, -band, 1, band)))
+    if outside.size:
+        k = outside[0]
+        raise ValueError(f"entry ({t.rows[k]}, {t.cols[k]}) off the pentadiagonal pattern")
+    diag, b, c = np.zeros((3, t.n))
+    for v, mask in zip((diag, b, c), (off == 0, off == -1, (off == -band) & (off != -1))):
+        v[t.rows[mask]] = t.vals[mask]
     if np.any(diag <= 0.0) or np.any(b > 0.0) or np.any(c > 0.0):
         raise ValueError("expected positive diagonal and nonpositive bands")
     return diag, b, c
@@ -185,7 +181,15 @@ def mic_pentadiagonal(a, band) -> IcFactors:
 
 def _ic_factor(a, band, modified):
     """Pivots of IC(0) or MIC: one recurrence, the MIC compensation terms
-    zero for IC (exact, as b*(b + 0.0) == b*b)."""
+    zero for IC (exact, as b*(b + 0.0) == b*b).
+
+    Row i reads row i-1 through b_i, then row i-band through c_i; pivots
+    and sweeps run on the levels of that triangle without its zero entries
+    (the 2N-1 anti-diagonals of the five-point grid).  Pivots stay bitwise
+    the same (each starts from a positive a_i); in a sweep 0.0 * y_j could
+    only flip a zero's sign or spread a non-finite y_j.  The first
+    nonpositive pivot in row order is the loop's: rows read earlier rows.
+    """
     diag, b, c = _pentadiagonal_bands(a, band)
     n = diag.size
     b_comp = np.zeros(n)  # c_{i+band-1}, the fill dropped beside b_i
@@ -193,17 +197,18 @@ def _ic_factor(a, band, modified):
     if modified and n > band:
         b_comp[1:n - band + 1] = c[band:]
         c_comp[band:] = b[1:n - band + 1]
-    dt = np.empty(n)
-    for i in range(n):
-        v = diag[i]
-        if i >= 1:
-            v -= b[i] * (b[i] + b_comp[i]) / dt[i - 1]
-        if i >= band:
-            v -= c[i] * (c[i] + c_comp[i]) / dt[i - band]
-        if v <= 0.0:
-            raise IcBreakdownError(f"ic-pivot: nonpositive pivot {v:g} at row {i}")
-        dt[i] = v
-    return IcFactors(n, band, diag, b, c, dt)
+    rows = np.tile(np.arange(n), 2)
+    cols = rows - np.repeat((1, band), n)
+    vals, nums = np.concatenate((b, c)), np.concatenate((b * (b + b_comp), c * (c + c_comp)))
+    keep = vals != 0.0  # b_0 and c_i, i < band, are zero: kept columns are in range
+    rows, cols, vals, nums = rows[keep], cols[keep], vals[keep], nums[keep]
+    lower = _Sweep(n, rows, cols, vals, lower=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dt = lower.pivots(diag, nums)
+    bad = np.flatnonzero(dt <= 0.0)
+    if bad.size:
+        raise IcBreakdownError(f"ic-pivot: nonpositive pivot {dt[bad[0]]:g} at row {bad[0]}")
+    return IcFactors(n, band, diag, b, c, dt, lower, _Sweep(n, cols, rows, vals, lower=False))
 
 
 def apply_ic_solve(f: IcFactors, r):
@@ -212,42 +217,15 @@ def apply_ic_solve(f: IcFactors, r):
     Forward sweep with (L D) (diagonal dt, strict lower = the b and c bands
     of A), scaling by dt, then the transposed backward sweep.
     """
-    n, N = f.n, f.band
-    b, c, dt = f.b, f.c, f.dt
-    y = np.empty(n)
-    for i in range(n):
-        s = r[i]
-        if i >= 1:
-            s -= b[i] * y[i - 1]
-        if i >= N:
-            s -= c[i] * y[i - N]
-        y[i] = s / dt[i]
-    y *= dt  # w = D y
-    s_out = np.empty(n)
-    for i in range(n - 1, -1, -1):
-        s = y[i]
-        if i + 1 < n:
-            s -= b[i + 1] * s_out[i + 1]
-        if i + N < n:
-            s -= c[i + N] * s_out[i + N]
-        s_out[i] = s / dt[i]
-    return s_out
+    y = f.lower.solve(f.dt, r)
+    y *= f.dt  # w = D y
+    return f.upper.solve(f.dt, y)
 
 
 def ic_matrix_apply(f: IcFactors, x):
     """Multiply M x for the factored M (used to check identities like M @ 1)."""
-    n, N = f.n, f.band
-    b, c, dt = f.b, f.c, f.dt
-    u = dt * x
-    u[:-1] += b[1:] * x[1:]
-    if n > N:
-        u[:-N] += c[N:] * x[N:]
-    u /= dt
-    w = dt * u
-    w[1:] += b[1:] * u[:-1]
-    if n > N:
-        w[N:] += c[N:] * u[:-N]
-    return w
+    u = f.upper.accumulate(f.dt * x, x) / f.dt
+    return f.lower.accumulate(f.dt * u, u)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ their block versions, plus splitting diagnostics and spectral-radius tools.
 A splitting A = M - N (M invertible) defines the iteration
 M x_{k+1} = N x_k + b, implemented throughout in the equivalent
 residual-update form: solve M u_k = r_k with r_k = b - A x_k, then
-x_{k+1} = x_k + u_k.  Point sweeps run over the sparse row structure;
-block variants factor each diagonal block densely once.
+x_{k+1} = x_k + u_k.  Point sweeps run level by level on a schedule of
+the sparse rows (:class:`krylov.storage._Sweep`) with the results of a
+row-by-row loop; block variants factor each diagonal block densely once.
 """
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .report import BREAKDOWN, SolveReport, _Run
-from .storage import as_matvec, operator_size, to_dense, to_triplets
+from .storage import _Panels, _point_parts, _Sweep, as_matvec, to_dense, to_triplets
 
 POINT_METHODS = ("jacobi", "gauss_seidel", "sor")
 BLOCK_METHODS = ("block_jacobi", "block_gs")
@@ -43,64 +44,6 @@ class StationaryConfig:
     tol: float = 1e-6
     tol_kind: str = "rel_to_r0"
     max_iter: int | None = None
-
-
-class _PointStructure:
-    """Per-row sparse access: diagonal plus strict lower/upper row lists."""
-
-    def __init__(self, a):
-        t = to_triplets(a).coalesced()
-        n = t.n
-        self.n = n
-        self.diag = np.zeros(n)
-        self.lower = [([], []) for _ in range(n)]
-        self.upper = [([], []) for _ in range(n)]
-        for i, j, v in zip(t.rows, t.cols, t.vals):
-            i = int(i)
-            j = int(j)
-            if i == j:
-                self.diag[i] = v
-            elif j < i:
-                self.lower[i][0].append(j)
-                self.lower[i][1].append(float(v))
-            else:
-                self.upper[i][0].append(j)
-                self.upper[i][1].append(float(v))
-        if np.any(self.diag == 0.0):
-            raise ValueError("matrix has a zero diagonal entry")
-
-    def forward_solve(self, diag, rhs):
-        """Solve (D + strict lower of A) u = rhs with the given diagonal D."""
-        u = np.empty(self.n)
-        lower = self.lower
-        for i in range(self.n):
-            s = rhs[i]
-            cols, vals = lower[i]
-            for j, v in zip(cols, vals):
-                s -= v * u[j]
-            u[i] = s / diag[i]
-        return u
-
-    def backward_solve(self, diag, rhs):
-        """Solve (D + strict upper of A) u = rhs with the given diagonal D."""
-        u = np.empty(self.n)
-        upper = self.upper
-        for i in range(self.n - 1, -1, -1):
-            s = rhs[i]
-            cols, vals = upper[i]
-            for j, v in zip(cols, vals):
-                s -= v * u[j]
-            u[i] = s / diag[i]
-        return u
-
-    def lower_apply(self, diag, x):
-        """(D + strict lower of A) @ x."""
-        y = diag * x
-        for i in range(self.n):
-            cols, vals = self.lower[i]
-            for j, v in zip(cols, vals):
-                y[i] += v * x[j]
-        return y
 
 
 class _BlockStructure:
@@ -160,21 +103,19 @@ def split(a, method, omega=None, block_size=None) -> Splitting:
     """
     a_apply = as_matvec(a)
     if method in POINT_METHODS:
-        ps = _PointStructure(a)
+        d, rows, cols, vals = _point_parts(a)
+        if np.any(d == 0.0):
+            raise ValueError("matrix has a zero diagonal entry")
         if method == "jacobi":
-            d = ps.diag.copy()
             m_solve = lambda r: r / d
             m_apply = lambda x: d * x
-        elif method == "gauss_seidel":
-            d = ps.diag.copy()
-            m_solve = lambda r: ps.forward_solve(d, r)
-            m_apply = lambda x: ps.lower_apply(d, x)
         else:
-            if omega is None or not (0.0 < omega < 2.0):
+            if method == "sor" and (omega is None or not (0.0 < omega < 2.0)):
                 raise ValueError("sor requires omega in (0, 2)")
-            d = ps.diag / omega
-            m_solve = lambda r: ps.forward_solve(d, r)
-            m_apply = lambda x: ps.lower_apply(d, x)
+            d = d / omega if method == "sor" else d
+            lower = _Sweep(d.size, rows, cols, vals, lower=True)
+            m_solve = lambda r: lower.solve(d, r)
+            m_apply = lambda x: lower.accumulate(d * x, x)
     elif method in BLOCK_METHODS:
         bs = _BlockStructure(a, block_size)
         if method == "block_jacobi":
@@ -243,62 +184,46 @@ def ssor_iterate(a, b, omega, tol=1e-6, tol_kind="rel_to_r0", max_iter=None,
     if omega is None or not (0.0 < omega < 2.0):
         raise ValueError("ssor requires omega in (0, 2)")
     b = np.asarray(b, dtype=float)
-    n = b.size
-    d = _diagonal_of(a, n)
-    if np.any(d == 0.0):
+    parts = _point_parts(a)
+    if np.any(parts[0] == 0.0):
         raise ValueError("matrix has a zero diagonal entry")
     run = _Run(a, b, x0, tol, tol_kind, max_iter, sweeps=100)
-    if np.any(d < 0.0):
+    if np.any(parts[0] < 0.0):
         return SolveReport(run.x, 0, [run.r_norm], BREAKDOWN,
                            reason="negative diagonal entry: D^(1/2) undefined")
-    hat = _HatStructure(a, d)
+    hat = _HatStructure(*parts)
     x = run.x
     xhat = hat.sqd * x
     bhat = b / hat.sqd
     history = [run.r_norm]
-    diag_hat = np.full(n, 1.0 / omega)
+    diag_hat = np.full(b.size, 1.0 / omega)
     for it in range(run.max_iter):
         if run.stop(history[-1]):
             return run.finish(x, it, history)
         rhat = bhat - hat.apply(xhat)
-        xhat = xhat + hat.forward_solve(diag_hat, rhat)
+        xhat = xhat + hat.lower.solve(diag_hat, rhat)
         rhat = bhat - hat.apply(xhat)
-        xhat = xhat + hat.backward_solve(diag_hat, rhat)
+        xhat = xhat + hat.upper.solve(diag_hat, rhat)
         x = xhat / hat.sqd
         history.append(float(np.linalg.norm(b - run.a_apply(x))))
     return run.finish(x, run.max_iter, history)
 
 
-class _HatStructure(_PointStructure):
-    """Point structure of Ahat = D^{-1/2} A D^{-1/2} for SSOR sweeps."""
+class _HatStructure:
+    """Ahat = D^{-1/2} A D^{-1/2} from the parts of A, for SSOR sweeps."""
 
-    def __init__(self, a, d):
-        super().__init__(a)
-        self.sqd = np.sqrt(d)
+    def __init__(self, diag, rows, cols, vals):
+        n = diag.size
+        self.sqd = np.sqrt(diag)
         inv = 1.0 / self.sqd
-        for i in range(self.n):
-            for side in (self.lower, self.upper):
-                cols, vals = side[i]
-                for t, j in enumerate(cols):
-                    vals[t] *= inv[i] * inv[j]
-        self.diag = self.diag * inv * inv  # all ones, kept for apply()
+        vals = vals * (inv[rows] * inv[cols])
+        self.diag = diag * inv * inv  # all ones up to rounding, kept for apply()
+        self.lower, self.upper = (_Sweep(n, rows, cols, vals, side) for side in (True, False))
+        self._offdiag = _Panels(n, rows, cols, vals, np.zeros(n, dtype=np.int64))
 
     def apply(self, x):
-        y = self.diag * x
-        for i in range(self.n):
-            for side in (self.lower, self.upper):
-                cols, vals = side[i]
-                for j, v in zip(cols, vals):
-                    y[i] += v * x[j]
-        return y
-
-
-def _diagonal_of(a, n):
-    t = to_triplets(a).coalesced()
-    d = np.zeros(n)
-    mask = t.rows == t.cols
-    d[t.rows[mask]] = t.vals[mask]
-    return d
+        """Ahat @ x, each row from its diagonal term through its entries by column."""
+        return self._offdiag.accumulate(self.diag * x, x)
 
 
 def iteration_matrix_applier(a, method, omega=None, block_size=None):
@@ -311,16 +236,15 @@ def iteration_matrix_applier(a, method, omega=None, block_size=None):
     if method == "ssor":
         if omega is None or not (0.0 < omega < 2.0):
             raise ValueError("ssor requires omega in (0, 2)")
-        n = operator_size(a)
-        d = _diagonal_of(a, n)
-        if np.any(d <= 0.0):
+        parts = _point_parts(a)
+        if np.any(parts[0] <= 0.0):
             raise ValueError("ssor needs a positive diagonal")
-        hat = _HatStructure(a, d)
-        diag_hat = np.full(n, 1.0 / omega)
+        hat = _HatStructure(*parts)
+        diag_hat = np.full(hat.diag.size, 1.0 / omega)
 
         def g_apply(v):
-            w = v - hat.forward_solve(diag_hat, hat.apply(v))
-            return w - hat.backward_solve(diag_hat, hat.apply(w))
+            w = v - hat.lower.solve(diag_hat, hat.apply(v))
+            return w - hat.upper.solve(diag_hat, hat.apply(w))
 
         return g_apply
     sp = split(a, method, omega=omega, block_size=block_size)
@@ -346,16 +270,29 @@ def diagnostics(a) -> dict:
     diagonal, at least one is strictly below), which admits the discrete
     Laplacian family.  The sign-pattern flag (positive diagonal,
     nonpositive off-diagonals) is a necessary condition for an M-matrix,
-    not a proof.
+    not a proof.  With no n x n array, the sums of |A| are the dense
+    formulas' (rows summed densely a block of rows at a time, columns in
+    row order), so rounding ties resolve alike.
     """
-    dense = to_dense(a)
-    absd = np.abs(np.diag(dense))
-    row_off = np.sum(np.abs(dense), axis=1) - absd
-    col_off = np.sum(np.abs(dense), axis=0) - absd
-    off = dense - np.diag(np.diag(dense))
+    t = to_triplets(a).coalesced()
+    n, mag = t.n, np.abs(t.vals)
+    diag = _point_parts(t)[0]
+    absd = np.abs(diag)
+    row_sum, step = np.empty(n), max(1, (1 << 20) // n)
+    for i in range(0, n, step):
+        lo, hi = np.searchsorted(t.rows, (i, i + step))
+        block = np.zeros((min(step, n - i), n))
+        block[t.rows[lo:hi] - i, t.cols[lo:hi]] = mag[lo:hi]
+        row_sum[i:i + step] = np.sum(block, axis=1)
+    row_off = row_sum - absd
+    col_off = np.bincount(t.cols, weights=mag, minlength=n) - absd
+    nz = t.vals != 0.0
+    rows, cols, vals = t.rows[nz], t.cols[nz], t.vals[nz]
+    tr = np.lexsort((rows, cols))  # the transpose's entries, by row
     return {
         "diag_dominant_rows": bool(np.all(absd >= row_off) and np.any(absd > row_off)),
         "diag_dominant_cols": bool(np.all(absd >= col_off) and np.any(absd > col_off)),
-        "m_matrix_sign_pattern": bool(np.all(np.diag(dense) > 0) and np.all(off <= 0)),
-        "symmetric": bool(np.array_equal(dense, dense.T)),
+        "m_matrix_sign_pattern": bool(np.all(diag > 0) and np.all(vals[rows != cols] <= 0)),
+        "symmetric": bool(np.array_equal(rows, cols[tr]) and np.array_equal(cols, rows[tr])
+                          and np.array_equal(vals, vals[tr])),
     }

@@ -84,9 +84,8 @@ class RowCompressed:
 
     def rmatvec(self, x):
         x = _check_dim(x, self.n)
-        y = np.zeros(self.n)
-        np.add.at(y, self.cols, self.vals * x[:, None])
-        return y
+        return np.bincount(self.cols.ravel(), weights=(self.vals * x[:, None]).ravel(),
+                           minlength=self.n)
 
     def to_triplets(self):
         mask = self.vals != 0.0
@@ -108,9 +107,8 @@ class ColCompressed:
 
     def matvec(self, x):
         x = _check_dim(x, self.n)
-        y = np.zeros(self.n)
-        np.add.at(y, self.rows, self.vals * x[None, :])
-        return y
+        return np.bincount(self.rows.ravel(), weights=(self.vals * x[None, :]).ravel(),
+                           minlength=self.n)
 
     def rmatvec(self, x):
         x = _check_dim(x, self.n)
@@ -190,6 +188,99 @@ def _check_dim(x, n):
     return x
 
 
+def _point_parts(a):
+    """Diagonal of a matrix and its off-diagonal entries (rows, cols, vals), by row."""
+    t = to_triplets(a).coalesced()
+    on = t.rows == t.cols
+    diag = np.zeros(t.n)
+    diag[t.rows[on]] = t.vals[on]
+    return diag, t.rows[~on], t.cols[~on], t.vals[~on]
+
+
+class _Panels:
+    """Entries (rows, cols, vals) of an n x n matrix, rows grouped and padded:
+    rows renumbered group by group (row ``perm[p]`` at position p, row i at
+    ``pos[i]``), each group a slice of positions with (width, size) panels of
+    entry positions and values, slot k of a row holding its k-th entry;
+    slots past a row's end hold 0.0 and read a sink at position n."""
+
+    def __init__(self, n, rows, cols, vals, group):
+        self.n, self.perm = n, np.argsort(group, kind="stable")
+        self.pos = np.argsort(self.perm)
+        order = np.argsort(self.pos[rows], kind="stable")
+        key = self.pos[rows][order]
+        size = np.bincount(group, minlength=1)
+        width = np.zeros(size.size, dtype=np.int64)
+        np.maximum.at(width, group, np.bincount(rows, minlength=n))
+        start, flat = (np.concatenate(([0], np.cumsum(v))) for v in (size, size * width))
+        g, slot = group[self.perm[key]], np.arange(key.size) - np.searchsorted(key, key)
+        self._slots = np.empty(key.size, dtype=np.int64)  # flat panel index of each entry
+        self._slots[order] = flat[g] + slot * size[g] + key - start[g]
+        self._shapes = list(zip(flat.tolist(), width.tolist(), size.tolist()))
+        self.groups = list(zip(map(slice, start.tolist(), start[1:].tolist()),
+                               self.panels(self.pos[cols], fill=n), self.panels(vals)))
+
+    def panels(self, entry_vals, fill=0.0):
+        """Per-group panels of per-entry values, padded with ``fill``."""
+        f, w, m = self._shapes[-1]
+        flat = np.full(f + w * m, fill, dtype=np.asarray(entry_vals).dtype)
+        flat[self._slots] = entry_vals
+        return [flat[f:f + w * m].reshape(w, m) for f, w, m in self._shapes]
+
+    def accumulate(self, base, x):
+        """base + (the entries) @ x, each row adding its terms in slot order."""
+        xs = np.append(np.asarray(x, dtype=float)[self.perm], -0.0)  # y + 0.0 * -0.0 == y
+        y = np.asarray(base, dtype=float)[self.perm]
+        for rows, cols, vals in self.groups:
+            for term in xs.take(cols) * vals:
+                y[rows] += term
+        return y[self.pos]
+
+
+class _Sweep(_Panels):
+    """Level-scheduled triangular sweeps (Anderson & Saad 1989; Saad,
+    *Iterative Methods for Sparse Linear Systems*, 2nd ed., §11.6).
+
+    T is the strict lower (or upper) triangle of the entries given as int64
+    (rows, cols) and values, each row's entries in the order a row-by-row
+    loop subtracts them.  The groups are levels: a row's level is one more
+    than the highest level of the rows it reads.  A level takes a few numpy
+    calls in the loop's operation order (padding subtracts 0.0 * 1.0, the
+    sink holding 1.0), so results are bitwise the loop's."""
+
+    def __init__(self, n, rows, cols, vals, lower):
+        keep = cols < rows if lower else cols > rows
+        rows, cols, vals = rows[keep], cols[keep], np.asarray(vals, dtype=float)[keep]
+        seq = np.argsort(rows if lower else -rows, kind="stable")
+        level = [0] * n
+        for i, j in zip(rows[seq].tolist(), cols[seq].tolist()):
+            level[i] = max(level[i], level[j] + 1)
+        super().__init__(n, rows, cols, vals, np.array(level, dtype=np.int64))
+
+    def solve(self, diag, rhs):
+        """u with (D + T) u = rhs, D = diag(diag)."""
+        u = np.append(np.empty(self.n), 1.0)
+        d, r = (np.asarray(v, dtype=float)[self.perm] for v in (diag, rhs))
+        for rows, cols, vals in self.groups:
+            s = r[rows]
+            for term in u.take(cols) * vals:
+                s = s - term
+            np.divide(s, d[rows], out=u[rows])
+        return u[self.pos]
+
+    def pivots(self, diag, nums):
+        """u with u_i = diag_i - sum_k nums_k / u_(col k) over row i's entries
+        in order: the incomplete-Cholesky pivot recurrence."""
+        u = np.append(np.empty(self.n), 1.0)
+        d = np.asarray(diag, dtype=float)[self.perm]
+        for (rows, cols, _), nums_k in zip(self.groups, self.panels(nums)):
+            s = d[rows]
+            for term in nums_k / u.take(cols):
+                s = s - term
+            u[rows] = s
+        return u[self.pos]
+
+
 def build(triplets: Triplets, target: str):
     """Assemble a storage format from triplets (duplicates summed).
 
@@ -199,20 +290,16 @@ def build(triplets: Triplets, target: str):
     n = t.n
     if target == "dense":
         return t.to_dense()
-    if target == "row":
-        k = max(1, int(np.max(np.bincount(t.rows, minlength=n))) if t.rows.size else 1)
+    if target == "row":  # coalesced order is by (row, col)
+        count = np.bincount(t.rows, minlength=n)
+        k = max(1, int(count.max()))
+        slot = np.arange(t.rows.size) - np.repeat(np.cumsum(count) - count, count)
         vals = np.zeros((n, k))
+        vals[t.rows, slot] = t.vals
         cols = np.tile(np.arange(n)[:, None], (1, k))  # empty row: repeat own index
-        slot = np.zeros(n, dtype=np.int64)
-        for i, j, v in zip(t.rows, t.cols, t.vals):  # coalesced order = by (row, col)
-            s = slot[i]
-            vals[i, s] = v
-            cols[i, s] = j
-            slot[i] += 1
-        for i in range(n):  # padding repeats the last used column index
-            if 0 < slot[i] < k:
-                cols[i, slot[i]:] = cols[i, slot[i] - 1]
-        return RowCompressed(n, k, vals, cols)
+        cols[t.rows, slot] = t.cols
+        last = np.minimum(np.arange(k), np.maximum(count, 1)[:, None] - 1)
+        return RowCompressed(n, k, vals, np.take_along_axis(cols, last, axis=1))
     if target == "col":  # the column panels of A are the row panels of A'
         at = build(Triplets(n, t.cols, t.rows, t.vals), "row")
         return ColCompressed(n, at.k, at.vals.T.copy(), at.cols.T.copy())
@@ -222,9 +309,7 @@ def build(triplets: Triplets, target: str):
         offs = np.unique(t.cols - t.rows)
         k = offs.size
         vals = np.zeros((n, k))
-        pos = {int(nu): r for r, nu in enumerate(offs)}
-        for i, j, v in zip(t.rows, t.cols, t.vals):
-            vals[i, pos[int(j - i)]] = v
+        vals[t.rows, np.searchsorted(offs, t.cols - t.rows)] = t.vals
         return DiagCompressed(n, k, vals, offs)
     raise ValueError(f"unknown storage target {target!r}")
 

@@ -124,6 +124,11 @@ def test_ic_rejects_non_stieltjes():
         ic0_pentadiagonal(a, 2)
 
 
+def test_ic_rejects_band_below_one():
+    with pytest.raises(ValueError, match="band offset"):
+        ic0_pentadiagonal(poisson_test(3).a, 0)
+
+
 def test_ic_breakdown_on_nonpositive_pivot():
     t = Triplets(2, [0, 1, 0, 1], [0, 1, 1, 0], [1.0, 1.0, -2.0, -2.0])
     a = build(t, "diag")

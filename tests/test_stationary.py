@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from krylov.core import spectral_radius_estimate
-from krylov.problems import hilbert, poisson_test
+from krylov.problems import (cavity_laplace, hilbert, indefinite_kron, poisson_test,
+                             random_sparse)
 from krylov.stationary import (StationaryConfig, diagnostics,
                                iteration_matrix_applier, iterate,
                                optimal_omega_estimate, split, ssor_iterate)
-from krylov.storage import to_dense
+from krylov.storage import Triplets, to_dense
 
 
 def dominant_random(n, rng):
@@ -236,3 +237,41 @@ def test_diagnostics_hilbert_not_dominant():
     assert not d["diag_dominant_rows"]
     assert not d["diag_dominant_cols"]
     assert d["symmetric"]
+
+
+def _dense_diagnostics(dense):
+    """The dense formulas diagnostics() must agree with."""
+    absd = np.abs(np.diag(dense))
+    row_off = np.sum(np.abs(dense), axis=1) - absd
+    col_off = np.sum(np.abs(dense), axis=0) - absd
+    off = dense - np.diag(np.diag(dense))
+    return {
+        "diag_dominant_rows": bool(np.all(absd >= row_off) and np.any(absd > row_off)),
+        "diag_dominant_cols": bool(np.all(absd >= col_off) and np.any(absd > col_off)),
+        "m_matrix_sign_pattern": bool(np.all(np.diag(dense) > 0) and np.all(off <= 0)),
+        "symmetric": bool(np.array_equal(dense, dense.T)),
+    }
+
+
+def _nonsymmetric():
+    a = to_dense(poisson_test(5).a)
+    a[3, 8] = -0.5
+    a[0, 1] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("make", [
+    lambda: poisson_test(8).a,
+    lambda: cavity_laplace(9, 0.3).a,
+    lambda: cavity_laplace(12, 0.3).a,  # Neumann rows tie within rounding
+    lambda: hilbert(12).a,
+    lambda: hilbert(6, shift=0.5).a,
+    lambda: indefinite_kron(5).a,
+    lambda: random_sparse(80, 0.05, seed=3).a,
+    _nonsymmetric,
+    lambda: Triplets(3, [0, 0, 1, 2, 1], [0, 1, 1, 2, 0], [2.0, 0.0, 2.0, 2.0, -1.0]),
+], ids=["poisson", "cavity", "cavity-tie", "hilbert", "hilbert-shifted", "indefinite", "random",
+        "nonsymmetric", "explicit-zero"])
+def test_diagnostics_match_dense_formulas(make):
+    a = make()
+    assert diagnostics(a) == _dense_diagnostics(to_dense(a))

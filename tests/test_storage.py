@@ -155,6 +155,21 @@ def test_rmatvec_matches_dense_transpose(rng):
         np.testing.assert_allclose(a.rmatvec(x), dense.T @ x, rtol=1e-13, atol=1e-13)
 
 
+@pytest.mark.parametrize("fmt", ["row", "col"])
+def test_scatter_products_match_add_at_bitwise(fmt, rng):
+    # rmatvec (row) and matvec (col) scatter-add in the index grid's C order
+    t, _ = random_triplets(40, 0.2, rng)
+    a = build(t, fmt)
+    x = rng.standard_normal(40)
+    y = np.zeros(40)
+    if fmt == "row":
+        np.add.at(y, a.cols, a.vals * x[:, None])
+        assert np.array_equal(a.rmatvec(x), y)
+    else:
+        np.add.at(y, a.rows, a.vals * x[None, :])
+        assert np.array_equal(a.matvec(x), y)
+
+
 def test_matrix_market_single_entry():
     t = read_matrix_market("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 5.0\n")
     assert t.n == 1
