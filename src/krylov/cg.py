@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import TridiagSym, sturm_extreme_eigs
 from .precond import _pcg
-from .report import BREAKDOWN, SolveReport, _Run
+from .report import SolveReport, _Run
 from .storage import as_matvec
 
 _ZERO = 1e-14  # relative breakdown threshold for "exact zero" tests
@@ -79,19 +79,18 @@ def cg_basic(a, b, x0=None, tol=1e-10, tol_kind="abs", max_iter=None,
     efficient form :func:`cg` is preferred.  History records the recurrence
     residual norms.
     """
-    run = _Run(a, b, x0, tol, tol_kind, max_iter)
+    run = _Run(a, b, x0, tol, tol_kind, max_iter, callback=callback)
     a_apply, x, r = run.a_apply, run.x, run.r
     u = r.copy()
     u_prev = np.zeros(r.size)
     d_prev = beta_prev = 0.0
-    history = [run.r_norm]
     for i in range(1, run.max_iter + 1):
-        if run.stop(history[-1]):
-            return run.finish(x, i - 1, history)
+        if run.stop(run.history[-1]):
+            return run.finish(x, i - 1)
         v = a_apply(u)
         d = float(u @ v)
         if d <= 0.0:
-            return SolveReport(x, i - 1, history, BREAKDOWN, reason="not-spd")
+            return run.breakdown(x, i - 1, "not-spd")
         lam = float(u @ r) / d
         x = x + lam * u
         r = r - lam * v
@@ -100,10 +99,8 @@ def cg_basic(a, b, x0=None, tol=1e-10, tol_kind="abs", max_iter=None,
             beta_prev = d / d_prev
         u, u_prev = v - gamma * u - beta_prev * u_prev, u
         d_prev = d
-        history.append(float(np.linalg.norm(r)))
-        if callback is not None:
-            callback({"i": i, "x": x.copy(), "r": r.copy(), "u": u_prev.copy()})
-    return run.finish(x, run.max_iter, history)
+        run.record(float(np.linalg.norm(r)), i, x=x, r=r, u=u_prev)
+    return run.finish(x, run.max_iter)
 
 
 def cg(a, b, x0=None, tol=1e-10, tol_kind="abs", max_iter=None,
@@ -122,10 +119,10 @@ def cg(a, b, x0=None, tol=1e-10, tol_kind="abs", max_iter=None,
     needed to rebuild the tridiagonal eigenvalue-estimation matrix:
     ``lambda_hat``, ``mu``, ``d_hat``, ``recurrence_residuals``.
     """
-    run = _Run(a, b, x0, tol, tol_kind, max_iter)
-    extras = {"lambda_hat": [], "mu": [], "d_hat": [], "recurrence_residuals": []}
-    return _pcg(run, run.a_apply, run.r, None, extras, "recurrence_residuals",
-                callback, ("r", "p"), true_residual=True)
+    run = _Run(a, b, x0, tol, tol_kind, max_iter, callback=callback, extras={
+        "lambda_hat": [], "mu": [], "d_hat": [], "recurrence_residuals": []})
+    return _pcg(run, run.a_apply, run.r, None, "recurrence_residuals", ("r", "p"),
+                true_residual=True)
 
 
 def assemble_tbar(report: SolveReport, steps=None) -> TridiagSym:

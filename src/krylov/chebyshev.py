@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .core import spectral_radius_estimate
-from .report import BREAKDOWN, SolveReport, _Run
+from .report import SolveReport, _Run
 from .stationary import Splitting
 
 # Consecutive increasing residuals tolerated before declaring the spectral
@@ -85,17 +85,16 @@ def semi_iterative(base: Splitting, b, alpha, beta, tol=1e-6,
     def baseline_step(x):
         return x + base.m_solve(b - base.a_apply(x))
 
-    history = [run.r_norm]
-    if run.stop(history[0]):
-        return run.finish(x_prev, 0, history)
+    if run.stop(run.r_norm):
+        return run.finish(x_prev, 0)
     x = baseline_step(x_prev)
-    history.append(float(np.linalg.norm(b - base.a_apply(x))))
+    run.record(float(np.linalg.norm(b - base.a_apply(x))))
     g_prev, g = 1.0, mu1
     rising = 0
     span = beta - alpha
     for k in range(1, run.max_iter):
-        if run.stop(history[-1]):
-            return run.finish(x, k, history)
+        if run.stop(run.history[-1]):
+            return run.finish(x, k)
         g_next = 2.0 * mu1 * g - g_prev
         z = baseline_step(x)
         x_next = (g / g_next) * (4.0 / span) * z \
@@ -103,11 +102,11 @@ def semi_iterative(base: Splitting, b, alpha, beta, tol=1e-6,
             - (g_prev / g_next) * x_prev
         x_prev, x = x, x_next
         g_prev, g = g, g_next
-        history.append(float(np.linalg.norm(b - base.a_apply(x))))
-        rising = rising + 1 if history[-1] > history[-2] else 0
+        run.record(float(np.linalg.norm(b - base.a_apply(x))))
+        rising = rising + 1 if run.history[-1] > run.history[-2] else 0
         if rising >= _DIVERGENCE_RUN:
-            return SolveReport(x, k + 1, history, BREAKDOWN, reason="interval-mismatch")
-    return run.finish(x, run.max_iter, history)
+            return run.breakdown(x, k + 1, "interval-mismatch")
+    return run.finish(x, run.max_iter)
 
 
 def estimate_interval(g_apply, n, m_max=1000, margin=0.0):

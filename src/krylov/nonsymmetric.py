@@ -16,7 +16,7 @@ it uses (C A)' = A' C, valid for symmetric C).
 import numpy as np
 
 from .core import _TridiagQR, make_givens
-from .report import BREAKDOWN, SolveReport, _Run
+from .report import SolveReport, _Run
 from .storage import as_matvec, as_rmatvec
 
 _ZERO = 1e-14
@@ -96,18 +96,17 @@ def gmres(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     solution, which cannot happen for nonsingular A and is reported as a
     breakdown.
     """
-    run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply)
+    run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply, callback=callback)
     a_apply, x = run.a_apply, run.x
     cycle = restart if restart is not None else run.max_iter
     if cycle < 1:
         raise ValueError("restart must be at least 1")
-    history = [run.r_norm]
     total = 0
     while True:
         r0 = run.b - a_apply(x)
         beta = float(np.linalg.norm(r0))
         if run.stop(beta):
-            return run.finish(x, total, history, res=beta)
+            return run.finish(x, total, res=beta)
         us = [r0 / beta]
         rcols = []   # columns of the triangular factor
         rots = []    # Givens pairs
@@ -130,9 +129,7 @@ def gmres(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
             rcols.append(col)
             xi, g = rot.apply(g, 0.0)
             g1.append(xi)
-            history.append(abs(g))
-            if callback is not None:
-                callback({"i": total, "g": g})
+            run.record(abs(g), total, g=g)
             lucky = hnext <= _ZERO * max(scale, 1.0)
             if run.stop(abs(g)) or lucky:
                 if lucky and abs(g) > run.threshold:
@@ -148,9 +145,9 @@ def gmres(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
                 y[j] = s / rcols[j][j]  # nonzero: singular columns are never kept
             x = x + sum(y[j] * us[j] for j in range(m))
         if breakdown and abs(g) > run.threshold:
-            return SolveReport(x, total, history, BREAKDOWN, reason=breakdown)
+            return run.breakdown(x, total, breakdown)
         if run.stop(abs(g)) or total >= run.max_iter:
-            return run.finish(x, total, history, res=abs(g))
+            return run.finish(x, total, res=abs(g))
 
 
 class BiLanczosState:
@@ -218,26 +215,23 @@ def bicg(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     ``extras["mu"]`` (they define the residual polynomials that CGS
     squares).  Breakdown when a pivot or an inner product vanishes.
     """
-    run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply, transpose="bicg")
+    run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply, transpose="bicg",
+               callback=callback, extras={"lambda_hat": [], "mu": []})
     a_apply, at_apply, x, r = run.a_apply, run.at_apply, run.x, run.r
     r_hat = r.copy()
     p, p_hat = r.copy(), r.copy()
     eta = float(r_hat @ r)
-    history = [run.r_norm]
-    extras = {"lambda_hat": [], "mu": []}
-    scale0 = history[0] ** 2
+    scale0 = run.r_norm ** 2
     for i in range(1, run.max_iter + 1):
-        if run.stop(history[-1]):
-            return run.finish(x, i - 1, history, extras)
+        if run.stop(run.history[-1]):
+            return run.finish(x, i - 1)
         if abs(eta) <= _ZERO ** 2 * scale0:
-            return SolveReport(x, i - 1, history, BREAKDOWN,
-                               reason=SERIOUS_BREAKDOWN, extras=extras)
+            return run.breakdown(x, i - 1, SERIOUS_BREAKDOWN)
         v = a_apply(p)
         v_hat = at_apply(p_hat)
         d = float(p_hat @ v)
         if abs(d) <= _ZERO * float(np.linalg.norm(p_hat)) * float(np.linalg.norm(v)):
-            return SolveReport(x, i - 1, history, BREAKDOWN,
-                               reason=SERIOUS_BREAKDOWN, extras=extras)
+            return run.breakdown(x, i - 1, SERIOUS_BREAKDOWN)
         lam = eta / d
         x = x + lam * p
         r = r - lam * v
@@ -247,13 +241,10 @@ def bicg(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
         p = r + mu * p
         p_hat = r_hat + mu * p_hat
         eta = eta_new
-        extras["lambda_hat"].append(lam)
-        extras["mu"].append(mu)
-        history.append(float(np.linalg.norm(r)))
-        if callback is not None:
-            callback({"i": i, "x": x.copy(), "r": r.copy(),
-                      "r_hat": r_hat.copy(), "p": p.copy(), "p_hat": p_hat.copy()})
-    return run.finish(x, run.max_iter, history, extras)
+        run.extras["lambda_hat"].append(lam)
+        run.extras["mu"].append(mu)
+        run.record(float(np.linalg.norm(r)), i, x=x, r=r, r_hat=r_hat, p=p, p_hat=p_hat)
+    return run.finish(x, run.max_iter)
 
 
 def qmr(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
@@ -266,13 +257,13 @@ def qmr(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     are recorded in ``extras["true_residual_norms"]``.  On symmetric A with
     the default shadow start the method coincides with MINRES.
     """
-    run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply, transpose="qmr")
+    run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply, transpose="qmr",
+               callback=callback)
     a_apply, at_apply, x = run.a_apply, run.at_apply, run.x
     beta0 = run.r_norm
-    history = [beta0]
-    extras = {"true_residual_norms": [beta0]}
+    true_norms = run.extras["true_residual_norms"] = [beta0]
     if run.stop(beta0):
-        return run.finish(x, 0, history, extras)
+        return run.finish(x, 0)
     u = run.r / beta0
     w = u.copy()
     u_prev = np.zeros(u.size)
@@ -286,25 +277,22 @@ def qmr(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
         alpha = float(np.linalg.norm(u_hat))
         x_next = qr.step(x, u, beta_prev, gamma, alpha)
         if x_next is None:
-            return SolveReport(x, i - 1, history, BREAKDOWN, reason="singular-R", extras=extras)
+            return run.breakdown(x, i - 1, "singular-R")
         x = x_next
-        history.append(abs(qr.g))
-        extras["true_residual_norms"].append(float(np.linalg.norm(run.b - a_apply(x))))
-        if callback is not None:
-            callback({"i": i, "x": x.copy(), "g": qr.g})
+        true_norms.append(float(np.linalg.norm(run.b - a_apply(x))))
+        run.record(abs(qr.g), i, x=x, g=qr.g)
         invariant = alpha <= _ZERO * max(float(np.linalg.norm(v)), 1.0)
-        if run.stop(history[-1], invariant):
-            return run.finish(x, i, history, extras, exact=invariant)
+        if run.stop(run.history[-1], invariant):
+            return run.finish(x, i, exact=invariant)
         u_next = u_hat / alpha
         w_hat = at_apply(w) - gamma * w - alpha_prev * w_prev
         beta = float(u_next @ w_hat)
         if abs(beta) <= _ZERO * float(np.linalg.norm(w_hat)):
-            return SolveReport(x, i, history, BREAKDOWN, reason=SERIOUS_BREAKDOWN,
-                               extras=extras)
+            return run.breakdown(x, i, SERIOUS_BREAKDOWN)
         u_prev, u = u, u_next
         w_prev, w = w, w_hat / beta
         alpha_prev, beta_prev = alpha, beta
-    return run.finish(x, run.max_iter, history, extras)
+    return run.finish(x, run.max_iter)
 
 
 def qmr_alt(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
@@ -317,13 +305,13 @@ def qmr_alt(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     tridiagonal matrix may not exist, surfacing as a zero pivot ell_i
     ("lu_breakdown") while plain :func:`qmr` proceeds.
     """
-    run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply, transpose="qmr_alt")
+    run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply, transpose="qmr_alt",
+               callback=callback)
     a_apply, at_apply, x = run.a_apply, run.at_apply, run.x
     beta0 = run.r_norm
-    history = [beta0]
-    extras = {"true_residual_norms": [beta0]}
+    true_norms = run.extras["true_residual_norms"] = [beta0]
     if run.stop(beta0):
-        return run.finish(x, 0, history, extras)
+        return run.finish(x, 0)
     u = run.r / beta0
     v = u.copy()
     q = u.copy()
@@ -336,8 +324,7 @@ def qmr_alt(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
         q_hat = a_apply(q)
         num = float(z @ q_hat)
         if abs(num) <= _ZERO * float(np.linalg.norm(z)) * float(np.linalg.norm(q_hat)):
-            return SolveReport(x, i - 1, history, BREAKDOWN, reason=LU_BREAKDOWN,
-                               extras=extras)
+            return run.breakdown(x, i - 1, LU_BREAKDOWN)
         ell = num / f
         u_hat = q_hat - ell * u
         alpha = float(np.linalg.norm(u_hat))
@@ -348,30 +335,27 @@ def qmr_alt(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
             p -= r_im1 * p_prev
         rot, r_ii = make_givens(r_ii, alpha)
         if r_ii == 0.0:
-            return SolveReport(x, i - 1, history, BREAKDOWN, reason="singular-R", extras=extras)
+            return run.breakdown(x, i - 1, "singular-R")
         p /= r_ii
         xi, g = rot.apply(g, 0.0)
         x = x + xi * p
-        history.append(abs(g))
-        extras["true_residual_norms"].append(float(np.linalg.norm(run.b - a_apply(x))))
-        if callback is not None:
-            callback({"i": i, "x": x.copy(), "g": g})
+        true_norms.append(float(np.linalg.norm(run.b - a_apply(x))))
+        run.record(abs(g), i, x=x, g=g)
         invariant = alpha <= _ZERO * max(float(np.linalg.norm(q_hat)), 1.0)
-        if run.stop(history[-1], invariant):
-            return run.finish(x, i, history, extras, exact=invariant)
+        if run.stop(run.history[-1], invariant):
+            return run.finish(x, i, exact=invariant)
         u = u_hat / alpha
         v = (at_apply(z) - ell * v) / alpha
         f_next = float(v @ u)
         if abs(f_next) <= _ZERO:
-            return SolveReport(x, i, history, BREAKDOWN, reason=SERIOUS_BREAKDOWN,
-                               extras=extras)
+            return run.breakdown(x, i, SERIOUS_BREAKDOWN)
         phi = alpha * f_next / (ell * f)
         q = u - phi * q
         z = v - phi * z
         f = f_next
         p_prev = p
         rot_prev = rot
-    return run.finish(x, run.max_iter, history, extras)
+    return run.finish(x, run.max_iter)
 
 
 def bidiagonalize(a, u1_hat, steps):
@@ -425,12 +409,12 @@ def bidiag_solve(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     number is kappa(A)**2; of little practical interest but a useful
     cross-check.  History records true residual norms.
     """
-    run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply, transpose="bidiag_solve")
+    run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply, transpose="bidiag_solve",
+               callback=callback)
     a_apply, at_apply, x = run.a_apply, run.at_apply, run.x
     beta0 = run.r_norm
-    history = [beta0]
     if run.stop(beta0):
-        return run.finish(x, 0, history)
+        return run.finish(x, 0)
     u = run.r / beta0
     v_prev = 0.0
     beta_prev = 0.0
@@ -439,22 +423,20 @@ def bidiag_solve(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
         v_hat = at_apply(u) - beta_prev * v_prev
         alpha = float(np.linalg.norm(v_hat))
         if alpha <= _ZERO * beta0:
-            return SolveReport(x, i - 1, history, BREAKDOWN, reason="zero-alpha")
+            return run.breakdown(x, i - 1, "zero-alpha")
         v = v_hat / alpha
         xi = beta0 / alpha if i == 1 else -xi * beta_prev / alpha
         x = x + xi * v
-        history.append(float(np.linalg.norm(run.b - a_apply(x))))
-        if callback is not None:
-            callback({"i": i, "x": x.copy()})
-        if run.stop(history[-1]):
-            return run.finish(x, i, history)
+        run.record(float(np.linalg.norm(run.b - a_apply(x))), i, x=x)
+        if run.stop(run.history[-1]):
+            return run.finish(x, i)
         u_hat = a_apply(v) - alpha * u
         beta = float(np.linalg.norm(u_hat))
         if beta <= _ZERO * beta0:
-            return run.finish(x, i, history, exact=True)  # the iterate is exact
+            return run.finish(x, i, exact=True)  # the iterate is exact
         u = u_hat / beta
         v_prev, beta_prev = v, beta
-    return run.finish(x, run.max_iter, history)
+    return run.finish(x, run.max_iter)
 
 
 def cgs(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
@@ -465,26 +447,23 @@ def cgs(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     squaring whatever oscillation Bi-CG exhibits.  Breakdown when an inner
     product against the fixed shadow residual vanishes.
     """
-    run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply)
+    run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply, callback=callback,
+               extras={"lambda_hat": [], "mu": []})
     a_apply, x, r = run.a_apply, run.x, run.r
     r_hat0 = r.copy()
     p = r.copy()
     gvec = r.copy()
     eta = float(r_hat0 @ r)
-    history = [run.r_norm]
-    extras = {"lambda_hat": [], "mu": []}
-    scale0 = max(history[0] ** 2, 1e-300)
+    scale0 = max(run.r_norm ** 2, 1e-300)
     for i in range(1, run.max_iter + 1):
-        if run.stop(history[-1]):
-            return run.finish(x, i - 1, history, extras)
+        if run.stop(run.history[-1]):
+            return run.finish(x, i - 1)
         if abs(eta) <= _ZERO ** 2 * scale0:
-            return SolveReport(x, i - 1, history, BREAKDOWN,
-                               reason=SERIOUS_BREAKDOWN, extras=extras)
+            return run.breakdown(x, i - 1, SERIOUS_BREAKDOWN)
         v = a_apply(p)
         d = float(r_hat0 @ v)
-        if abs(d) <= _ZERO * history[0] * float(np.linalg.norm(v)):
-            return SolveReport(x, i - 1, history, BREAKDOWN,
-                               reason=SERIOUS_BREAKDOWN, extras=extras)
+        if abs(d) <= _ZERO * run.r_norm * float(np.linalg.norm(v)):
+            return run.breakdown(x, i - 1, SERIOUS_BREAKDOWN)
         lam = eta / d
         w = gvec - lam * v
         x = x + lam * (gvec + w)
@@ -494,12 +473,10 @@ def cgs(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
         gvec = r + mu * w
         p = gvec + mu * (w + mu * p)
         eta = eta_new
-        extras["lambda_hat"].append(lam)
-        extras["mu"].append(mu)
-        history.append(float(np.linalg.norm(r)))
-        if callback is not None:
-            callback({"i": i, "x": x.copy(), "r": r.copy()})
-    return run.finish(x, run.max_iter, history, extras)
+        run.extras["lambda_hat"].append(lam)
+        run.extras["mu"].append(mu)
+        run.record(float(np.linalg.norm(r)), i, x=x, r=r)
+    return run.finish(x, run.max_iter)
 
 
 def bicgstab(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
@@ -515,39 +492,35 @@ def bicgstab(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     Coefficient sequences are recorded for consistency checks.  A vanishing
     t with a nonzero half residual leaves omega undefined (breakdown).
     """
-    run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply)
-    a_apply, x, r = run.a_apply, run.x, run.r
+    run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply, callback=callback, extras={
+        "history_tags": ["initial"], "etas": [], "lambda_hat": [], "omegas": [], "mu": []})
+    a_apply, x, r, extras = run.a_apply, run.x, run.r, run.extras
     r_hat0 = r.copy()
     p = r.copy()
     eta = float(r_hat0 @ r)
-    history = [run.r_norm]
-    extras = {"history_tags": ["initial"], "etas": [eta],
-              "lambda_hat": [], "omegas": [], "mu": []}
-    scale0 = max(history[0] ** 2, 1e-300)
+    extras["etas"].append(eta)
+    scale0 = max(run.r_norm ** 2, 1e-300)
     for i in range(1, run.max_iter + 1):
-        if run.stop(history[-1]):
-            return run.finish(x, i - 1, history, extras)
+        if run.stop(run.history[-1]):
+            return run.finish(x, i - 1)
         if abs(eta) <= _ZERO ** 2 * scale0:
-            return SolveReport(x, i - 1, history, BREAKDOWN,
-                               reason=SERIOUS_BREAKDOWN, extras=extras)
+            return run.breakdown(x, i - 1, SERIOUS_BREAKDOWN)
         v = a_apply(p)
         d = float(r_hat0 @ v)
-        if abs(d) <= _ZERO * history[0] * float(np.linalg.norm(v)):
-            return SolveReport(x, i - 1, history, BREAKDOWN,
-                               reason=SERIOUS_BREAKDOWN, extras=extras)
+        if abs(d) <= _ZERO * run.r_norm * float(np.linalg.norm(v)):
+            return run.breakdown(x, i - 1, SERIOUS_BREAKDOWN)
         lam = eta / d
         x_half = x + lam * p
         r_half = r - lam * v
         half_norm = float(np.linalg.norm(r_half))
-        history.append(half_norm)
+        run.record(half_norm)  # no callback event for the half step
         extras["history_tags"].append("half")
         if run.stop(half_norm):
-            return run.finish(x_half, i, history, extras)
+            return run.finish(x_half, i)
         t = a_apply(r_half)
         t_norm2 = float(t @ t)
         if t_norm2 <= (_ZERO * half_norm) ** 2:
-            return SolveReport(x_half, i, history, BREAKDOWN,
-                               reason="omega-zero", extras=extras)
+            return run.breakdown(x_half, i, "omega-zero")
         omega = float(t @ r_half) / t_norm2
         x = x_half + omega * r_half
         r = r_half - omega * t
@@ -555,13 +528,10 @@ def bicgstab(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
         mu = (eta_new / eta) * (lam / omega)
         p = r + mu * (p - omega * v)
         eta = eta_new
-        history.append(float(np.linalg.norm(r)))
         extras["history_tags"].append("full")
         extras["etas"].append(eta)
         extras["lambda_hat"].append(lam)
         extras["omegas"].append(omega)
         extras["mu"].append(mu)
-        if callback is not None:
-            callback({"i": i, "x": x.copy(), "r": r.copy(),
-                      "r_half": r_half.copy(), "t": t.copy(), "omega": omega})
-    return run.finish(x, run.max_iter, history, extras)
+        run.record(float(np.linalg.norm(r)), i, x=x, r=r, r_half=r_half, t=t, omega=omega)
+    return run.finish(x, run.max_iter)

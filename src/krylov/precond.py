@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from .report import BREAKDOWN, SolveReport, _Run
+from .report import SolveReport, _Run
 from .storage import _point_parts, _Sweep, as_matvec, to_dense, to_triplets
 
 
@@ -42,50 +42,48 @@ def pcg(a, b, c_apply=None, x0=None, tol=1e-10, tol_kind="abs", max_iter=None,
     (stopping uses these); ``extras["c_norms"]`` records sqrt(eta_i), the
     C-norm of the residual.
     """
-    run = _Run(a, b, x0, tol, tol_kind, max_iter)
-    return _pcg(run, run.a_apply, run.r, c_apply, {"c_norms": []}, "c_norms",
-                callback, ("r", "s", "p"))
+    run = _Run(a, b, x0, tol, tol_kind, max_iter, callback=callback, extras={"c_norms": []})
+    return _pcg(run, run.a_apply, run.r, c_apply, "c_norms", ("r", "s", "p"))
 
 
-def _pcg(run, op, r, c_apply, extras, norm_key, callback, keys,
-         true_residual=False, stop_on_true=False):
+def _pcg(run, op, r, c_apply, norm_key, keys, true_residual=False, stop_on_true=False):
     """The PCG iteration behind :func:`pcg`, :func:`cg` and :func:`solve_poly_pcg`.
 
     Iterates on the operator ``op`` from ``run.x`` with residual ``r``
     (``op`` may be a transformed operator, ``r`` its residual), with C =
-    ``c_apply`` or the identity.  ``extras[norm_key]`` records sqrt(eta_i);
-    an ``extras`` holding ``"d_hat"`` also records the coefficients
-    ``lambda_hat``, ``mu`` and ``d_hat``.  History records ||r_i||, or with
-    ``true_residual`` the norm of ``run.b - A x_i`` of the original system
-    (one more matvec).  Stopping uses ||r_i||, or that true norm with
-    ``stop_on_true``; eta_i <= 1e-28 ||r_0||**2 counts as an exact solve.
-    The callback receives ``i``, ``x`` and the vectors named in ``keys``.
+    ``c_apply`` or the identity, and records into ``run``:
+    ``run.extras[norm_key]`` gets sqrt(eta_i), and extras holding
+    ``"d_hat"`` also get the coefficients ``lambda_hat``, ``mu`` and
+    ``d_hat``.  History records ||r_i||, or with ``true_residual`` the norm
+    of ``run.b - A x_i`` of the original system (one more matvec).
+    Stopping uses ||r_i||, or that true norm with ``stop_on_true``; eta_i
+    <= 1e-28 ||r_0||**2 counts as an exact solve.  Callback events carry
+    ``x`` and the vectors named in ``keys``.
     """
-    x = run.x
+    x, extras = run.x, run.extras
     s = r if c_apply is None else c_apply(r)
     eta = float(r @ s)
-    history = [run.r_norm]
     extras[norm_key].append(math.sqrt(max(eta, 0.0)))
     if eta < 0.0:
-        return SolveReport(x, 0, history, BREAKDOWN, reason="precond-not-spd", extras=extras)
+        return run.breakdown(x, 0, "precond-not-spd")
     scale = float(r @ r)
     res = run.r_norm
     p = s.copy()
     for i in range(1, run.max_iter + 1):
         exact = abs(eta) <= 1e-28 * scale
         if run.stop(res, exact):
-            return run.finish(x, i - 1, history, extras, res, exact)
+            return run.finish(x, i - 1, res, exact)
         v = op(p)
         d = float(p @ v)
         if d <= 0.0:
-            return SolveReport(x, i - 1, history, BREAKDOWN, reason="not-spd", extras=extras)
+            return run.breakdown(x, i - 1, "not-spd")
         lam = eta / d
         x = x + lam * p
         r = r - lam * v
         s = r if c_apply is None else c_apply(r)
         eta_new = float(r @ s)
         if eta_new < 0.0:
-            return SolveReport(x, i, history, BREAKDOWN, reason="precond-not-spd", extras=extras)
+            return run.breakdown(x, i, "precond-not-spd")
         mu = eta_new / eta
         p = s + mu * p
         eta = eta_new
@@ -96,12 +94,11 @@ def _pcg(run, op, r, c_apply, extras, norm_key, callback, keys,
         extras[norm_key].append(math.sqrt(eta))
         # With C = I, sqrt(eta) is ||r|| without a second reduction.
         res = math.sqrt(eta) if c_apply is None else float(np.linalg.norm(r))
-        history.append(float(np.linalg.norm(run.b - run.a_apply(x))) if true_residual else res)
-        res = history[-1] if stop_on_true else res
-        if callback is not None:
-            vecs = {"r": r, "s": s, "p": p}
-            callback({"i": i, "x": x.copy(), **{k: vecs[k].copy() for k in keys}})
-    return run.finish(x, run.max_iter, history, extras, res)
+        vecs = {"r": r, "s": s, "p": p}
+        run.record(float(np.linalg.norm(run.b - run.a_apply(x))) if true_residual else res,
+                   i, x=x, **{k: vecs[k] for k in keys})
+        res = run.history[-1] if stop_on_true else res
+    return run.finish(x, run.max_iter, res)
 
 
 def jacobi_preconditioner(a):
@@ -402,47 +399,16 @@ def poly_monomial_coeffs(m, lmin, lmax):
     is exactly why the power basis is not used for evaluation; this routine
     exists to demonstrate that ill-conditioning.
     """
-    lmin_f = Fraction(lmin)
-    lmax_f = Fraction(lmax)
-    span = lmax_f - lmin_f
-    # mu(x) = (lmax + lmin - 2x)/span as polynomial coefficients [x^0, x^1].
-    mu = [(lmax_f + lmin_f) / span, Fraction(-2, 1) / span]
-
-    def poly_mul(p1, p2):
-        out = [Fraction(0)] * (len(p1) + len(p2) - 1)
-        for i, ci in enumerate(p1):
-            for j, cj in enumerate(p2):
-                out[i + j] += ci * cj
-        return out
-
-    def poly_axpy(alpha, p1, p2):
-        out = [alpha * c for c in p1]
-        for j, cj in enumerate(p2):
-            if j >= len(out):
-                out.append(cj)
-            else:
-                out[j] += cj
-        return out
-
-    t_prev = [Fraction(1)]
-    t_curr = mu
-    for _ in range(1, m):
-        t_next = poly_axpy(Fraction(-1), t_prev, poly_mul([Fraction(2)], poly_mul(mu, t_curr)))
-        # poly_axpy computed -t_prev + 2 mu t_curr
-        t_prev, t_curr = t_curr, t_next
-    t_m = t_curr if m >= 1 else t_prev
-    # Evaluate T_m at mu(0) = mu[0] by the scalar recurrence.
-    mu0 = mu[0]
-    tp, tc = Fraction(1), mu0
-    for _ in range(1, m):
-        tp, tc = tc, 2 * mu0 * tc - tp
-    t_m_mu0 = tc if m >= 1 else tp
-    # p_m(x) = 1 - T_m(mu(x))/T_m(mu(0)); t_m holds ascending-power coeffs.
-    p = [-c / t_m_mu0 for c in t_m]
-    p[0] += 1
-    # Return descending powers, length m + 1.
-    p = p + [Fraction(0)] * (m + 1 - len(p))
-    return np.array([float(c) for c in reversed(p)])
+    lo, hi = Fraction(lmin), Fraction(lmax)
+    mu = ((hi + lo) / (hi - lo), Fraction(-2) / (hi - lo))  # mu(x) = mu[0] + mu[1] x
+    # Ascending-power coefficients of T_k(mu(x)) from T_-1 = T_1 = mu and T_0 = 1.
+    t_prev = [*mu] + [Fraction(0)] * m
+    t = [Fraction(1)] + [Fraction(0)] * (m + 1)
+    for _ in range(m):
+        t_prev, t = t, [2 * (mu[0] * c + mu[1] * s) - q
+                        for c, s, q in zip(t, [0] + t[:-1], t_prev)]
+    # p_m(x) = 1 - T_m(mu(x))/T_m(mu(0)); T_m(mu(0)) is the constant coefficient.
+    return np.array([float(-c / t[0]) for c in reversed(t[1:m + 1])] + [0.0])
 
 
 def solve_poly_pcg(a, b, m, lmin, lmax, x0=None, tol=1e-10, tol_kind="abs",
@@ -458,9 +424,9 @@ def solve_poly_pcg(a, b, m, lmin, lmax, x0=None, tol=1e-10, tol_kind="abs",
     may be indefinite and the run can break down or diverge.
     """
     p = poly_precond_build(m, lmin, lmax)
-    run = _Run(a, b, x0, tol, tol_kind, max_iter)
+    run = _Run(a, b, x0, tol, tol_kind, max_iter, callback=callback,
+               extras={"transformed_residuals": [], "eps_m": p.eps})
     pm = lambda v: poly_apply_pmA(p, a, v)
     r_t = poly_apply_Cb(p, a, run.b) - pm(run.x)
-    extras = {"transformed_residuals": [], "eps_m": p.eps}
-    return _pcg(run, pm, r_t, None, extras, "transformed_residuals", callback, (),
+    return _pcg(run, pm, r_t, None, "transformed_residuals", (),
                 true_residual=True, stop_on_true=True)

@@ -25,36 +25,24 @@ class ProblemInstance:
         return self.b.size
 
 
+def _five_point(N):
+    """Entries (rows, cols) of the five-point stencil on an N x N grid, the
+    first grid index fastest: each node, then its four neighbours in the grid."""
+    p = np.arange(N * N)
+    i = p % N
+    pairs = [(p[keep], p[keep] + step) for step, keep in
+             ((0, p >= 0), (-1, i > 0), (1, i < N - 1), (-N, p >= N), (N, p < N * N - N))]
+    return np.concatenate([r for r, _ in pairs]), np.concatenate([c for _, c in pairs])
+
+
 def _kron_sum(N, t_diag):
     """A = T (x) I_N + I_N (x) T, T = tridiag(-1, t_diag, -1), in diag format.
 
     This is the five-point stencil with center 2 t_diag on an N x N grid,
     the first grid index fastest.
     """
-    center = 2.0 * t_diag
-    rows, cols, vals = [], [], []
-    for j in range(1, N + 1):
-        for i in range(1, N + 1):
-            p = (j - 1) * N + (i - 1)
-            rows.append(p)
-            cols.append(p)
-            vals.append(center)
-            if i > 1:
-                rows.append(p)
-                cols.append(p - 1)
-                vals.append(-1.0)
-            if i < N:
-                rows.append(p)
-                cols.append(p + 1)
-                vals.append(-1.0)
-            if j > 1:
-                rows.append(p)
-                cols.append(p - N)
-                vals.append(-1.0)
-            if j < N:
-                rows.append(p)
-                cols.append(p + N)
-                vals.append(-1.0)
+    rows, cols = _five_point(N)
+    vals = np.where(rows == cols, 2.0 * t_diag, -1.0)
     return build(Triplets(N * N, rows, cols, vals), "diag")
 
 
@@ -104,40 +92,13 @@ def cavity_laplace(N: int, delta: float) -> ProblemInstance:
     if not (1 <= nu <= N - 1):
         raise ValueError(f"outlet parameter gives nu={nu}, outside [1, {N - 1}]")
     scale = 1.0 / (h * h)
-    rows, cols, vals = [], [], []
-    b = np.zeros(n)
-    for j in range(1, N + 1):
-        for i in range(1, N + 1):
-            p = (j - 1) * N + (i - 1)
-            diag = 4.0
-            if i > 1:
-                rows.append(p)
-                cols.append(p - 1)
-                vals.append(-scale)
-            else:
-                b[p] += scale  # left wall: p(0, y) = 1
-            if i < N:
-                rows.append(p)
-                cols.append(p + 1)
-                vals.append(-scale)
-            else:
-                diag -= 1.0  # right wall Neumann
-            if j > 1:
-                rows.append(p)
-                cols.append(p - N)
-                vals.append(-scale)
-            elif i <= nu:
-                diag -= 1.0  # bottom wall, closed part: Neumann
-            # bottom-right outlet (i > nu): Dirichlet p = 0, nothing to add
-            if j < N:
-                rows.append(p)
-                cols.append(p + N)
-                vals.append(-scale)
-            else:
-                diag -= 1.0  # top wall Neumann
-            rows.append(p)
-            cols.append(p)
-            vals.append(diag * scale)
+    i, j = np.arange(n) % N + 1, np.arange(n) // N + 1
+    # Neumann faces: the right wall, the closed part of the bottom wall (the
+    # outlet i > nu is Dirichlet p = 0) and the top wall.
+    diag = 4.0 - (i == N) - ((j == 1) & (i <= nu)) - (j == N)
+    rows, cols = _five_point(N)
+    vals = np.where(rows == cols, (diag * scale)[rows], -scale)
+    b = np.where(i == 1, scale, 0.0)  # left wall: p(0, y) = 1
     a = build(Triplets(n, rows, cols, vals), "diag")
     return ProblemInstance(a, b, None, f"cavity(N={N}, delta={delta})")
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .storage import as_matvec, as_rmatvec
+from .storage import as_matvec, as_rmatvec, operator_size
 
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
@@ -38,6 +38,10 @@ class SolveReport:
     extras : dict
         Solver-specific recorded sequences (coefficients, alternative
         residual histories, ...).
+
+    A solver's ``callback`` receives one event per iteration: a dict with
+    the iteration number ``i`` and copies of the solver's vectors, so the
+    callback cannot change the run.
     """
 
     x: np.ndarray
@@ -72,18 +76,24 @@ def residual_threshold(tol, tol_kind, b_norm, r0_norm):
 
 
 class _Run:
-    """Set-up and stop decision shared by the iterative solvers.
+    """Set-up, per-iteration record and every exit of an iterative solver.
 
     Set-up: the operator ``a_apply`` (left-preconditioned to C A when
     ``c_apply`` is given, with right-hand side ``b`` = C b), its transpose
     ``at_apply`` (only when ``transpose`` names the solver that needs it;
     an operator without one raises ValueError), the start ``x`` (a copy of
     ``x0`` or zero), its residual ``r`` and norm ``r_norm``, ``max_iter``
-    (default ``sweeps`` * n) and the absolute stopping ``threshold``.
+    (default ``sweeps`` * n) and the absolute stopping ``threshold``.  A
+    ``b`` that is not 1-D with the operator's length raises ValueError.
+
+    Record: ``history`` starts as [r_norm] and grows by :meth:`record`,
+    which also sends ``callback`` its events; ``extras`` (default empty)
+    holds the solver's recorded sequences.  Every report of a solver comes
+    from :meth:`breakdown` or :meth:`finish`, with this history and extras.
     """
 
     def __init__(self, a, b, x0, tol, tol_kind, max_iter, c_apply=None,
-                 transpose=None, sweeps=1):
+                 transpose=None, sweeps=1, callback=None, extras=None):
         a_apply, at_apply = as_matvec(a), None
         if transpose:
             try:
@@ -92,6 +102,9 @@ class _Run:
                 raise ValueError(f"{transpose} needs the transpose action "
                                  "of the operator") from None
         b = np.asarray(b, dtype=float)
+        n = operator_size(a, b.ravel())
+        if b.shape != (n,):
+            raise ValueError(f"right-hand side has shape {b.shape}, expected ({n},)")
         if c_apply is not None:
             mv, rmv = a_apply, at_apply
             a_apply = lambda v: c_apply(mv(v))
@@ -104,6 +117,18 @@ class _Run:
         self.r_norm = float(np.linalg.norm(self.r))
         self.threshold = residual_threshold(tol, tol_kind, float(np.linalg.norm(b)),
                                             self.r_norm)
+        self.history = [self.r_norm]
+        self.extras = {} if extras is None else extras
+        self.callback = callback
+
+    def record(self, res, i=None, **event):
+        """Append ``res`` to the history.  With a callback and an iteration
+        number ``i``, send the callback ``{"i": i, **event}``, each array in
+        ``event`` copied."""
+        self.history.append(res)
+        if self.callback is not None and i is not None:
+            self.callback({"i": i, **{k: v.copy() if isinstance(v, np.ndarray) else v
+                                      for k, v in event.items()}})
 
     def stop(self, res, exact=False):
         """True when a run with residual norm ``res`` ends here: ``res`` is
@@ -111,13 +136,17 @@ class _Run:
         or an exact iterate) holds."""
         return not math.isfinite(res) or exact or res <= self.threshold
 
-    def finish(self, x, iterations, history, extras=None, res=None, exact=False):
-        """Report of a run ending here, judged on ``res`` (default
-        ``history[-1]``): a non-finite norm is a ``"non-finite"`` breakdown,
+    def breakdown(self, x, iterations, reason):
+        """Report of a run stopped by a breakdown of kind ``reason``."""
+        return SolveReport(x, iterations, self.history, BREAKDOWN, reason, self.extras)
+
+    def finish(self, x, iterations, res=None, exact=False):
+        """Report of a run ending here, judged on ``res`` (default the last
+        history entry): a non-finite norm is a ``"non-finite"`` breakdown,
         one that :meth:`stop` accepts is converged, any other ran out of
         iterations."""
-        res = history[-1] if res is None else res
+        res = self.history[-1] if res is None else res
         if not math.isfinite(res):
-            return SolveReport(x, iterations, history, BREAKDOWN, "non-finite", extras or {})
+            return self.breakdown(x, iterations, "non-finite")
         status = CONVERGED if exact or res <= self.threshold else MAX_ITER
-        return SolveReport(x, iterations, history, status, extras=extras or {})
+        return SolveReport(x, iterations, self.history, status, extras=self.extras)

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .report import BREAKDOWN, SolveReport, _Run
+from .report import SolveReport, _Run
 from .storage import _Panels, _point_parts, _Sweep, as_matvec, to_dense, to_triplets
 
 POINT_METHODS = ("jacobi", "gauss_seidel", "sor")
@@ -156,20 +156,19 @@ def iterate(a, b, cfg: StationaryConfig, x0=None) -> SolveReport:
         return ssor_iterate(a, b, cfg.omega, tol=cfg.tol, tol_kind=cfg.tol_kind,
                             max_iter=cfg.max_iter, x0=x0)
     sp = split(a, cfg.method, omega=cfg.omega, block_size=cfg.block_size)
-    run = _Run(sp.a_apply, b, x0, cfg.tol, cfg.tol_kind, cfg.max_iter, sweeps=100)
+    run = _Run(a, b, x0, cfg.tol, cfg.tol_kind, cfg.max_iter, sweeps=100)
     x, r = run.x, run.r
-    history = [run.r_norm]
     for it in range(run.max_iter):
-        if run.stop(history[-1]):
-            return run.finish(x, it, history)
+        if run.stop(run.history[-1]):
+            return run.finish(x, it)
         try:
             u = sp.m_solve(r)
         except (np.linalg.LinAlgError, ZeroDivisionError, FloatingPointError) as exc:
-            return SolveReport(x, it, history, BREAKDOWN, reason=str(exc))
+            return run.breakdown(x, it, str(exc))
         x = x + u
         r = run.b - sp.a_apply(x)
-        history.append(float(np.linalg.norm(r)))
-    return run.finish(x, run.max_iter, history)
+        run.record(float(np.linalg.norm(r)))
+    return run.finish(x, run.max_iter)
 
 
 def ssor_iterate(a, b, omega, tol=1e-6, tol_kind="rel_to_r0", max_iter=None,
@@ -183,30 +182,27 @@ def ssor_iterate(a, b, omega, tol=1e-6, tol_kind="rel_to_r0", max_iter=None,
     """
     if omega is None or not (0.0 < omega < 2.0):
         raise ValueError("ssor requires omega in (0, 2)")
-    b = np.asarray(b, dtype=float)
     parts = _point_parts(a)
     if np.any(parts[0] == 0.0):
         raise ValueError("matrix has a zero diagonal entry")
     run = _Run(a, b, x0, tol, tol_kind, max_iter, sweeps=100)
     if np.any(parts[0] < 0.0):
-        return SolveReport(run.x, 0, [run.r_norm], BREAKDOWN,
-                           reason="negative diagonal entry: D^(1/2) undefined")
+        return run.breakdown(run.x, 0, "negative diagonal entry: D^(1/2) undefined")
     hat = _HatStructure(*parts)
-    x = run.x
+    x, b = run.x, run.b
     xhat = hat.sqd * x
     bhat = b / hat.sqd
-    history = [run.r_norm]
     diag_hat = np.full(b.size, 1.0 / omega)
     for it in range(run.max_iter):
-        if run.stop(history[-1]):
-            return run.finish(x, it, history)
+        if run.stop(run.history[-1]):
+            return run.finish(x, it)
         rhat = bhat - hat.apply(xhat)
         xhat = xhat + hat.lower.solve(diag_hat, rhat)
         rhat = bhat - hat.apply(xhat)
         xhat = xhat + hat.upper.solve(diag_hat, rhat)
         x = xhat / hat.sqd
-        history.append(float(np.linalg.norm(b - run.a_apply(x))))
-    return run.finish(x, run.max_iter, history)
+        run.record(float(np.linalg.norm(b - run.a_apply(x))))
+    return run.finish(x, run.max_iter)
 
 
 class _HatStructure:

@@ -347,7 +347,10 @@ def operator_size(a, b=None):
 
 
 def as_matvec(a):
-    """Callable ``x -> A x`` for an ndarray, storage object, or callable."""
+    """Callable ``x -> A x`` for an ndarray, storage object, or callable
+    (triplets act through their row-compressed build)."""
+    if isinstance(a, Triplets):
+        return build(a, "row").matvec
     if callable(a) and not isinstance(a, np.ndarray) and not hasattr(a, "matvec"):
         return a
     if hasattr(a, "matvec"):
@@ -358,6 +361,8 @@ def as_matvec(a):
 
 def as_rmatvec(a):
     """Callable ``x -> A' x``; raises for a bare callable with no transpose."""
+    if isinstance(a, Triplets):
+        return build(a, "row").rmatvec
     if hasattr(a, "rmatvec"):
         return a.rmatvec
     if isinstance(a, np.ndarray) or not callable(a):

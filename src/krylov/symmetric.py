@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .core import TridiagSym, _TridiagQR
-from .report import BREAKDOWN, SolveReport, _Run
+from .report import SolveReport, _Run
 from .storage import as_matvec
 
 _ZERO = 1e-14
@@ -90,13 +90,12 @@ def minres(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     the triangular factor cannot occur while beta stays nonzero and is
     flagged defensively as a breakdown.
     """
-    run = _Run(a, b, x0, tol, tol_kind, max_iter)
+    run = _Run(a, b, x0, tol, tol_kind, max_iter, callback=callback)
     a_apply, x = run.a_apply, run.x
     beta0 = run.r_norm
-    history = [beta0]
-    extras = {"true_residual_norms": [beta0]}
+    true_norms = run.extras["true_residual_norms"] = [beta0]
     if beta0 == 0.0 or not math.isfinite(beta0):
-        return run.finish(x, 0, history, extras, exact=True)
+        return run.finish(x, 0, exact=True)
     u = run.r / beta0
     u_prev = np.zeros(u.size)
     beta_prev = 0.0
@@ -108,15 +107,13 @@ def minres(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
         beta = float(np.linalg.norm(v))
         x_next = qr.step(x, u, beta_prev, gamma, beta)
         if x_next is None:
-            return SolveReport(x, i - 1, history, BREAKDOWN, reason="singular-R", extras=extras)
+            return run.breakdown(x, i - 1, "singular-R")
         x = x_next
-        history.append(abs(qr.g))
-        extras["true_residual_norms"].append(float(np.linalg.norm(run.b - a_apply(x))))
-        if callback is not None:
-            callback({"i": i, "x": x.copy(), "g": qr.g})
+        true_norms.append(float(np.linalg.norm(run.b - a_apply(x))))
+        run.record(abs(qr.g), i, x=x, g=qr.g)
         invariant = beta <= _ZERO * beta0
-        if run.stop(history[-1], invariant):
-            return run.finish(x, i, history, extras, exact=invariant)
+        if run.stop(run.history[-1], invariant):
+            return run.finish(x, i, exact=invariant)
         u_prev, u = u, v / beta
         beta_prev = beta
-    return run.finish(x, run.max_iter, history, extras)
+    return run.finish(x, run.max_iter)

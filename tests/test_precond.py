@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -294,6 +295,20 @@ def test_poly_monomial_ill_conditioning_demo():
 
     assert abs(horner(0.5) - stable(0.5)) <= 1e-6 * abs(stable(0.5))
     assert abs(horner(0.99) - stable(0.99)) >= 1e-10
+
+
+@pytest.mark.parametrize("m", range(12))
+def test_poly_monomial_coeffs_match_binomial_expansion(m):
+    """Exact reference: T_m's integer power coefficients, expanded at
+    mu(x) = mu0 + mu1 x by the binomial theorem in rational arithmetic."""
+    a = [int(c) for c in np.polynomial.chebyshev.cheb2poly([0] * m + [1])]
+    for lmin, lmax in ((0.1, 8.0), (1.0, 3.0), (1e-3, 1.001), (2 / 7, 100 / 3)):
+        lo, hi = Fraction(lmin), Fraction(lmax)
+        mu0, mu1 = (hi + lo) / (hi - lo), -2 / (hi - lo)
+        t = [sum(a[k] * math.comb(k, j) * mu0 ** (k - j) * mu1 ** j for k in range(j, m + 1))
+             for j in range(m + 1)]
+        ref = np.array([float(-c / t[0]) for c in reversed(t[1:])] + [0.0])
+        assert poly_monomial_coeffs(m, lmin, lmax).tobytes() == ref.tobytes()
 
 
 def test_solve_poly_pcg_regression_counts():

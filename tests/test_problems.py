@@ -7,7 +7,7 @@ from conftest import poisson_dense
 from krylov.core import TridiagSym, sturm_extreme_eigs
 from krylov.problems import (cavity_laplace, hilbert, indefinite_kron,
                              poisson_test, random_sparse)
-from krylov.storage import build, read_matrix_market, to_dense, to_triplets, \
+from krylov.storage import Triplets, build, read_matrix_market, to_dense, to_triplets, \
     write_matrix_market
 
 
@@ -82,6 +82,45 @@ def test_cavity_structure(N, delta):
 def test_cavity_rejects_bad_outlet():
     with pytest.raises(ValueError):
         cavity_laplace(2, 0.05)  # nu = N: no Dirichlet node left
+
+
+def _row_loop_stencil(N, diag_of, off):
+    """Reference: the five-point matrix built node by node, as the grid
+    generators once did, with diagonal ``diag_of(i, j)`` and off-diagonal ``off``."""
+    rows, cols, vals = [], [], []
+    for j in range(1, N + 1):
+        for i in range(1, N + 1):
+            p = (j - 1) * N + (i - 1)
+            for inside, q in ((i > 1, p - 1), (i < N, p + 1), (j > 1, p - N), (j < N, p + N)):
+                if inside:
+                    rows.append(p)
+                    cols.append(q)
+                    vals.append(off)
+            rows.append(p)
+            cols.append(p)
+            vals.append(diag_of(i, j))
+    return build(Triplets(N * N, rows, cols, vals), "diag")
+
+
+def _same_diag_format(a, ref):
+    return all(u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+               for u, v in ((a.vals, ref.vals), (a.offsets, ref.offsets)))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 20])
+def test_grid_generators_match_row_loop_bitwise(N):
+    assert _same_diag_format(poisson_test(N).a, _row_loop_stencil(N, lambda i, j: 4.0, -1.0))
+    if N == 1:
+        return
+    assert _same_diag_format(indefinite_kron(N).a, _row_loop_stencil(N, lambda i, j: 2.0, -1.0))
+    inst = cavity_laplace(N, 0.5)
+    h = 1.0 / (N + 1)
+    scale, nu = 1.0 / (h * h), math.floor(0.5 / h + 1e-12)
+    ref = _row_loop_stencil(
+        N, lambda i, j: (4.0 - (i == N) - (j == 1 and i <= nu) - (j == N)) * scale, -scale)
+    assert _same_diag_format(inst.a, ref)
+    b = np.array([scale if i == 1 else 0.0 for j in range(N) for i in range(1, N + 1)])
+    assert inst.b.tobytes() == b.tobytes()
 
 
 def test_hilbert_small():

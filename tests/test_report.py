@@ -1,8 +1,13 @@
+import pickle
+import re
+
 import numpy as np
 import pytest
 
-from krylov import (bicg, bicgstab, bidiag_solve, cg, cg_basic, cgs, gmres,
-                    minres, pcg, qmr, qmr_alt, solve_poly_pcg)
+from krylov import (StationaryConfig, Triplets, bicg, bicgstab, bidiag_solve, build, cg,
+                    cg_basic, cgs, gmres, iterate, iteration_matrix_applier, minres, pcg,
+                    poisson_test, qmr, qmr_alt, random_sparse, semi_iterative,
+                    solve_poly_pcg, split, ssor_iterate, to_triplets)
 
 SOLVERS = {
     "cg": cg, "cg_basic": cg_basic, "pcg": pcg, "minres": minres,
@@ -34,3 +39,75 @@ def test_non_finite_residual_is_a_breakdown(name, problem):
     assert not rep.converged
     assert rep.iterations < 16
     assert not np.isfinite(rep.final_residual)
+
+
+# Every solver behind the shared scaffold, each taking (a, b, **kw).  The
+# stationary ones run their own splitting of a.
+ALL_SOLVERS = {
+    **SOLVERS,
+    "iterate": lambda a, b, **kw: iterate(a, b, StationaryConfig("gauss_seidel", max_iter=40)),
+    "ssor_iterate": lambda a, b, **kw: ssor_iterate(a, b, 1.3, max_iter=40),
+    "semi_iterative": lambda a, b, **kw: semi_iterative(split(a, "jacobi"), b, -0.95, 0.95,
+                                                        max_iter=40),
+}
+
+
+def _bits(rep):
+    """Everything a report holds, as bytes: equal bytes mean bitwise-equal reports."""
+    return pickle.dumps((rep.x.tobytes(), rep.iterations, rep.history, rep.status,
+                         rep.reason, rep.extras))
+
+
+@pytest.mark.parametrize("shape", [(16, 1), (15,), (4, 4)], ids=str)
+@pytest.mark.parametrize("name", sorted(ALL_SOLVERS))
+def test_right_hand_side_of_wrong_shape_is_rejected(name, shape):
+    a = poisson_test(4).a  # n = 16
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        ALL_SOLVERS[name](a, np.ones(shape))
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_callback_events_are_copies_and_change_nothing(name):
+    inst = poisson_test(5)
+    kw = dict(tol=1e-10, tol_kind="rel_to_b", max_iter=40)
+    plain = _bits(SOLVERS[name](inst.a, inst.b, **kw))
+    events = []
+    assert _bits(SOLVERS[name](inst.a, inst.b, callback=events.append, **kw)) == plain
+    assert [ev["i"] for ev in events] == list(range(1, len(events) + 1)) and events
+
+    def vandal(ev):
+        for v in ev.values():
+            if isinstance(v, np.ndarray):
+                v[...] = np.nan
+    assert _bits(SOLVERS[name](inst.a, inst.b, callback=vandal, **kw)) == plain
+
+
+def _with_duplicates(t):
+    """The same matrix with every off-diagonal entry split into two halves."""
+    off = t.rows != t.cols
+    return Triplets(t.n, np.concatenate((t.rows, t.rows[off])), np.concatenate((t.cols, t.cols[off])),
+                    np.concatenate((np.where(off, 0.5 * t.vals, t.vals), 0.5 * t.vals[off])))
+
+
+TRIPLET_SETS = {
+    "poisson": lambda: to_triplets(poisson_test(4).a),
+    "poisson-duplicates": lambda: _with_duplicates(to_triplets(poisson_test(4).a)),
+    "random-duplicates": lambda: _with_duplicates(to_triplets(random_sparse(16, 0.3, seed=5).a)),
+}
+STATIONARY_METHODS = ("jacobi", "gauss_seidel", "sor", "block_jacobi", "block_gs", "ssor")
+
+
+@pytest.mark.parametrize("case", sorted(TRIPLET_SETS))
+def test_triplets_solve_like_their_row_build(case):
+    t = TRIPLET_SETS[case]()
+    row = build(t, "row")
+    b = row.matvec(np.linspace(1.0, 2.0, t.n))
+    for name, solve in ALL_SOLVERS.items():
+        assert _bits(solve(t, b, max_iter=30)) == _bits(solve(row, b, max_iter=30)), name
+    v = np.linspace(-1.0, 1.0, t.n)
+    for method in STATIONARY_METHODS:
+        cfg = StationaryConfig(method, omega=1.2, block_size=4, max_iter=20)
+        assert _bits(iterate(t, b, cfg)) == _bits(iterate(row, b, cfg)), method
+        g_t, g_row = (iteration_matrix_applier(m, method, omega=1.2, block_size=4)
+                      for m in (t, row))
+        assert g_t(v).tobytes() == g_row(v).tobytes(), method
