@@ -16,8 +16,8 @@ import numpy as np
 
 from .core import TridiagSym, sturm_extreme_eigs
 from .precond import _pcg
-from .report import SolveReport, _Run
-from .storage import as_matvec
+from .report import SolveReport, _Run, residual_threshold
+from .storage import operator
 
 _ZERO = 1e-14  # relative breakdown threshold for "exact zero" tests
 
@@ -44,8 +44,8 @@ def factorize_aut(a, b_op, u1, steps=None) -> LanczosLikeFactorization:
     Stops early when the next vector is negligible relative to the first,
     which signals an invariant subspace and is a success, not an error.
     """
-    a_apply = as_matvec(a)
-    b_apply = as_matvec(b_op)
+    a_apply = operator(a)[0]
+    b_apply = operator(b_op)[0]
     u = np.array(u1, dtype=float)
     n = u.size
     steps = n if steps is None else min(steps, n)
@@ -160,11 +160,12 @@ def assemble_tbar(report: SolveReport, steps=None) -> TridiagSym:
 def stopping_check(r, tol, kind, b_norm=None, r0_norm=None, lambda_min_est=None):
     """Residual stopping decision, optionally with an error bound.
 
-    ``kind`` is one of "abs", "rel_to_b", "rel_to_r0", "error_bound".  The
-    last one uses ||e|| <= ||r|| / lambda_min and stops when that bound
-    drops below ``tol``; it requires a positive smallest-eigenvalue
-    estimate.  Returns ``(stop, error_bound)`` where the bound is None
-    unless an estimate was supplied.
+    ``kind`` is "error_bound" or any ``tol_kind`` the solvers take ("abs",
+    alias "abs_residual", "rel_to_b", "rel_to_r0").  "error_bound" uses
+    ||e|| <= ||r|| / lambda_min and stops when that bound drops below
+    ``tol``; it requires a positive smallest-eigenvalue estimate.  Returns
+    ``(stop, error_bound)`` where the bound is None unless an estimate was
+    supplied.
     """
     r_norm = float(np.linalg.norm(r)) if np.ndim(r) else float(abs(r))
     bound = None
@@ -172,17 +173,11 @@ def stopping_check(r, tol, kind, b_norm=None, r0_norm=None, lambda_min_est=None)
         if lambda_min_est <= 0.0:
             raise ValueError("lambda_min estimate must be positive")
         bound = r_norm / lambda_min_est
-    if kind == "abs":
-        return r_norm <= tol, bound
-    if kind == "rel_to_b":
-        return r_norm <= tol * b_norm, bound
-    if kind == "rel_to_r0":
-        return r_norm <= tol * r0_norm, bound
     if kind == "error_bound":
         if bound is None:
             raise ValueError("error_bound stopping needs lambda_min_est")
         return bound <= tol, bound
-    raise ValueError(f"unknown stopping kind {kind!r}")
+    return r_norm <= residual_threshold(tol, kind, b_norm, r0_norm), bound
 
 
 def convergence_bound(kappa: float, i: int) -> float:

@@ -20,9 +20,9 @@ import numpy as np
 from . import nonsymmetric as nonsym
 from . import precond as pcmod
 from . import problems, stationary, storage, symmetric
-from .cg import assemble_tbar, cg, cg_basic, estimate_extremes_by_cg
+from .cg import cg, cg_basic, estimate_extremes_by_cg
 from .chebyshev import semi_iterative
-from .core import spectral_radius_estimate, sturm_extreme_eigs
+from .core import spectral_radius_estimate
 from .report import BREAKDOWN, CONVERGED
 
 _EXIT_NOT_CONVERGED = 3
@@ -312,10 +312,8 @@ def cmd_eigs(args, parser):
     inst, _ = _load_problem(args, parser)
     if args.estimates != "cg":
         parser.error(f"unknown estimator {args.estimates!r}")
-    report = cg(inst.a, inst.b, tol=0.0, tol_kind="abs",
-                      max_iter=min(args.iters, inst.n))
-    tbar = assemble_tbar(report)
-    lam_min, lam_max = sturm_extreme_eigs(tbar)
+    lam_min, lam_max = estimate_extremes_by_cg(inst.a, inst.b, iters=min(args.iters, inst.n),
+                                               tol_eig=1e-12)
     pairs = [("command", "eigs"), ("problem", inst.label), ("iters", args.iters)]
     _write_csv(args.out, pairs, "which,value",
                [("lambda_min", lam_min), ("lambda_max", lam_max)])
@@ -403,10 +401,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,14 +1,16 @@
 """Dense vector/matrix primitives: norms, Givens rotations, Sturm bisection
 for symmetric tridiagonal eigen-extremes, and spectral-radius estimation.
 
-Everything here works on plain numpy arrays (1-D vectors, 2-D matrices) or,
-where a matrix is only needed through its action, on a callable ``v -> A v``.
+Vectors are 1-D arrays.  A matrix needed only through its action may be any
+operand the solvers take, read by :func:`krylov.storage.operator`.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .storage import operator
 
 
 def vec_norm(v, kind="two"):
@@ -28,7 +30,7 @@ def vec_norm(v, kind="two"):
 def a_norm(v, a_apply):
     """Energy norm sqrt(v' A v) induced by a symmetric positive definite A.
 
-    ``a_apply`` is either a 2-D array or a callable returning ``A @ v``.
+    ``a_apply`` is any operand of :func:`krylov.storage.operator`.
 
     Raises
     ------
@@ -37,8 +39,7 @@ def a_norm(v, a_apply):
         definite on this vector.
     """
     v = np.asarray(v, dtype=float)
-    av = a_apply(v) if callable(a_apply) else np.asarray(a_apply) @ v
-    quad = float(v @ av)
+    quad = float(v @ operator(a_apply)[0](v))
     if quad < 0.0:
         raise ValueError(f"quadratic form is negative ({quad:g}): matrix is not spd")
     return math.sqrt(quad)
@@ -224,8 +225,8 @@ def spectral_radius_estimate(g_apply, n, m_max=1000, seed=1234, rtol=1e-5):
 
     Parameters
     ----------
-    g_apply : callable or 2-D array
-        Action of the matrix whose spectral radius is sought.
+    g_apply : operand
+        The matrix whose spectral radius is sought (see ``a_norm``).
     n : int
         Dimension of the space.
     m_max : int
@@ -237,7 +238,7 @@ def spectral_radius_estimate(g_apply, n, m_max=1000, seed=1234, rtol=1e-5):
     """
     if m_max < 100:
         raise ValueError("m_max must be at least 100")
-    apply_ = g_apply if callable(g_apply) else (lambda v, a=np.asarray(g_apply, dtype=float): a @ v)
+    apply_ = operator(g_apply)[0]
     v = np.random.default_rng(seed).standard_normal(n)
     v /= np.linalg.norm(v)
     logs = []

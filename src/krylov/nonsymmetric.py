@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import _TridiagQR, make_givens
 from .report import SolveReport, _Run
-from .storage import as_matvec, as_rmatvec
+from .storage import operator
 
 _ZERO = 1e-14
 
@@ -61,7 +61,7 @@ class ArnoldiBasis:
 
 def arnoldi(a, u1, steps) -> ArnoldiBasis:
     """Modified Gram-Schmidt Arnoldi process from a unit start vector."""
-    a_apply = as_matvec(a)
+    a_apply = operator(a)[0]
     u = np.asarray(u1, dtype=float)
     if abs(np.linalg.norm(u) - 1.0) > 1e-12:
         raise ValueError("start vector must have unit norm")
@@ -154,8 +154,9 @@ class BiLanczosState:
     """Two-sided Lanczos recurrence state (biorthonormal u/w sequences)."""
 
     def __init__(self, a, r0, r0_hat=None):
-        self.a_apply = as_matvec(a)
-        self.at_apply = as_rmatvec(a)
+        self.a_apply, self.at_apply, _ = operator(a)
+        if self.at_apply is None:
+            raise ValueError("operator does not expose a transpose action")
         r0 = np.asarray(r0, dtype=float)
         r0_hat = r0 if r0_hat is None else np.asarray(r0_hat, dtype=float)
         nrm = float(np.linalg.norm(r0))
@@ -367,8 +368,9 @@ def bidiagonalize(a, u1_hat, steps):
     is the symmetric Lanczos recurrence on the normal-equations matrix in
     disguise, with its squared conditioning.
     """
-    a_apply = as_matvec(a)
-    at_apply = as_rmatvec(a)
+    a_apply, at_apply, _ = operator(a)
+    if at_apply is None:
+        raise ValueError("operator does not expose a transpose action")
     u1_hat = np.asarray(u1_hat, dtype=float)
     nrm = float(np.linalg.norm(u1_hat))
     if nrm == 0.0:

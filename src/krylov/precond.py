@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .report import SolveReport, _Run
-from .storage import _point_parts, _Sweep, as_matvec, to_dense, to_triplets
+from .storage import _point_parts, _Sweep, operator, to_dense, to_triplets
 
 
 class IcBreakdownError(RuntimeError):
@@ -365,8 +365,7 @@ def poly_apply_pmA(p: PolyPrecond, a, v):
     T_m(mu(A)) v is built by the three-term recurrence y_0 = v,
     y_1 = G v / 2, y_{k+1} = G y_k - y_{k-1} on G = 2 mu(A).
     """
-    a_apply = as_matvec(a)
-    g = _g_apply(p, a_apply)
+    g = _g_apply(p, operator(a)[0])
     v = np.asarray(v, dtype=float)
     y_prev = v
     y = 0.5 * g(v)
@@ -381,8 +380,7 @@ def poly_apply_Cb(p: PolyPrecond, a, b):
     y_{-1} = 0, y_0 = gamma_0 b, y_k = G y_{k-1} - y_{k-2} + gamma_k b;
     the result is y_{m-1}.
     """
-    a_apply = as_matvec(a)
-    g = _g_apply(p, a_apply)
+    g = _g_apply(p, operator(a)[0])
     b = np.asarray(b, dtype=float)
     y_prev = np.zeros_like(b)
     y = p.gammas[0] * b
@@ -426,7 +424,7 @@ def solve_poly_pcg(a, b, m, lmin, lmax, x0=None, tol=1e-10, tol_kind="abs",
     p = poly_precond_build(m, lmin, lmax)
     run = _Run(a, b, x0, tol, tol_kind, max_iter, callback=callback,
                extras={"transformed_residuals": [], "eps_m": p.eps})
-    pm = lambda v: poly_apply_pmA(p, a, v)
-    r_t = poly_apply_Cb(p, a, run.b) - pm(run.x)
+    pm = lambda v: poly_apply_pmA(p, run.a_apply, v)
+    r_t = poly_apply_Cb(p, run.a_apply, run.b) - pm(run.x)
     return _pcg(run, pm, r_t, None, "transformed_residuals", (),
                 true_residual=True, stop_on_true=True)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .storage import as_matvec, as_rmatvec, operator_size
+from .storage import operator
 
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
@@ -80,11 +80,11 @@ class _Run:
 
     Set-up: the operator ``a_apply`` (left-preconditioned to C A when
     ``c_apply`` is given, with right-hand side ``b`` = C b), its transpose
-    ``at_apply`` (only when ``transpose`` names the solver that needs it;
-    an operator without one raises ValueError), the start ``x`` (a copy of
-    ``x0`` or zero), its residual ``r`` and norm ``r_norm``, ``max_iter``
-    (default ``sweeps`` * n) and the absolute stopping ``threshold``.  A
-    ``b`` that is not 1-D with the operator's length raises ValueError.
+    ``at_apply`` (None if the operand has none; a ``transpose`` solver then
+    raises ValueError), the start ``x`` (a copy of ``x0`` or zero), its
+    residual ``r`` and norm ``r_norm``, ``max_iter`` (default ``sweeps`` * n)
+    and the absolute stopping ``threshold``.  A ``b`` or ``x0`` that is not
+    1-D with the operator's length (else ``b``'s size) raises ValueError.
 
     Record: ``history`` starts as [r_norm] and grows by :meth:`record`,
     which also sends ``callback`` its events; ``extras`` (default empty)
@@ -94,15 +94,11 @@ class _Run:
 
     def __init__(self, a, b, x0, tol, tol_kind, max_iter, c_apply=None,
                  transpose=None, sweeps=1, callback=None, extras=None):
-        a_apply, at_apply = as_matvec(a), None
-        if transpose:
-            try:
-                at_apply = as_rmatvec(a)
-            except ValueError:
-                raise ValueError(f"{transpose} needs the transpose action "
-                                 "of the operator") from None
+        a_apply, at_apply, n = operator(a)
+        if transpose and at_apply is None:
+            raise ValueError(f"{transpose} needs the transpose action of the operator")
         b = np.asarray(b, dtype=float)
-        n = operator_size(a, b.ravel())
+        n = b.size if n is None else n
         if b.shape != (n,):
             raise ValueError(f"right-hand side has shape {b.shape}, expected ({n},)")
         if c_apply is not None:
@@ -111,7 +107,9 @@ class _Run:
             at_apply = (lambda v: rmv(c_apply(v))) if rmv is not None else None
             b = np.asarray(c_apply(b), dtype=float)
         self.a_apply, self.at_apply, self.b = a_apply, at_apply, b
-        self.x = np.zeros(b.size) if x0 is None else np.array(x0, dtype=float)
+        self.x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+        if self.x.shape != (n,):
+            raise ValueError(f"initial guess has shape {self.x.shape}, expected ({n},)")
         self.max_iter = max_iter if max_iter is not None else sweeps * b.size
         self.r = b - a_apply(self.x)
         self.r_norm = float(np.linalg.norm(self.r))

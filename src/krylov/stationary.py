@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .report import SolveReport, _Run
-from .storage import _Panels, _point_parts, _Sweep, as_matvec, to_dense, to_triplets
+from .storage import _Panels, _point_parts, _Sweep, operator, to_dense, to_triplets
 
 POINT_METHODS = ("jacobi", "gauss_seidel", "sor")
 BLOCK_METHODS = ("block_jacobi", "block_gs")
@@ -101,7 +101,7 @@ def split(a, method, omega=None, block_size=None) -> Splitting:
 
     SOR requires omega in (0, 2); block sizes must divide n.
     """
-    a_apply = as_matvec(a)
+    a_apply = operator(a)[0]
     if method in POINT_METHODS:
         d, rows, cols, vals = _point_parts(a)
         if np.any(d == 0.0):

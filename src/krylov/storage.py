@@ -161,21 +161,10 @@ class DiagCompressed:
         return y
 
     def to_triplets(self):
-        rows, cols, vals = [], [], []
-        n = self.n
-        for r, nu in enumerate(self.offsets):
-            nu = int(nu)
-            start = max(0, -nu)
-            end = min(n, n - nu)
-            seg = self.vals[start:end, r]
-            mask = seg != 0.0
-            idx = np.arange(start, end)[mask]
-            rows.append(idx)
-            cols.append(idx + nu)
-            vals.append(seg[mask])
-        if not rows:
-            return Triplets(n, [], [], [])
-        return Triplets(n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+        r = np.broadcast_to(np.arange(self.n)[:, None], self.vals.shape)
+        c = r + self.offsets
+        mask = (self.vals != 0.0) & (c >= 0) & (c < self.n)  # slots off the grid are unused
+        return Triplets(self.n, r[mask], c[mask], self.vals[mask])
 
     def to_dense(self):
         return self.to_triplets().to_dense()
@@ -333,42 +322,19 @@ def to_dense(a):
     return to_triplets(a).to_dense()
 
 
-def operator_size(a, b=None):
-    """Dimension of a matrix-like or callable operator (falls back to len(b))."""
-    if isinstance(a, (Triplets, RowCompressed, ColCompressed, DiagCompressed)):
-        return a.n
-    if isinstance(a, np.ndarray):
-        return a.shape[0]
-    if hasattr(a, "n"):
-        return a.n
-    if b is not None:
-        return len(b)
-    raise ValueError("cannot infer operator size")
+def operator(a):
+    """``(matvec, rmatvec, n)`` of an operand: x -> A x, x -> A' x, dimension.
 
-
-def as_matvec(a):
-    """Callable ``x -> A x`` for an ndarray, storage object, or callable
-    (triplets act through their row-compressed build)."""
+    Triplets act through their row-compressed build; an object with a
+    ``matvec`` or a bare callable gives its own actions (``rmatvec`` and ``n``
+    None when absent); anything else is read as a dense matrix.
+    """
     if isinstance(a, Triplets):
-        return build(a, "row").matvec
-    if callable(a) and not isinstance(a, np.ndarray) and not hasattr(a, "matvec"):
-        return a
-    if hasattr(a, "matvec"):
-        return a.matvec
+        a = build(a, "row")
+    if hasattr(a, "matvec") or callable(a):
+        return getattr(a, "matvec", a), getattr(a, "rmatvec", None), getattr(a, "n", None)
     arr = np.asarray(a, dtype=float)
-    return lambda x: arr @ x
-
-
-def as_rmatvec(a):
-    """Callable ``x -> A' x``; raises for a bare callable with no transpose."""
-    if isinstance(a, Triplets):
-        return build(a, "row").rmatvec
-    if hasattr(a, "rmatvec"):
-        return a.rmatvec
-    if isinstance(a, np.ndarray) or not callable(a):
-        arr = np.asarray(a, dtype=float)
-        return lambda x: arr.T @ x
-    raise ValueError("operator does not expose a transpose action")
+    return (lambda x: arr @ x), (lambda x: arr.T @ x), arr.shape[0]
 
 
 _MM_GENERAL = "%%MatrixMarket matrix coordinate real general"

@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import TridiagSym, _TridiagQR
 from .report import SolveReport, _Run
-from .storage import as_matvec
+from .storage import operator
 
 _ZERO = 1e-14
 
@@ -29,7 +29,7 @@ class LanczosState:
     """
 
     def __init__(self, a, u1):
-        self.a_apply = as_matvec(a)
+        self.a_apply = operator(a)[0]
         u1 = np.asarray(u1, dtype=float)
         nrm = np.linalg.norm(u1)
         if nrm == 0.0:

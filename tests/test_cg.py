@@ -8,6 +8,7 @@ from krylov.cg import (assemble_tbar, cg, cg_basic, convergence_bound,
                        estimate_extremes_by_cg, factorize_aut, stopping_check)
 from krylov.core import TridiagSym, sturm_extreme_eigs
 from krylov.problems import hilbert, poisson_test
+from krylov.report import residual_threshold
 from krylov.storage import to_dense
 
 
@@ -195,6 +196,18 @@ def test_stopping_check_kinds():
         stopping_check(np.ones(2), 1e-6, "abs", lambda_min_est=-1.0)
     with pytest.raises(ValueError):
         stopping_check(np.ones(2), 1e-6, "error_bound")
+
+
+@pytest.mark.parametrize("kind", ["abs", "abs_residual", "rel_to_b", "rel_to_r0"])
+def test_stopping_check_shares_the_solvers_tol_kinds(kind):
+    threshold = residual_threshold(1e-6, kind, 2.0, 0.5)
+    assert stopping_check(0.99 * threshold, 1e-6, kind, b_norm=2.0, r0_norm=0.5) == (True, None)
+    assert stopping_check(1.01 * threshold, 1e-6, kind, b_norm=2.0, r0_norm=0.5) == (False, None)
+
+
+def test_stopping_check_rejects_unknown_kind_like_the_solvers():
+    with pytest.raises(ValueError, match="unknown tol_kind 'bogus'"):
+        stopping_check(np.ones(2), 1e-6, "bogus")
 
 
 def test_stopping_error_bound_explains_hilbert_gap():

@@ -257,3 +257,22 @@ def test_solve_ic_pivot_breakdown_exit_code(tmp_path, capsys):
                 "--precond", "ic", "--out", str(tmp_path / "i.csv")])
     assert code == 4
     assert "ic-pivot" in capsys.readouterr().err
+
+
+def test_missing_matrix_file_exit_code(tmp_path, capsys):
+    code = run(["solve", "--matrix", str(tmp_path / "absent.mtx"), "--method", "cg",
+                "--out", str(tmp_path / "h.csv")])
+    assert code == 2
+    assert "absent.mtx" in capsys.readouterr().err
+
+
+def test_eigs_clamps_iterations_to_the_size(tmp_path):
+    out = tmp_path / "e.csv"
+    assert run(["eigs", "--problem", "poisson", "--n", "3", "--iters", "50",
+                "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "# command=eigs problem=poisson(N=3) iters=50"
+    lam = {ln.split(",")[0]: float(ln.split(",")[1]) for ln in lines[2:]}
+    exact = 4.0 * np.sin(np.pi * np.array([1, 3]) / 8.0) ** 2  # extremes of the N=3 Laplacian
+    assert lam["lambda_min"] == pytest.approx(2 * exact[0], abs=1e-8)
+    assert lam["lambda_max"] == pytest.approx(2 * exact[1], abs=1e-8)

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from krylov.chebyshev import estimate_interval
 from krylov.core import (TridiagSym, a_norm, induced_matrix_norm, make_givens,
                          spectral_radius_estimate, sturm_count,
                          sturm_extreme_eigs, vec_norm)
+from krylov.problems import poisson_test
+from krylov.storage import Triplets, build, to_dense, to_triplets
 from krylov.symmetric import lanczos
 
 
@@ -172,3 +175,15 @@ def test_spectral_radius_agrees_with_sturm_on_tridiagonalized(rng):
 def test_spectral_radius_rejects_small_m_max():
     with pytest.raises(ValueError):
         spectral_radius_estimate(np.eye(2), 2, m_max=10)
+
+
+@pytest.mark.parametrize("fmt", ["triplets", "row", "col", "diag"])
+def test_estimators_take_every_operand_kind(fmt, rng):
+    t = to_triplets(poisson_test(5).a)
+    t = Triplets(t.n, t.rows, t.cols, t.vals / 8.0)  # spectral radius below 1
+    op = t if fmt == "triplets" else build(t, fmt)
+    dense, v = to_dense(t), rng.standard_normal(t.n)
+    assert a_norm(v, op) == pytest.approx(a_norm(v, dense), rel=1e-14)
+    assert spectral_radius_estimate(op, t.n) == pytest.approx(
+        spectral_radius_estimate(dense, t.n), rel=1e-12)
+    assert estimate_interval(op, t.n) == pytest.approx(estimate_interval(dense, t.n), rel=1e-12)

@@ -7,7 +7,7 @@ import pytest
 from krylov import (StationaryConfig, Triplets, bicg, bicgstab, bidiag_solve, build, cg,
                     cg_basic, cgs, gmres, iterate, iteration_matrix_applier, minres, pcg,
                     poisson_test, qmr, qmr_alt, random_sparse, semi_iterative,
-                    solve_poly_pcg, split, ssor_iterate, to_triplets)
+                    solve_poly_pcg, split, ssor_iterate, storage, to_dense, to_triplets)
 
 SOLVERS = {
     "cg": cg, "cg_basic": cg_basic, "pcg": pcg, "minres": minres,
@@ -111,3 +111,35 @@ def test_triplets_solve_like_their_row_build(case):
         g_t, g_row = (iteration_matrix_applier(m, method, omega=1.2, block_size=4)
                       for m in (t, row))
         assert g_t(v).tobytes() == g_row(v).tobytes(), method
+
+
+X0_SOLVERS = {
+    **SOLVERS,
+    "iterate": lambda a, b, x0: iterate(a, b, StationaryConfig("gauss_seidel", max_iter=40), x0=x0),
+    "ssor_iterate": lambda a, b, x0: ssor_iterate(a, b, 1.3, max_iter=40, x0=x0),
+    "semi_iterative": lambda a, b, x0: semi_iterative(split(a, "jacobi"), b, -0.95, 0.95,
+                                                      max_iter=40, x0=x0),
+}
+
+
+@pytest.mark.parametrize("shape", [(16, 1), (15,)], ids=str)
+@pytest.mark.parametrize("name", sorted(X0_SOLVERS))
+def test_initial_guess_of_wrong_shape_is_rejected(name, shape):
+    a = to_dense(poisson_test(4).a)  # n = 16; a dense A broadcasts an (n, 1) guess
+    message = f"initial guess has shape {shape}, expected (16,)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        X0_SOLVERS[name](a, np.ones(16), x0=np.zeros(shape))
+
+
+@pytest.mark.parametrize("name", ["bicg", "qmr", "qmr_alt", "bidiag_solve", "solve_poly_pcg"])
+def test_triplets_are_built_once_per_solve(name, monkeypatch):
+    built, real = [], storage.build
+    monkeypatch.setattr(storage, "build", lambda t, target: built.append(target) or real(t, target))
+    t = to_triplets(poisson_test(4).a)
+    SOLVERS[name](t, np.ones(t.n), max_iter=10)
+    assert built == ["row"]
+
+
+def test_bare_callable_has_no_transpose_for_bicg():
+    with pytest.raises(ValueError, match="bicg needs the transpose action of the operator"):
+        bicg(lambda x: 2.0 * x, np.ones(3))

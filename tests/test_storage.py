@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from krylov.storage import (DiagCompressed, RowCompressed,
-                            Triplets, build, read_matrix_market, to_dense,
+                            Triplets, build, operator, read_matrix_market, to_dense,
                             to_triplets, write_matrix_market)
 from krylov.storage import read_vector_market, write_vector_market
 from krylov.problems import poisson_test
@@ -245,3 +245,64 @@ def test_matrix_market_symmetric_writer_keeps_lower_triangle():
     assert all(int(i) >= int(j) for i, j, _ in (ln.split() for ln in lines[2:]))
     np.testing.assert_array_equal(to_dense(read_matrix_market(text)), to_dense(a))
 
+
+class _MatvecOnly:
+    """An operand with an action but no transpose action and no size."""
+
+    def __init__(self, a):
+        self.a = a
+
+    def matvec(self, x):
+        return self.a @ x
+
+
+def _operands(t, dense):
+    """name -> (operand, has a transpose action, size operator() reports)."""
+    bare = lambda x: dense @ x
+    sized = lambda x: dense @ x
+    sized.n = t.n
+    return {
+        "ndarray": (dense, True, t.n), "list": (dense.tolist(), True, t.n),
+        "triplets": (t, True, t.n), "row": (build(t, "row"), True, t.n),
+        "col": (build(t, "col"), True, t.n), "diag": (build(t, "diag"), True, t.n),
+        "callable": (bare, False, None), "callable-n": (sized, False, t.n),
+        "matvec-only": (_MatvecOnly(dense), False, None),
+    }
+
+
+@pytest.mark.parametrize("name", ["ndarray", "list", "triplets", "row", "col", "diag",
+                                  "callable", "callable-n", "matvec-only"])
+def test_operator_contract(name, rng):
+    t, dense = random_triplets(9, 0.3, rng)
+    op, has_transpose, size = _operands(t, dense)[name]
+    matvec, rmatvec, n = operator(op)
+    x = rng.standard_normal(9)
+    np.testing.assert_allclose(matvec(x), dense @ x, rtol=1e-14, atol=1e-14)
+    if has_transpose:
+        np.testing.assert_allclose(rmatvec(x), dense.T @ x, rtol=1e-14, atol=1e-14)
+    else:
+        assert rmatvec is None
+    assert n == size
+
+
+def _diag_triplets_by_diagonal(a):
+    """Reference: the entries of each stored diagonal inside the grid, in turn."""
+    rows, cols, vals = [], [], []
+    for r, nu in enumerate(a.offsets.tolist()):
+        i = np.arange(max(0, -nu), min(a.n, a.n - nu))
+        keep = a.vals[i, r] != 0.0
+        rows += i[keep].tolist()
+        cols += (i[keep] + nu).tolist()
+        vals += a.vals[i, r][keep].tolist()
+    return Triplets(a.n, rows, cols, vals).coalesced()
+
+
+@pytest.mark.parametrize("N", [1, 2, 7])
+def test_diag_to_triplets_skips_slots_off_the_grid(N):
+    a = poisson_test(N).a
+    filled = DiagCompressed(a.n, a.k, np.where(a.vals == 0.0, 7.0, a.vals), a.offsets)
+    for d in (a, filled):
+        got, want = d.to_triplets().coalesced(), _diag_triplets_by_diagonal(d)
+        for field in ("rows", "cols", "vals"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        np.testing.assert_array_equal(d.to_dense() @ np.arange(a.n), d.matvec(np.arange(a.n)))
