@@ -59,8 +59,14 @@ def _pcg(run, op, r, c_apply, norm_key, keys, true_residual=False, stop_on_true=
     Stopping uses ||r_i||, or that true norm with ``stop_on_true``; eta_i
     <= 1e-28 ||r_0||**2 counts as an exact solve.  Callback events carry
     ``x`` and the vectors named in ``keys``.
+
+    ``x``, ``r`` and ``p`` are updated in place through one scratch vector.
+    The loop writes only into arrays it allocated (copies of ``run.x`` and
+    ``r``, ``p`` and the scratch), never into one that ``op``, ``c_apply``
+    or ``run.a_apply`` returned: an identity operator returns its input,
+    and another may return a buffer it reuses.
     """
-    x, extras = run.x, run.extras
+    x, r, extras = run.x.copy(), r.copy(), run.extras
     s = r if c_apply is None else c_apply(r)
     eta = float(r @ s)
     extras[norm_key].append(math.sqrt(max(eta, 0.0)))
@@ -69,6 +75,7 @@ def _pcg(run, op, r, c_apply, norm_key, keys, true_residual=False, stop_on_true=
     scale = float(r @ r)
     res = run.r_norm
     p = s.copy()
+    w = np.empty(x.size)  # scratch: lam p, lam v, then b - A x
     for i in range(1, run.max_iter + 1):
         exact = abs(eta) <= 1e-28 * scale
         if run.stop(res, exact):
@@ -78,14 +85,15 @@ def _pcg(run, op, r, c_apply, norm_key, keys, true_residual=False, stop_on_true=
         if d <= 0.0:
             return run.breakdown(x, i - 1, "not-spd")
         lam = eta / d
-        x = x + lam * p
-        r = r - lam * v
+        x += np.multiply(p, lam, out=w)
+        r -= np.multiply(v, lam, out=w)
         s = r if c_apply is None else c_apply(r)
         eta_new = float(r @ s)
         if eta_new < 0.0:
             return run.breakdown(x, i, "precond-not-spd")
         mu = eta_new / eta
-        p = s + mu * p
+        p *= mu
+        p += s
         eta = eta_new
         if "d_hat" in extras:
             extras["lambda_hat"].append(lam)
@@ -95,8 +103,8 @@ def _pcg(run, op, r, c_apply, norm_key, keys, true_residual=False, stop_on_true=
         # With C = I, sqrt(eta) is ||r|| without a second reduction.
         res = math.sqrt(eta) if c_apply is None else float(np.linalg.norm(r))
         vecs = {"r": r, "s": s, "p": p}
-        run.record(float(np.linalg.norm(run.b - run.a_apply(x))) if true_residual else res,
-                   i, x=x, **{k: vecs[k] for k in keys})
+        run.record(float(np.linalg.norm(np.subtract(run.b, run.a_apply(x), out=w)))
+                   if true_residual else res, i, x=x, **{k: vecs[k] for k in keys})
         res = run.history[-1] if stop_on_true else res
     return run.finish(x, run.max_iter, res)
 

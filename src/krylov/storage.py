@@ -6,7 +6,9 @@ row, column, or diagonal (unused value slots are zero):
 * ``RowCompressed``  -- n x k value grid plus an n x k column-index grid;
 * ``ColCompressed``  -- k x n value grid plus a k x n row-index grid;
 * ``DiagCompressed`` -- n x k value grid plus k signed diagonal offsets
-  (offset = column - row, 0 for the main diagonal).
+  (offset = column - row, 0 for the main diagonal).  The grid is kept
+  column-major, so each stored diagonal is one contiguous run of memory
+  and a matvec streams it.
 
 These are dense k-wide panels with a uniform k, not general CSR/CSC with
 pointer arrays; matrices with one unusually full row pay for it in padding.
@@ -131,40 +133,50 @@ class DiagCompressed:
     stored in ``vals[:, r]``; ``vals[i, r]`` is the entry on row ``i`` of
     that diagonal and must be 0 where ``i + offsets[r]`` leaves the grid.
     Offsets are kept sorted ascending.
+
+    ``vals`` is stored column-major (Fortran order; an array given in any
+    other layout is copied into it), so each diagonal ``vals[:, r]`` is
+    contiguous, as in the DIA/CDS layouts of Saad (*Iterative Methods for
+    Sparse Linear Systems*, 2nd ed., §3.4) and Barrett et al.
+    (*Templates*, §4.3.2).
     """
 
     n: int
     k: int
-    vals: np.ndarray     # (n, k)
+    vals: np.ndarray     # (n, k), column-major
     offsets: np.ndarray  # (k,) signed, pairwise distinct
+
+    def __post_init__(self):
+        self.vals = np.asfortranarray(self.vals, dtype=float)
 
     def matvec(self, x):
         x = _check_dim(x, self.n)
-        y = np.zeros(self.n)
-        n = self.n
-        for r, nu in enumerate(self.offsets):
-            nu = int(nu)
-            start = max(0, -nu)
-            end = min(n, n - nu)
-            y[start:end] += self.vals[start:end, r] * x[start + nu:end + nu]
+        y, term = np.zeros(self.n), np.empty(self.n)
+        for r, (start, end, nu) in enumerate(self._spans()):
+            y[start:end] += np.multiply(self.vals[start:end, r], x[start + nu:end + nu],
+                                        out=term[:end - start])
         return y
 
     def rmatvec(self, x):
         x = _check_dim(x, self.n)
-        y = np.zeros(self.n)
-        n = self.n
-        for r, nu in enumerate(self.offsets):
-            nu = int(nu)
-            start = max(0, -nu)
-            end = min(n, n - nu)
-            y[start + nu:end + nu] += self.vals[start:end, r] * x[start:end]
+        y, term = np.zeros(self.n), np.empty(self.n)
+        for r, (start, end, nu) in enumerate(self._spans()):
+            y[start + nu:end + nu] += np.multiply(self.vals[start:end, r], x[start:end],
+                                                  out=term[:end - start])
         return y
 
+    def _spans(self):
+        """(start, end, offset) of each diagonal: rows start..end-1 lie on the grid."""
+        n = self.n
+        for nu in map(int, self.offsets):
+            yield max(0, -nu), min(n, n - nu), nu
+
     def to_triplets(self):
-        r = np.broadcast_to(np.arange(self.n)[:, None], self.vals.shape)
+        vals = np.ascontiguousarray(self.vals)  # entries come out row by row: gather row-major
+        r = np.broadcast_to(np.arange(self.n)[:, None], vals.shape)
         c = r + self.offsets
-        mask = (self.vals != 0.0) & (c >= 0) & (c < self.n)  # slots off the grid are unused
-        return Triplets(self.n, r[mask], c[mask], self.vals[mask])
+        mask = (vals != 0.0) & (c >= 0) & (c < self.n)  # slots off the grid are unused
+        return Triplets(self.n, r[mask], c[mask], vals[mask])
 
     def to_dense(self):
         return self.to_triplets().to_dense()
@@ -294,10 +306,10 @@ def build(triplets: Triplets, target: str):
         return ColCompressed(n, at.k, at.vals.T.copy(), at.cols.T.copy())
     if target == "diag":
         if t.rows.size == 0:
-            return DiagCompressed(n, 1, np.zeros((n, 1)), np.array([0]))
+            return DiagCompressed(n, 1, np.zeros((n, 1), order="F"), np.array([0]))
         offs = np.unique(t.cols - t.rows)
         k = offs.size
-        vals = np.zeros((n, k))
+        vals = np.zeros((n, k), order="F")
         vals[t.rows, np.searchsorted(offs, t.cols - t.rows)] = t.vals
         return DiagCompressed(n, k, vals, offs)
     raise ValueError(f"unknown storage target {target!r}")

@@ -143,3 +143,51 @@ def test_triplets_are_built_once_per_solve(name, monkeypatch):
 def test_bare_callable_has_no_transpose_for_bicg():
     with pytest.raises(ValueError, match="bicg needs the transpose action of the operator"):
         bicg(lambda x: 2.0 * x, np.ones(3))
+
+
+def _reused_buffer():
+    """Poisson N=5 as a callable that returns the same array on every call."""
+    a, buf = poisson_test(5).a, np.empty(25)
+
+    def matvec(v):
+        buf[...] = a.matvec(v)
+        return buf
+    return matvec
+
+
+def _identity(v):
+    return v
+
+
+def _isolated(f):
+    """``f`` on a copy of its input, its result copied: nothing can alias."""
+    return lambda v: f(np.array(v)).copy()
+
+
+_POISSON5_BOX = (4.0 - 4.0 * np.cos(np.pi / 6), 4.0 + 4.0 * np.cos(np.pi / 6))  # extreme eigenvalues
+ALIASING_SOLVERS = {
+    "cg": lambda a, b, x0, c, box: cg(a, b, x0=x0, max_iter=60),
+    "pcg": lambda a, b, x0, c, box: pcg(a, b, c, x0=x0, max_iter=60),
+    "solve_poly_pcg": lambda a, b, x0, c, box: solve_poly_pcg(a, b, 3, *box, x0=x0, max_iter=60),
+    "minres": lambda a, b, x0, c, box: minres(a, b, x0=x0, max_iter=60),
+}
+ALIASING_OPERANDS = {  # () -> (operator, preconditioner, interval enclosing the spectrum)
+    # pcg takes the scaling, so its run on the identity lasts more than one step
+    "operator-returns-input": lambda: (_identity, lambda r: r * np.linspace(0.5, 2.0, 25),
+                                       (0.5, 1.5)),
+    "operator-reuses-buffer": lambda: (_reused_buffer(), None, _POISSON5_BOX),
+    "preconditioner-returns-input": lambda: (_reused_buffer(), _identity, _POISSON5_BOX),
+}
+
+
+@pytest.mark.parametrize("operand", sorted(ALIASING_OPERANDS))
+@pytest.mark.parametrize("name", sorted(ALIASING_SOLVERS))
+def test_solvers_never_write_into_arrays_they_do_not_own(name, operand):
+    op, c_apply, box = ALIASING_OPERANDS[operand]()
+    b, x0 = np.linspace(1.0, 2.0, 25), np.linspace(-0.5, 0.5, 25)
+    b_in, x0_in = b.copy(), x0.copy()
+    solve = ALIASING_SOLVERS[name]
+    want = solve(_isolated(op), b_in.copy(), x0_in.copy(), c_apply and _isolated(c_apply), box)
+    rep = solve(op, b, x0, c_apply, box)
+    assert _bits(rep) == _bits(want) and rep.iterations > 0
+    assert b.tobytes() == b_in.tobytes() and x0.tobytes() == x0_in.tobytes()

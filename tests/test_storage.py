@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from krylov.storage import (DiagCompressed, RowCompressed,
                             Triplets, build, operator, read_matrix_market, to_dense,
@@ -306,3 +308,51 @@ def test_diag_to_triplets_skips_slots_off_the_grid(N):
         for field in ("rows", "cols", "vals"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
         np.testing.assert_array_equal(d.to_dense() @ np.arange(a.n), d.matvec(np.arange(a.n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.floats(0.0, 0.6), st.integers(0, 2**32 - 1))
+@example(n=4, density=0.0, seed=0)  # no entries: the one-slot empty build
+def test_diag_build_is_column_major(n, density, seed):
+    t, _ = random_triplets(n, density, np.random.default_rng(seed))
+    a = build(t, "diag")
+    assert a.vals.flags.f_contiguous and a.vals.shape == (n, a.k)
+
+
+def _diag_outputs(a, x):
+    """Everything the diag format computes from ``a``, as bytes."""
+    t = a.to_triplets()
+    return (a.matvec(x).view(np.int64).tobytes(), a.rmatvec(x).view(np.int64).tobytes(),
+            t.rows.tobytes(), t.cols.tobytes(), t.vals.tobytes(), a.to_dense().tobytes(),
+            write_matrix_market(t))
+
+
+@st.composite
+def diag_shapes(draw):
+    """(n, sorted distinct offsets) of a diag-format matrix, k from 1 to 5."""
+    n = draw(st.integers(1, 12))
+    offsets = draw(st.lists(st.integers(1 - n, n - 1), min_size=1,
+                            max_size=min(5, 2 * n - 1), unique=True))
+    return n, sorted(offsets)
+
+
+@settings(max_examples=80, deadline=None)
+@given(diag_shapes(), st.integers(0, 2**32 - 1), st.booleans())
+@example(shape=(1, [0]), seed=0, fill_off_grid=False)
+@example(shape=(5, [-2]), seed=1, fill_off_grid=True)
+def test_diag_results_do_not_depend_on_layout(shape, seed, fill_off_grid):
+    n, offsets = shape[0], np.array(shape[1])
+    k = offsets.size
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((n, k)) * (rng.random((n, k)) < 0.8)
+    col = np.arange(n)[:, None] + offsets
+    # slots whose column leaves the grid are never read
+    vals = np.where((col >= 0) & (col < n), vals, 7.5 if fill_off_grid else 0.0)
+    x = rng.standard_normal(n)
+    x[rng.random(n) < 0.2] = -0.0
+    a = DiagCompressed(n, k, vals, offsets)  # a C-order array is stored column-major
+    assert a.vals.flags.f_contiguous and np.array_equal(a.vals, vals)
+    c_order = DiagCompressed(n, k, vals, offsets)
+    c_order.vals = vals  # bypass the conversion: results must not depend on layout
+    assert c_order.vals.flags.c_contiguous
+    assert _diag_outputs(a, x) == _diag_outputs(c_order, x)
