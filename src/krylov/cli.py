@@ -10,7 +10,6 @@ factorization meeting a nonpositive pivot).
 """
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -133,8 +132,6 @@ def _build_preconditioner(spec, inst, band, block_size, parser):
         factors = factory(inst.a, band)
         return (lambda r: pcmod.apply_ic_solve(factors, r)), None
     if spec == "block":
-        if block_size is None:
-            block_size = int(round(math.sqrt(inst.n)))
         factors = pcmod.block_precond(inst.a, block_size)
         return (lambda r: pcmod.apply_block_solve(factors, r)), None
     if spec.startswith("poly:"):

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .report import SolveReport, _Run
-from .storage import _point_parts, _Sweep, operator, to_dense, to_triplets
+from .storage import _Blocks, _point_parts, _Sweep, operator, to_triplets
 
 
 class IcBreakdownError(RuntimeError):
@@ -239,77 +239,55 @@ def ic_matrix_apply(f: IcFactors, x):
 
 @dataclass
 class BlockFactors:
-    block_size: int
-    d_blocks: list       # approximate pivot blocks (dense)
-    sub_blocks: list     # B_i, sub_blocks[i] couples block i to block i-1
-    factors: list        # LU factorizations of the pivot blocks
+    blocks: _Blocks       # the partition of A; its block-lower entries are the B_i
+    d_blocks: np.ndarray  # approximate pivot blocks D_i, (nb, bs, bs)
+    factors: list         # LU factorizations of the pivot blocks
 
 
 def block_precond(a, block_size, sigma_rule="tridiagonal") -> BlockFactors:
-    """Block incomplete factorization M = L inv(D) L' of a block-tridiagonal A.
+    """Block incomplete factorization M = L inv(D) L' of a block-tridiagonal A
+    (Concus, Golub & Meurant, *Block preconditioning for the conjugate
+    gradient method*, SIAM J. Sci. Stat. Comput. 6, 1985).
 
-    The pivot blocks follow D_i = A_i - B_i S_{i-1} B_i' where S_{i-1}
-    approximates inv(D_{i-1}): with ``sigma_rule="tridiagonal"`` it is the
-    tridiagonal part of the exact block inverse (computed column by column
-    from solves against unit vectors); ``sigma_rule="full"`` keeps the whole
-    inverse, which reproduces the exact block factorization and hence M = A.
+    A must be block-tridiagonal at ``block_size`` (None means
+    round(sqrt(n)); a five-point grid of side N is at block size N): an
+    entry outside that band raises ValueError naming it.  Only the diagonal
+    blocks A_i and the sub-diagonal blocks B_i (block i coupled to block
+    i-1) are read.  The pivot blocks follow D_i = A_i - B_i S_{i-1} B_i'
+    where S_{i-1} approximates inv(D_{i-1}): with
+    ``sigma_rule="tridiagonal"`` it is the tridiagonal part of the exact
+    block inverse (computed column by column from solves against unit
+    vectors); ``sigma_rule="full"`` keeps the whole inverse, which
+    reproduces the exact block factorization and hence M = A.  A singular
+    or non-finite pivot block raises IcBreakdownError naming it.
     """
-    dense = to_dense(a)
-    n = dense.shape[0]
-    bs = block_size
-    if bs < 1 or n % bs != 0:
-        raise ValueError(f"block size {bs} does not divide n={n}")
-    nb = n // bs
-    d_blocks, sub_blocks, factors = [], [None], []
-    sigma_prev = None
-    for bi in range(nb):
-        sl = slice(bi * bs, (bi + 1) * bs)
-        d_i = dense[sl, sl].copy()
-        if bi > 0:
-            sub = dense[sl, (bi - 1) * bs: bi * bs].copy()
-            sub_blocks.append(sub)
-            d_i -= sub @ sigma_prev @ sub.T
+    if sigma_rule not in ("tridiagonal", "full"):
+        raise ValueError(f"unknown sigma rule {sigma_rule!r}")
+    blocks = _Blocks(a, block_size, band=1)
+    bs, d_blocks, factors = blocks.bs, blocks.diag.copy(), []
+    for i, d_i in enumerate(d_blocks):
+        if i:
+            loc, cols, vals = blocks.lower[i]
+            sub = np.zeros((bs, bs))
+            sub[loc, cols - (i - 1) * bs] = vals
+            d_i -= sub @ sigma @ sub.T
         try:
-            lu = scipy.linalg.lu_factor(d_i)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise IcBreakdownError(f"block pivot failure at block {bi}") from exc
-        if not np.all(np.isfinite(lu[0])):
-            raise IcBreakdownError(f"block pivot failure at block {bi}")
-        d_blocks.append(d_i)
-        factors.append(lu)
-        inv = scipy.linalg.lu_solve(lu, np.eye(bs))
+            factors.append(blocks.factor(d_i, i))
+        except ValueError as exc:
+            raise IcBreakdownError(f"block pivot failure at block {i}") from exc
+        sigma = scipy.linalg.lu_solve(factors[-1], np.eye(bs))
         if sigma_rule == "tridiagonal":
-            sigma_prev = np.triu(np.tril(inv, 1), -1)
-        elif sigma_rule == "full":
-            sigma_prev = inv
-        else:
-            raise ValueError(f"unknown sigma rule {sigma_rule!r}")
-    return BlockFactors(bs, d_blocks, sub_blocks, factors)
+            sigma = np.triu(np.tril(sigma, 1), -1)
+    return BlockFactors(blocks, d_blocks, factors)
 
 
 def apply_block_solve(f: BlockFactors, r):
-    """Solve M s = r by block forward/backward substitution."""
-    bs = f.block_size
-    nb = len(f.d_blocks)
-    n = bs * nb
-    y = np.empty(n)
-    for bi in range(nb):
-        sl = slice(bi * bs, (bi + 1) * bs)
-        rhs = r[sl]
-        if bi > 0:
-            rhs = rhs - f.sub_blocks[bi] @ y[(bi - 1) * bs: bi * bs]
-        y[sl] = scipy.linalg.lu_solve(f.factors[bi], rhs)
-    for bi in range(nb):
-        sl = slice(bi * bs, (bi + 1) * bs)
-        y[sl] = f.d_blocks[bi] @ y[sl]
-    s = np.empty(n)
-    for bi in range(nb - 1, -1, -1):
-        sl = slice(bi * bs, (bi + 1) * bs)
-        rhs = y[sl]
-        if bi + 1 < nb:
-            rhs = rhs - f.sub_blocks[bi + 1].T @ s[(bi + 1) * bs: (bi + 2) * bs]
-        s[sl] = scipy.linalg.lu_solve(f.factors[bi], rhs)
-    return s
+    """Solve M s = r with M = L inv(D) L': a forward block sweep with L
+    (pivot blocks D_i, sub-diagonal blocks B_i), a multiply by each D_i,
+    then a backward block sweep with L', whose off-diagonal blocks B_i' are
+    the transpose of the block-lower part of A."""
+    y = f.blocks.forward(f.factors, r).reshape(-1, f.blocks.bs, 1)
+    return f.blocks.backward(f.factors, (f.d_blocks @ y).ravel())
 
 
 # ---------------------------------------------------------------------------

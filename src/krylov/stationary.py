@@ -6,7 +6,9 @@ M x_{k+1} = N x_k + b, implemented throughout in the equivalent
 residual-update form: solve M u_k = r_k with r_k = b - A x_k, then
 x_{k+1} = x_k + u_k.  Point sweeps run level by level on a schedule of
 the sparse rows (:class:`krylov.storage._Sweep`) with the results of a
-row-by-row loop; block variants factor each diagonal block densely once.
+row-by-row loop.  Block variants keep the diagonal blocks dense, each
+factored once, and the coupling between blocks as sparse entries
+(:class:`krylov.storage._Blocks`); no n x n array is formed.
 """
 
 import math
@@ -14,10 +16,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .report import SolveReport, _Run
-from .storage import _Panels, _point_parts, _Sweep, operator, to_dense, to_triplets
+from .storage import _Blocks, _Panels, _point_parts, _Sweep, operator, to_triplets
 
 POINT_METHODS = ("jacobi", "gauss_seidel", "sor")
 BLOCK_METHODS = ("block_jacobi", "block_gs")
@@ -46,49 +47,6 @@ class StationaryConfig:
     max_iter: int | None = None
 
 
-class _BlockStructure:
-    """Dense block partition with factored diagonal blocks (desk scale)."""
-
-    def __init__(self, a, block_size):
-        dense = to_dense(a)
-        n = dense.shape[0]
-        if block_size is None:
-            block_size = int(round(math.sqrt(n)))
-        if block_size < 1 or n % block_size != 0:
-            raise ValueError(f"block size {block_size} does not divide n={n}")
-        self.n = n
-        self.bs = block_size
-        self.nb = n // block_size
-        self.dense = dense
-        self.factors = []
-        for bi in range(self.nb):
-            sl = self._slice(bi)
-            try:
-                self.factors.append(scipy.linalg.lu_factor(dense[sl, sl]))
-            except (scipy.linalg.LinAlgError, ValueError) as exc:
-                raise ValueError(f"singular diagonal block {bi}") from exc
-
-    def _slice(self, bi):
-        return slice(bi * self.bs, (bi + 1) * self.bs)
-
-    def block_diag_solve(self, rhs):
-        u = np.empty(self.n)
-        for bi in range(self.nb):
-            sl = self._slice(bi)
-            u[sl] = scipy.linalg.lu_solve(self.factors[bi], rhs[sl])
-        return u
-
-    def block_forward_solve(self, rhs):
-        u = np.empty(self.n)
-        for bi in range(self.nb):
-            sl = self._slice(bi)
-            s = rhs[sl]
-            if bi > 0:
-                s = s - self.dense[sl, : bi * self.bs] @ u[: bi * self.bs]
-            u[sl] = scipy.linalg.lu_solve(self.factors[bi], s)
-        return u
-
-
 def split(a, method, omega=None, block_size=None) -> Splitting:
     """Splitting for one of jacobi, gauss_seidel, sor, block_jacobi, block_gs.
 
@@ -99,7 +57,8 @@ def split(a, method, omega=None, block_size=None) -> Splitting:
     * sor           M = (D - omega L)/omega, N = ((1-omega) D + omega U)/omega
     * block forms   the same with the block partition of A
 
-    SOR requires omega in (0, 2); block sizes must divide n.
+    SOR requires omega in (0, 2).  Block sizes must divide n (None means
+    round(sqrt(n))); a singular diagonal block raises ValueError.
     """
     a_apply = operator(a)[0]
     if method in POINT_METHODS:
@@ -117,33 +76,15 @@ def split(a, method, omega=None, block_size=None) -> Splitting:
             m_solve = lambda r: lower.solve(d, r)
             m_apply = lambda x: lower.accumulate(d * x, x)
     elif method in BLOCK_METHODS:
-        bs = _BlockStructure(a, block_size)
-        if method == "block_jacobi":
-            m_solve = bs.block_diag_solve
-            m_apply = lambda x: _block_diag_apply(bs, x)
-        else:
-            m_solve = bs.block_forward_solve
-            m_apply = lambda x: _block_lower_apply(bs, x)
+        blocks = _Blocks(a, block_size)
+        factors = [blocks.factor(d, i) for i, d in enumerate(blocks.diag)]
+        gs = method == "block_gs"
+        m_solve = lambda r: blocks.forward(factors, r, gs)
+        m_apply = lambda x: blocks.multiply(x, gs)
     else:
         raise ValueError(f"unknown splitting method {method!r}")
     n_apply = lambda x: m_apply(x) - a_apply(x)
     return Splitting(m_solve=m_solve, a_apply=a_apply, n_apply=n_apply)
-
-
-def _block_diag_apply(bs, x):
-    y = np.empty(bs.n)
-    for bi in range(bs.nb):
-        sl = bs._slice(bi)
-        y[sl] = bs.dense[sl, sl] @ x[sl]
-    return y
-
-
-def _block_lower_apply(bs, x):
-    y = _block_diag_apply(bs, x)
-    for bi in range(1, bs.nb):
-        sl = bs._slice(bi)
-        y[sl] += bs.dense[sl, : bi * bs.bs] @ x[: bi * bs.bs]
-    return y
 
 
 def iterate(a, b, cfg: StationaryConfig, x0=None) -> SolveReport:

@@ -18,9 +18,12 @@ adjacent memory.  All indices are 0-based in memory; MatrixMarket files are
 1-based on disk.
 """
 
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 
 @dataclass
@@ -280,6 +283,84 @@ class _Sweep(_Panels):
                 s = s - term
             u[rows] = s
         return u[self.pos]
+
+
+class _Blocks:
+    """Partition of an n x n matrix into square blocks of size ``bs`` (None:
+    round(sqrt(n))), without an n x n array.
+
+    ``diag`` holds the dense diagonal blocks A_ii as an (nb, bs, bs) array.
+    ``lower[i]`` holds the strictly block-lower entries of block row i as
+    (row offsets within the block, columns, values), by row; ``upper[i]``
+    holds the entries of the transpose of that part in block row i, so a
+    backward sweep reads the same entries.  With ``band`` given, an entry
+    more than ``band`` blocks off the diagonal is rejected by name.
+    """
+
+    def __init__(self, a, bs=None, band=None):
+        t = to_triplets(a).coalesced()
+        n = t.n
+        bs = int(round(math.sqrt(n))) if bs is None else bs
+        if bs < 1 or n % bs != 0:
+            raise ValueError(f"block size {bs} does not divide n={n}")
+        self.n, self.bs, self.nb = n, bs, n // bs
+        bi, bj = t.rows // bs, t.cols // bs
+        far = np.flatnonzero(np.abs(bi - bj) > (self.nb if band is None else band))
+        if far.size:
+            r, c = t.rows[far[0]], t.cols[far[0]]
+            raise ValueError(f"entry ({r}, {c}) more than {band} block(s) off the diagonal")
+        on, low = bi == bj, bj < bi
+        self.diag = np.zeros((self.nb, bs, bs))
+        self.diag[bi[on], t.rows[on] % bs, t.cols[on] % bs] = t.vals[on]
+        rows, cols, vals = t.rows[low], t.cols[low], t.vals[low]
+        self.lower, self.upper = self._by_block(rows, cols, vals), self._by_block(cols, rows, vals)
+
+    def _by_block(self, rows, cols, vals):
+        order = np.argsort(rows, kind="stable")
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        cut = np.searchsorted(rows, np.arange(self.nb + 1) * self.bs).tolist()
+        return [(rows[lo:hi] - i * self.bs, cols[lo:hi], vals[lo:hi])
+                for i, (lo, hi) in enumerate(zip(cut, cut[1:]))]
+
+    @staticmethod
+    def factor(block, i):
+        """LU factors of diagonal block ``i``; ValueError on a zero or
+        non-finite pivot (LAPACK's singularity warning is not passed on)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu = scipy.linalg.lu_factor(block, check_finite=False)
+        if not np.all(np.isfinite(lu[0])) or np.any(np.diagonal(lu[0]) == 0.0):
+            raise ValueError(f"singular diagonal block {i}")
+        return lu
+
+    def multiply(self, x, lower):
+        """M x for M the block diagonal of A, plus its block-lower part if ``lower``."""
+        y = (self.diag @ x.reshape(self.nb, self.bs, 1)).ravel()
+        for i in range(1, self.nb) if lower else ():  # block row 0 has no such part
+            loc, cols, vals = self.lower[i]
+            y[i * self.bs:(i + 1) * self.bs] += np.bincount(loc, weights=vals * x[cols],
+                                                            minlength=self.bs)
+        return y
+
+    def forward(self, factors, rhs, lower=True):
+        """u_i = D_i^-1 (rhs_i - sum_{j<i} A_ij u_j) for i = 0, 1, ..., the
+        sum dropped when not ``lower``; D_i is given by its LU ``factors``."""
+        return self._sweep(factors, rhs, self.lower if lower else None, range(self.nb))
+
+    def backward(self, factors, rhs):
+        """u_i = D_i^-1 (rhs_i - sum_{j>i} A_ji' u_j) for i = nb-1, ..., 0."""
+        return self._sweep(factors, rhs, self.upper, reversed(range(self.nb)))
+
+    def _sweep(self, factors, rhs, coupling, order):
+        u = np.empty(self.n)
+        for i in order:
+            sl = slice(i * self.bs, (i + 1) * self.bs)
+            s = rhs[sl]
+            if coupling:
+                loc, src, vals = coupling[i]
+                s = s - np.bincount(loc, weights=vals * u[src], minlength=self.bs)
+            u[sl] = scipy.linalg.lu_solve(factors[i], s)
+        return u
 
 
 def build(triplets: Triplets, target: str):

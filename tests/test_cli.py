@@ -81,6 +81,17 @@ def test_solve_breakdown_exit_code(tmp_path, capsys):
     assert code == 4
 
 
+def test_solve_singular_diagonal_block_exit_code(tmp_path, capsys):
+    mtx = tmp_path / "B.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n"
+                   "4 4 8\n1 1 1.0\n1 2 2.0\n2 1 2.0\n2 2 4.0\n"
+                   "3 3 3.0\n3 4 1.0\n4 3 1.0\n4 4 3.0\n")
+    code = run(["solve", "--matrix", str(mtx), "--method", "block-jacobi",
+                "--block-size", "2", "--out", str(tmp_path / "b.csv")])
+    assert code == 2
+    assert "singular diagonal block 0" in capsys.readouterr().err
+
+
 def test_solve_usage_error_exit_code(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["solve", "--problem", "poisson", "--n", "4",

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import make_spd
 
 from krylov.cg import cg, estimate_extremes_by_cg
@@ -217,6 +220,84 @@ def test_block_preconditioner_beats_plain_cg():
                   tol=1e-6, tol_kind="abs", max_iter=1000)
     assert blocked.converged and plain.converged
     assert blocked.iterations < plain.iterations
+
+
+def _dense_block_solve(dense, f, r):
+    """The dense formulas for M s = r: forward with the pivot and sub-diagonal
+    blocks, multiply by each pivot block, backward with the transposes."""
+    bs, nb = f.d_blocks.shape[1], f.d_blocks.shape[0]
+    sl = [slice(i * bs, (i + 1) * bs) for i in range(nb)]
+    y = np.empty(r.size)
+    for i in range(nb):
+        rhs = r[sl[i]] - dense[sl[i], sl[i - 1]] @ y[sl[i - 1]] if i else r[sl[i]]
+        y[sl[i]] = scipy.linalg.lu_solve(f.factors[i], rhs)
+    for i in range(nb):
+        y[sl[i]] = f.d_blocks[i] @ y[sl[i]]
+    s = np.empty(r.size)
+    for i in reversed(range(nb)):
+        rhs = y[sl[i]] - dense[sl[i + 1], sl[i]].T @ s[sl[i + 1]] if i + 1 < nb else y[sl[i]]
+        s[sl[i]] = scipy.linalg.lu_solve(f.factors[i], rhs)
+    return s
+
+
+@pytest.mark.parametrize("N", [4, 10])
+def test_block_solve_bitwise_dense_formulas(N):
+    inst = poisson_test(N)
+    dense = to_dense(inst.a)
+    f = block_precond(inst.a, N)
+    d = dense[:N, :N].copy()
+    for i in range(N):  # the pivot recurrence on dense blocks
+        if i:
+            sub = dense[i * N:(i + 1) * N, (i - 1) * N:i * N]
+            d = dense[i * N:(i + 1) * N, i * N:(i + 1) * N] - sub @ sigma @ sub.T
+        assert f.d_blocks[i].tobytes() == d.tobytes()
+        inv = scipy.linalg.lu_solve(scipy.linalg.lu_factor(d), np.eye(N))
+        sigma = np.triu(np.tril(inv, 1), -1)
+    rng = np.random.default_rng(N)
+    for _ in range(5):
+        r = rng.standard_normal(N * N)
+        assert apply_block_solve(f, r).tobytes() == _dense_block_solve(dense, f, r).tobytes()
+
+
+def test_block_size_defaults_to_grid_side():
+    a = poisson_test(6).a
+    f, g = block_precond(a, None), block_precond(a, 6)
+    assert f.d_blocks.tobytes() == g.d_blocks.tobytes()
+    r = np.linspace(-1.0, 1.0, 36)
+    assert apply_block_solve(f, r).tobytes() == apply_block_solve(g, r).tobytes()
+
+
+def test_block_sigma_rule_checked_before_any_work():
+    with pytest.raises(ValueError, match="sigma rule"):
+        block_precond(poisson_test(4).a, 3, sigma_rule="diagonal")
+
+
+def test_block_rejects_entry_outside_block_tridiagonal_band():
+    t = Triplets(6, [0, 1, 2, 3, 4, 5, 5], [0, 1, 2, 3, 4, 5, 0], [4.0] * 6 + [-1.0])
+    with pytest.raises(ValueError, match=r"entry \(5, 0\)"):
+        block_precond(t, 2)
+    block_precond(Triplets(6, range(6), range(6), [4.0] * 6), 2)
+
+
+def test_block_singular_pivot_named():
+    a = np.array([[1.0, 2.0, 0.0, 0.0], [2.0, 4.0, 0.0, 0.0],
+                  [0.0, 0.0, 3.0, 1.0], [0.0, 0.0, 1.0, 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IcBreakdownError, match="at block 0$"):
+            block_precond(a, 2)
+
+
+def test_block_precond_builds_without_dense_matrix():
+    # Poisson N=100 at block size 100: a dense A alone would take 800 MB.
+    a = poisson_test(100).a
+    tracemalloc.start()
+    try:
+        block_precond(a, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_poly_build_degree_one_closed_form():

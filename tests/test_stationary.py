@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from krylov.core import spectral_radius_estimate
 from krylov.problems import (cavity_laplace, hilbert, indefinite_kron, poisson_test,
@@ -54,11 +56,13 @@ def test_split_rejects_bad_omega():
 def test_splitting_forms_agree(rng):
     # M x_{k+1} = N x_k + b versus the residual-update form, step by step
     for trial in range(20):
-        n = 7
+        n = 8
         a = dominant_random(n, rng)
         b = rng.standard_normal(n)
-        for method, om in (("jacobi", None), ("gauss_seidel", None), ("sor", 1.4)):
-            sp = split(a, method, omega=om)
+        for method, om, bs in (("jacobi", None, None), ("gauss_seidel", None, None),
+                               ("sor", 1.4, None), ("block_jacobi", None, 2),
+                               ("block_gs", None, 4)):
+            sp = split(a, method, omega=om, block_size=bs)
             x1 = rng.standard_normal(n)
             x2 = x1.copy()
             for _ in range(10):
@@ -120,6 +124,67 @@ def test_block_methods_match_point_methods_with_unit_blocks(rng):
 def test_block_size_must_divide():
     with pytest.raises(ValueError):
         split(np.eye(6), "block_jacobi", block_size=4)
+
+
+def _dense_block_splitting(dense, bs, gs, a_apply):
+    """The dense block formulas: M = block diagonal (+ block lower part for GS)."""
+    n = dense.shape[0]
+    m = np.zeros_like(dense)
+    for lo in range(0, n, bs):
+        sl = slice(lo, lo + bs)
+        m[sl, sl] = dense[sl, sl]
+        if gs:
+            m[sl, :lo] = dense[sl, :lo]
+    factors = [scipy.linalg.lu_factor(m[lo:lo + bs, lo:lo + bs]) for lo in range(0, n, bs)]
+
+    def m_solve(r):
+        u = np.empty(n)
+        for k, lo in enumerate(range(0, n, bs)):
+            sl = slice(lo, lo + bs)
+            s = r[sl] - m[sl, :lo] @ u[:lo] if lo else r[sl]
+            u[sl] = scipy.linalg.lu_solve(factors[k], s)
+        return u
+
+    def m_apply(x):
+        y = np.empty(n)
+        for lo in range(0, n, bs):
+            sl = slice(lo, lo + bs)
+            y[sl] = m[sl, sl] @ x[sl]
+            if gs and lo:
+                y[sl] += m[sl, :lo] @ x[:lo]
+        return y
+
+    return m_solve, lambda x: m_apply(x) - a_apply(x)
+
+
+@pytest.mark.parametrize("N", [4, 10])
+def test_block_splittings_bitwise_dense_formulas(N):
+    # On a five-point grid each row has at most one block-lower entry, so the
+    # sparse coupling sums the same terms as the dense block products.
+    inst = poisson_test(N)
+    dense = to_dense(inst.a)
+    rng = np.random.default_rng(N)
+    for method in ("block_jacobi", "block_gs"):
+        sp = split(inst.a, method)
+        ref_solve, ref_n = _dense_block_splitting(dense, N, method == "block_gs", sp.a_apply)
+        for _ in range(5):
+            r = rng.standard_normal(N * N)
+            assert sp.m_solve(r).tobytes() == ref_solve(r).tobytes()
+            assert sp.n_apply(r).tobytes() == ref_n(r).tobytes()
+
+
+SINGULAR_BLOCK0 = np.array([[1.0, 2.0, 0.0, 0.0], [2.0, 4.0, 0.0, 0.0],
+                            [0.0, 0.0, 3.0, 1.0], [0.0, 0.0, 1.0, 3.0]])
+
+
+@pytest.mark.parametrize("method", ["block_jacobi", "block_gs"])
+def test_singular_diagonal_block_rejected_by_name(method):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="singular diagonal block 0"):
+            split(SINGULAR_BLOCK0, method, block_size=2)
+        with pytest.raises(ValueError, match="singular diagonal block 0"):
+            iterate(SINGULAR_BLOCK0, np.ones(4), StationaryConfig(method, block_size=2))
 
 
 def test_ssor_one_step_equals_two_half_sweeps():
