@@ -14,12 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TridiagSym, sturm_extreme_eigs
+from .core import TridiagSym, _negligible, sturm_extreme_eigs
 from .precond import _pcg
 from .report import SolveReport, _Run, residual_threshold
 from .storage import operator
-
-_ZERO = 1e-14  # relative breakdown threshold for "exact zero" tests
 
 
 @dataclass
@@ -43,6 +41,8 @@ def factorize_aut(a, b_op, u1, steps=None) -> LanczosLikeFactorization:
     for the orthogonality to hold; the caller is responsible for that).
     Stops early when the next vector is negligible relative to the first,
     which signals an invariant subspace and is a success, not an error.
+    The vectors are not normalized and grow like powers of A, so this test
+    is not scale-free: on Poisson N=8, 2**-40 A stops it after two steps.
     """
     a_apply = operator(a)[0]
     b_apply = operator(b_op)[0]
@@ -54,7 +54,7 @@ def factorize_aut(a, b_op, u1, steps=None) -> LanczosLikeFactorization:
     u_prev = np.zeros(n)
     beta_prev = 0.0
     for i in range(steps):
-        if np.linalg.norm(u) <= _ZERO * scale:
+        if _negligible(np.linalg.norm(u), scale):
             break
         us.append(u.copy())
         v = a_apply(u)
@@ -77,7 +77,9 @@ def cg_basic(a, b, x0=None, tol=1e-10, tol_kind="abs", max_iter=None,
     Keeps the raw recurrence directions u_i and computes the step length as
     lambda_i = u_i' r_{i-1} / u_i' A u_i.  Mostly of reference value; the
     efficient form :func:`cg` is preferred.  History records the recurrence
-    residual norms.
+    residual norms.  The directions are not normalized and grow like powers
+    of A, so the run is not scale-free: with 2**-40 A on Poisson N=8, u_i' A u_i
+    underflows and the run reports breakdown/"not-spd" at iteration 14.
     """
     run = _Run(a, b, x0, tol, tol_kind, max_iter, callback=callback)
     a_apply, x, r = run.a_apply, run.x, run.r

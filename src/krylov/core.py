@@ -1,5 +1,6 @@
-"""Dense vector/matrix primitives: norms, Givens rotations, Sturm bisection
-for symmetric tridiagonal eigen-extremes, and spectral-radius estimation.
+"""Dense vector/matrix primitives: norms, the zero test of the Krylov
+processes, Givens rotations, Sturm bisection for symmetric tridiagonal
+eigen-extremes, and spectral-radius estimation.
 
 Vectors are 1-D arrays.  A matrix needed only through its action may be any
 operand the solvers take, read by :func:`krylov.storage.operator`.
@@ -11,6 +12,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .storage import operator
+
+_ZERO = 1e-14
+
+
+def _negligible(value, scale):
+    """The zero test of every Krylov process: |value| <= 1e-14 * scale, with
+    ``scale`` a norm in the units of ``value`` that the step already has,
+    e.g. ||A u_i|| = hypot(beta_{i-1}, gamma_i, beta_i) for Lanczos' beta_i.
+    Scaling A or b by a power of two scales both sides alike."""
+    return abs(value) <= _ZERO * scale
+
+
+def _unit(v):
+    """v / ||v|| for the start vector v of a Krylov process; ValueError if v = 0."""
+    v = np.asarray(v, dtype=float)
+    nrm = float(np.linalg.norm(v))
+    if nrm == 0.0:
+        raise ValueError("start vector must be nonzero")
+    return v / nrm
 
 
 def vec_norm(v, kind="two"):
@@ -80,43 +100,6 @@ def make_givens(w, beta):
     if r == 0.0:
         return GivensRotation(1.0, 0.0), 0.0
     return GivensRotation(w / r, beta / r), r
-
-
-class _TridiagQR:
-    """Updated QR factorization of a tridiagonal projection (MINRES, QMR).
-
-    Step i takes column i of the tridiagonal matrix -- superdiagonal
-    beta_{i-1}, diagonal gamma_i, subdiagonal beta_i -- and the basis
-    vector u_i.  The rotations of steps i-2 and i-1 and a new one zeroing
-    beta_i reduce the column to R; the direction p_i = (u_i - r_{i-2,i}
-    p_{i-2} - r_{i-1,i} p_{i-1}) / r_ii then advances the iterate.  ``g``
-    is the rotated right-hand side: |g| is the (quasi-)residual norm.
-    """
-
-    def __init__(self, g, n):
-        self.g = g
-        self.rots = []                         # rotations of steps i-2, i-1
-        self.ps = [np.zeros(n), np.zeros(n)]   # p_{i-2}, p_{i-1}
-
-    def step(self, x, u, beta_prev, gamma, beta):
-        """The next iterate x + xi_i p_i, or None when r_ii vanishes."""
-        rots, ps = self.rots, self.ps
-        r_im1, r_ii = beta_prev, gamma
-        p = u.copy()
-        if len(rots) == 2:
-            r_im2, r_im1 = rots[0].apply(0.0, beta_prev)
-            p -= r_im2 * ps[0]
-        if rots:
-            r_im1, r_ii = rots[-1].apply(r_im1, gamma)
-            p -= r_im1 * ps[1]
-        rot, r_ii = make_givens(r_ii, beta)
-        if r_ii == 0.0:
-            return None
-        p /= r_ii
-        xi, self.g = rot.apply(self.g, 0.0)
-        self.rots = rots[-1:] + [rot]
-        self.ps = [ps[1], p]
-        return x + xi * p
 
 
 @dataclass

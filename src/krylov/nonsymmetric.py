@@ -4,22 +4,26 @@ implementations), CGS and Bi-CGStab, plus the orthogonal bidiagonalization
 solver.
 
 The two-sided (nonsymmetric Lanczos) methods trade the long recurrences of
-GMRES for three-term ones at the price of possible breakdowns; every zero
-test here uses a 1e-14 relative threshold and breakdowns are reported in
-the SolveReport, never silently perturbed (no look-ahead).
+GMRES for three-term ones at the price of possible breakdowns; these are
+reported in the SolveReport, never silently perturbed (no look-ahead).
+Every zero test here is :func:`krylov.core._negligible` against a norm in
+the units of the tested quantity, so scaling A or b by a power of two
+changes no status and no iteration count.
 
 Left preconditioning is available on every solver through ``c_apply``: the
 solver then runs on C A with right-hand side C b (for the transpose action
 it uses (C A)' = A' C, valid for symmetric C).
 """
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 
-from .core import _TridiagQR, make_givens
+from .core import _ZERO, _negligible, _unit, make_givens
 from .report import SolveReport, _Run
 from .storage import operator
-
-_ZERO = 1e-14
+from .symmetric import _quasi_minimal
 
 # Breakdown kinds
 INVARIANT_SUBSPACE = "invariant_subspace"
@@ -71,7 +75,7 @@ def arnoldi(a, u1, steps) -> ArnoldiBasis:
     for i in range(steps):
         v, col, hnext, scale = _mgs_step(a_apply, us)
         cols.append(col)
-        if hnext <= _ZERO * max(scale, 1.0):
+        if _negligible(hnext, scale):
             invariant_at = i + 1
             break
         us.append(v / hnext)
@@ -130,7 +134,7 @@ def gmres(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
             xi, g = rot.apply(g, 0.0)
             g1.append(xi)
             run.record(abs(g), total, g=g)
-            lucky = hnext <= _ZERO * max(scale, 1.0)
+            lucky = _negligible(hnext, scale)
             if run.stop(abs(g)) or lucky:
                 if lucky and abs(g) > run.threshold:
                     breakdown = INVARIANT_SUBSPACE
@@ -151,29 +155,51 @@ def gmres(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
 
 
 class BiLanczosState:
-    """Two-sided Lanczos recurrence state (biorthonormal u/w sequences)."""
+    """Two-sided Lanczos recurrence state (biorthonormal u/w sequences).
+
+    A step is two halves, :meth:`a_half` with A and :meth:`at_half` with
+    A', so that a solver can stop in between.  The default shadow start is
+    w_1 = u_1.
+    """
 
     def __init__(self, a, r0, r0_hat=None):
         self.a_apply, self.at_apply, _ = operator(a)
         if self.at_apply is None:
             raise ValueError("operator does not expose a transpose action")
-        r0 = np.asarray(r0, dtype=float)
-        r0_hat = r0 if r0_hat is None else np.asarray(r0_hat, dtype=float)
-        nrm = float(np.linalg.norm(r0))
-        if nrm == 0.0:
-            raise ValueError("start vector must be nonzero")
-        eta = float(r0 @ r0_hat)
-        if abs(eta) <= _ZERO * nrm * float(np.linalg.norm(r0_hat)):
-            raise ValueError("start vectors are (nearly) orthogonal")
-        self.u_curr = r0 / nrm
-        self.w_curr = r0_hat / float(self.u_curr @ r0_hat)
-        self.u_prev = np.zeros_like(r0)
-        self.w_prev = np.zeros_like(r0)
-        self.alpha_prev = 0.0
-        self.beta_prev = 0.0
-        self.gammas = []
-        self.alphas = []
-        self.betas = []
+        self.u_curr = self.w_curr = _unit(r0)
+        if r0_hat is not None:
+            r0_hat = np.asarray(r0_hat, dtype=float)
+            eta = float(self.u_curr @ r0_hat)
+            if _negligible(eta, float(np.linalg.norm(r0_hat))):
+                raise ValueError("start vectors are (nearly) orthogonal")
+            self.w_curr = r0_hat / eta
+        self.u_prev = self.w_prev = np.zeros_like(self.u_curr)
+        self.alpha_prev = self.beta_prev = 0.0
+
+    def a_half(self):
+        """First half of step i: (gamma_i = w_i' A u_i, alpha_i = ||u_hat||,
+        invariant), ``invariant`` when alpha_i is negligible next to ||A u_i||:
+        the u sequence spans a right invariant subspace, and no A' half follows."""
+        u = self.u_curr
+        v = self.a_apply(u)
+        self.gamma = float(self.w_curr @ v)
+        self.u_hat = v - self.gamma * u - self.beta_prev * self.u_prev
+        self.alpha = float(np.linalg.norm(self.u_hat))
+        return self.gamma, self.alpha, _negligible(self.alpha, float(np.linalg.norm(v)))
+
+    def at_half(self):
+        """Second half of step i: beta_i = u_{i+1}' w_hat (kept in ``beta``),
+        then the move to step i+1.  Returns None, or "serious_breakdown" when
+        beta_i is negligible next to ||w_hat||; the basis then stays at step i."""
+        u_next = self.u_hat / self.alpha
+        w = self.w_curr
+        w_hat = self.at_apply(w) - self.gamma * w - self.alpha_prev * self.w_prev
+        self.beta = float(u_next @ w_hat)
+        if _negligible(self.beta, float(np.linalg.norm(w_hat))):
+            return SERIOUS_BREAKDOWN
+        self.u_prev, self.u_curr = self.u_curr, u_next
+        self.w_prev, self.w_curr = w, w_hat / self.beta
+        self.alpha_prev, self.beta_prev = self.alpha, self.beta
 
 
 def bilanczos_step(state: BiLanczosState):
@@ -185,25 +211,10 @@ def bilanczos_step(state: BiLanczosState):
     "serious_breakdown" (the new pair is orthogonal and the recurrence
     cannot continue without look-ahead).
     """
-    u, w = state.u_curr, state.w_curr
-    v = state.a_apply(u)
-    gamma = float(w @ v)
-    u_hat = v - gamma * u - state.beta_prev * state.u_prev
-    w_hat = state.at_apply(w) - gamma * w - state.alpha_prev * state.w_prev
-    alpha = float(np.linalg.norm(u_hat))
-    state.gammas.append(gamma)
-    if alpha <= _ZERO * max(float(np.linalg.norm(v)), 1.0):
+    gamma, alpha, invariant = state.a_half()
+    if invariant:
         return INVARIANT_SUBSPACE, (gamma, alpha, None)
-    u_next = u_hat / alpha
-    beta = float(u_next @ w_hat)
-    if abs(beta) <= _ZERO * float(np.linalg.norm(w_hat)) or w_hat @ w_hat == 0.0:
-        return SERIOUS_BREAKDOWN, (gamma, alpha, beta)
-    state.alphas.append(alpha)
-    state.betas.append(beta)
-    state.u_prev, state.u_curr = state.u_curr, u_next
-    state.w_prev, state.w_curr = state.w_curr, w_hat / beta
-    state.alpha_prev, state.beta_prev = alpha, beta
-    return "ok", (gamma, alpha, beta)
+    return state.at_half() or "ok", (gamma, alpha, state.beta)
 
 
 def bicg(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
@@ -222,16 +233,16 @@ def bicg(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     r_hat = r.copy()
     p, p_hat = r.copy(), r.copy()
     eta = float(r_hat @ r)
-    scale0 = run.r_norm ** 2
+    eta_scale = _ZERO * run.r_norm ** 2  # eta_i vanishes below 1e-28 ||r_0||**2
     for i in range(1, run.max_iter + 1):
         if run.stop(run.history[-1]):
             return run.finish(x, i - 1)
-        if abs(eta) <= _ZERO ** 2 * scale0:
+        if _negligible(eta, eta_scale):
             return run.breakdown(x, i - 1, SERIOUS_BREAKDOWN)
         v = a_apply(p)
         v_hat = at_apply(p_hat)
         d = float(p_hat @ v)
-        if abs(d) <= _ZERO * float(np.linalg.norm(p_hat)) * float(np.linalg.norm(v)):
+        if _negligible(d, float(np.linalg.norm(p_hat)) * float(np.linalg.norm(v))):
             return run.breakdown(x, i - 1, SERIOUS_BREAKDOWN)
         lam = eta / d
         x = x + lam * p
@@ -260,40 +271,8 @@ def qmr(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     """
     run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply, transpose="qmr",
                callback=callback)
-    a_apply, at_apply, x = run.a_apply, run.at_apply, run.x
-    beta0 = run.r_norm
-    true_norms = run.extras["true_residual_norms"] = [beta0]
-    if run.stop(beta0):
-        return run.finish(x, 0)
-    u = run.r / beta0
-    w = u.copy()
-    u_prev = np.zeros(u.size)
-    w_prev = np.zeros(u.size)
-    alpha_prev = beta_prev = 0.0
-    qr = _TridiagQR(beta0, u.size)
-    for i in range(1, run.max_iter + 1):
-        v = a_apply(u)
-        gamma = float(w @ v)
-        u_hat = v - gamma * u - beta_prev * u_prev
-        alpha = float(np.linalg.norm(u_hat))
-        x_next = qr.step(x, u, beta_prev, gamma, alpha)
-        if x_next is None:
-            return run.breakdown(x, i - 1, "singular-R")
-        x = x_next
-        true_norms.append(float(np.linalg.norm(run.b - a_apply(x))))
-        run.record(abs(qr.g), i, x=x, g=qr.g)
-        invariant = alpha <= _ZERO * max(float(np.linalg.norm(v)), 1.0)
-        if run.stop(run.history[-1], invariant):
-            return run.finish(x, i, exact=invariant)
-        u_next = u_hat / alpha
-        w_hat = at_apply(w) - gamma * w - alpha_prev * w_prev
-        beta = float(u_next @ w_hat)
-        if abs(beta) <= _ZERO * float(np.linalg.norm(w_hat)):
-            return run.breakdown(x, i, SERIOUS_BREAKDOWN)
-        u_prev, u = u, u_next
-        w_prev, w = w, w_hat / beta
-        alpha_prev, beta_prev = alpha, beta
-    return run.finish(x, run.max_iter)
+    return _quasi_minimal(run, BiLanczosState,
+                          SimpleNamespace(matvec=run.a_apply, rmatvec=run.at_apply))
 
 
 def qmr_alt(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
@@ -324,7 +303,7 @@ def qmr_alt(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     for i in range(1, run.max_iter + 1):
         q_hat = a_apply(q)
         num = float(z @ q_hat)
-        if abs(num) <= _ZERO * float(np.linalg.norm(z)) * float(np.linalg.norm(q_hat)):
+        if _negligible(num, float(np.linalg.norm(z)) * float(np.linalg.norm(q_hat))):
             return run.breakdown(x, i - 1, LU_BREAKDOWN)
         ell = num / f
         u_hat = q_hat - ell * u
@@ -342,13 +321,13 @@ def qmr_alt(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
         x = x + xi * p
         true_norms.append(float(np.linalg.norm(run.b - a_apply(x))))
         run.record(abs(g), i, x=x, g=g)
-        invariant = alpha <= _ZERO * max(float(np.linalg.norm(q_hat)), 1.0)
+        invariant = _negligible(alpha, float(np.linalg.norm(q_hat)))
         if run.stop(run.history[-1], invariant):
             return run.finish(x, i, exact=invariant)
         u = u_hat / alpha
         v = (at_apply(z) - ell * v) / alpha
         f_next = float(v @ u)
-        if abs(f_next) <= _ZERO:
+        if _negligible(f_next, 1.0):  # u is a unit vector; v carries no scale of A or b
             return run.breakdown(x, i, SERIOUS_BREAKDOWN)
         phi = alpha * f_next / (ell * f)
         q = u - phi * q
@@ -359,44 +338,45 @@ def qmr_alt(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     return run.finish(x, run.max_iter)
 
 
+def _bidiagonalization(a_apply, at_apply, u):
+    """The orthogonal bidiagonalization from the unit vector u_1, a half step
+    at a time: yields (alpha_i, v_i) from A' u_i, then (beta_i, u_{i+1})
+    from A v_i.  It ends when the new coefficient is negligible next to
+    ||A' u_i|| = hypot(beta_{i-1}, alpha_i), respectively ||A v_i|| =
+    hypot(alpha_i, beta_i); nothing runs ahead of what was asked for."""
+    v, beta = 0.0, 0.0
+    while True:
+        v_hat = at_apply(u) - beta * v
+        alpha = float(np.linalg.norm(v_hat))
+        if _negligible(alpha, math.hypot(beta, alpha)):
+            return
+        v = v_hat / alpha
+        yield alpha, v
+        u_hat = a_apply(v) - alpha * u
+        beta = float(np.linalg.norm(u_hat))
+        if _negligible(beta, math.hypot(alpha, beta)):
+            return
+        u = u_hat / beta
+        yield beta, u
+
+
 def bidiagonalize(a, u1_hat, steps):
     """Orthogonal bidiagonalization A V = U L, A' U = V L'.
 
     Returns ``(us, vs, alphas, betas)`` built by the alternating recurrence
-    (L lower bidiagonal with diagonal alphas and subdiagonal betas).  A zero
-    beta terminates the process early.  Note A'A V = V (L'L): the process
-    is the symmetric Lanczos recurrence on the normal-equations matrix in
-    disguise, with its squared conditioning.
+    (L lower bidiagonal with diagonal alphas and subdiagonal betas).  A
+    negligible alpha or beta terminates the process early.  Note
+    A'A V = V (L'L): the process is the symmetric Lanczos recurrence on the
+    normal-equations matrix in disguise, with its squared conditioning.
     """
     a_apply, at_apply, _ = operator(a)
     if at_apply is None:
         raise ValueError("operator does not expose a transpose action")
-    u1_hat = np.asarray(u1_hat, dtype=float)
-    nrm = float(np.linalg.norm(u1_hat))
-    if nrm == 0.0:
-        raise ValueError("start vector must be nonzero")
-    u = u1_hat / nrm
-    us, vs, alphas, betas = [u.copy()], [], [], []
-    v_prev = 0.0
-    beta_prev = 0.0
-    for i in range(steps):
-        v_hat = at_apply(u) - beta_prev * v_prev
-        alpha = float(np.linalg.norm(v_hat))
-        if alpha <= _ZERO * nrm:
-            break
-        v = v_hat / alpha
-        alphas.append(alpha)
-        vs.append(v.copy())
-        if i == steps - 1:
-            break
-        u_hat = a_apply(v) - alpha * u
-        beta = float(np.linalg.norm(u_hat))
-        if beta <= _ZERO * nrm:
-            break
-        betas.append(beta)
-        u = u_hat / beta
-        us.append(u.copy())
-        v_prev, beta_prev = v, beta
+    us, vs, alphas, betas = [_unit(u1_hat)], [], [], []
+    halves = _bidiagonalization(a_apply, at_apply, us[0])
+    for k, (coef, vec) in zip(range(2 * steps - 1), halves):  # alternately alpha, beta
+        (alphas, betas)[k % 2].append(coef)
+        (vs, us)[k % 2].append(vec)
     return us, vs, np.array(alphas), np.array(betas)
 
 
@@ -409,35 +389,28 @@ def bidiag_solve(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     vanishing beta means the exact solution has been reached.  Equivalent to
     symmetric Lanczos on the normal equations, so the effective condition
     number is kappa(A)**2; of little practical interest but a useful
-    cross-check.  History records true residual norms.
+    cross-check.  History records true residual norms.  The A half of an
+    iteration runs only when the residual test has not stopped the run.
     """
     run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply, transpose="bidiag_solve",
                callback=callback)
-    a_apply, at_apply, x = run.a_apply, run.at_apply, run.x
-    beta0 = run.r_norm
+    x, beta0 = run.x, run.r_norm
     if run.stop(beta0):
         return run.finish(x, 0)
-    u = run.r / beta0
-    v_prev = 0.0
-    beta_prev = 0.0
-    xi = None
+    halves = _bidiagonalization(run.a_apply, run.at_apply, run.r / beta0)
+    xi = beta = None
     for i in range(1, run.max_iter + 1):
-        v_hat = at_apply(u) - beta_prev * v_prev
-        alpha = float(np.linalg.norm(v_hat))
-        if alpha <= _ZERO * beta0:
+        alpha, v = next(halves, (None, None))
+        if alpha is None:
             return run.breakdown(x, i - 1, "zero-alpha")
-        v = v_hat / alpha
-        xi = beta0 / alpha if i == 1 else -xi * beta_prev / alpha
+        xi = beta0 / alpha if i == 1 else -xi * beta / alpha
         x = x + xi * v
-        run.record(float(np.linalg.norm(run.b - a_apply(x))), i, x=x)
+        run.record(float(np.linalg.norm(run.b - run.a_apply(x))), i, x=x)
         if run.stop(run.history[-1]):
             return run.finish(x, i)
-        u_hat = a_apply(v) - alpha * u
-        beta = float(np.linalg.norm(u_hat))
-        if beta <= _ZERO * beta0:
+        beta, _ = next(halves, (None, None))
+        if beta is None:
             return run.finish(x, i, exact=True)  # the iterate is exact
-        u = u_hat / beta
-        v_prev, beta_prev = v, beta
     return run.finish(x, run.max_iter)
 
 
@@ -456,15 +429,15 @@ def cgs(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     p = r.copy()
     gvec = r.copy()
     eta = float(r_hat0 @ r)
-    scale0 = max(run.r_norm ** 2, 1e-300)
+    eta_scale = _ZERO * run.r_norm ** 2  # eta_i vanishes below 1e-28 ||r_0||**2
     for i in range(1, run.max_iter + 1):
         if run.stop(run.history[-1]):
             return run.finish(x, i - 1)
-        if abs(eta) <= _ZERO ** 2 * scale0:
+        if _negligible(eta, eta_scale):
             return run.breakdown(x, i - 1, SERIOUS_BREAKDOWN)
         v = a_apply(p)
         d = float(r_hat0 @ v)
-        if abs(d) <= _ZERO * run.r_norm * float(np.linalg.norm(v)):
+        if _negligible(d, run.r_norm * float(np.linalg.norm(v))):
             return run.breakdown(x, i - 1, SERIOUS_BREAKDOWN)
         lam = eta / d
         w = gvec - lam * v
@@ -491,8 +464,10 @@ def bicgstab(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     full-step residual norms are checked against the tolerance and both are
     recorded: history interleaves them, with matching labels in
     ``extras["history_tags"]`` ("initial", then "half"/"full" pairs).
-    Coefficient sequences are recorded for consistency checks.  A vanishing
-    t with a nonzero half residual leaves omega undefined (breakdown).
+    Coefficient sequences are recorded for consistency checks.  An omega
+    whose numerator t'r_half is negligible next to ||t|| ||r_half|| (t = 0
+    included) would stall the iteration or divide by zero: "omega-zero"
+    breakdown.
     """
     run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply, callback=callback, extras={
         "history_tags": ["initial"], "etas": [], "lambda_hat": [], "omegas": [], "mu": []})
@@ -501,15 +476,15 @@ def bicgstab(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     p = r.copy()
     eta = float(r_hat0 @ r)
     extras["etas"].append(eta)
-    scale0 = max(run.r_norm ** 2, 1e-300)
+    eta_scale = _ZERO * run.r_norm ** 2  # eta_i vanishes below 1e-28 ||r_0||**2
     for i in range(1, run.max_iter + 1):
         if run.stop(run.history[-1]):
             return run.finish(x, i - 1)
-        if abs(eta) <= _ZERO ** 2 * scale0:
+        if _negligible(eta, eta_scale):
             return run.breakdown(x, i - 1, SERIOUS_BREAKDOWN)
         v = a_apply(p)
         d = float(r_hat0 @ v)
-        if abs(d) <= _ZERO * run.r_norm * float(np.linalg.norm(v)):
+        if _negligible(d, run.r_norm * float(np.linalg.norm(v))):
             return run.breakdown(x, i - 1, SERIOUS_BREAKDOWN)
         lam = eta / d
         x_half = x + lam * p
@@ -520,10 +495,10 @@ def bicgstab(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
         if run.stop(half_norm):
             return run.finish(x_half, i)
         t = a_apply(r_half)
-        t_norm2 = float(t @ t)
-        if t_norm2 <= (_ZERO * half_norm) ** 2:
+        t_norm2, tr = float(t @ t), float(t @ r_half)
+        if _negligible(tr, math.sqrt(t_norm2) * half_norm):
             return run.breakdown(x_half, i, "omega-zero")
-        omega = float(t @ r_half) / t_norm2
+        omega = tr / t_norm2
         x = x_half + omega * r_half
         r = r_half - omega * t
         eta_new = float(r_hat0 @ r)

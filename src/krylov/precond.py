@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
+from .core import _ZERO, _negligible
 from .report import SolveReport, _Run
 from .storage import _Blocks, _point_parts, _Sweep, operator, to_triplets
 
@@ -57,8 +58,8 @@ def _pcg(run, op, r, c_apply, norm_key, keys, true_residual=False, stop_on_true=
     ``d_hat``.  History records ||r_i||, or with ``true_residual`` the norm
     of ``run.b - A x_i`` of the original system (one more matvec).
     Stopping uses ||r_i||, or that true norm with ``stop_on_true``; eta_i
-    <= 1e-28 ||r_0||**2 counts as an exact solve.  Callback events carry
-    ``x`` and the vectors named in ``keys``.
+    <= 1e-28 eta_0 counts as an exact solve.  Callback events carry ``x``
+    and the vectors named in ``keys``.
 
     ``x``, ``r`` and ``p`` are updated in place through one scratch vector.
     The loop writes only into arrays it allocated (copies of ``run.x`` and
@@ -72,12 +73,12 @@ def _pcg(run, op, r, c_apply, norm_key, keys, true_residual=False, stop_on_true=
     extras[norm_key].append(math.sqrt(max(eta, 0.0)))
     if eta < 0.0:
         return run.breakdown(x, 0, "precond-not-spd")
-    scale = float(r @ r)
+    eta_scale = _ZERO * eta
     res = run.r_norm
     p = s.copy()
     w = np.empty(x.size)  # scratch: lam p, lam v, then b - A x
     for i in range(1, run.max_iter + 1):
-        exact = abs(eta) <= 1e-28 * scale
+        exact = _negligible(eta, eta_scale)
         if run.stop(res, exact):
             return run.finish(x, i - 1, res, exact)
         v = op(p)

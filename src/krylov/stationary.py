@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .report import SolveReport, _Run
-from .storage import _Blocks, _Panels, _point_parts, _Sweep, operator, to_triplets
+from .storage import _Blocks, _built, _Panels, _point_parts, _Sweep, operator, to_triplets
 
 POINT_METHODS = ("jacobi", "gauss_seidel", "sor")
 BLOCK_METHODS = ("block_jacobi", "block_gs")
@@ -87,6 +87,7 @@ def split(a, method, omega=None, block_size=None) -> Splitting:
     return Splitting(m_solve=m_solve, a_apply=a_apply, n_apply=n_apply)
 
 
+@np.errstate(over="ignore")  # a diverging run stops as a non-finite breakdown
 def iterate(a, b, cfg: StationaryConfig, x0=None) -> SolveReport:
     """Run the stationary iteration described by ``cfg``.
 
@@ -96,6 +97,7 @@ def iterate(a, b, cfg: StationaryConfig, x0=None) -> SolveReport:
     if cfg.method == "ssor":
         return ssor_iterate(a, b, cfg.omega, tol=cfg.tol, tol_kind=cfg.tol_kind,
                             max_iter=cfg.max_iter, x0=x0)
+    a = _built(a)  # one build serves the splitting and the run
     sp = split(a, cfg.method, omega=cfg.omega, block_size=cfg.block_size)
     run = _Run(a, b, x0, cfg.tol, cfg.tol_kind, cfg.max_iter, sweeps=100)
     x, r = run.x, run.r
@@ -112,6 +114,7 @@ def iterate(a, b, cfg: StationaryConfig, x0=None) -> SolveReport:
     return run.finish(x, run.max_iter)
 
 
+@np.errstate(over="ignore")
 def ssor_iterate(a, b, omega, tol=1e-6, tol_kind="rel_to_r0", max_iter=None,
                  x0=None) -> SolveReport:
     """Symmetric SOR for a symmetric matrix with positive diagonal.

@@ -60,6 +60,8 @@ class Triplets:
         if self.rows.size == 0:
             return Triplets(self.n, [], [], [])
         key = self.rows * self.n + self.cols
+        if np.all(key[1:] > key[:-1]):  # sorted and unique: the sum of one term, 0.0 + v
+            return Triplets(self.n, self.rows.copy(), self.cols.copy(), self.vals + 0.0)
         uniq, inverse = np.unique(key, return_inverse=True)
         vals = np.bincount(inverse, weights=self.vals, minlength=uniq.size)
         return Triplets(self.n, uniq // self.n, uniq % self.n, vals)
@@ -415,6 +417,11 @@ def to_dense(a):
     return to_triplets(a).to_dense()
 
 
+def _built(a):
+    """Triplets as their row-compressed build, any other operand as it is."""
+    return build(a, "row") if isinstance(a, Triplets) else a
+
+
 def operator(a):
     """``(matvec, rmatvec, n)`` of an operand: x -> A x, x -> A' x, dimension.
 
@@ -422,8 +429,7 @@ def operator(a):
     ``matvec`` or a bare callable gives its own actions (``rmatvec`` and ``n``
     None when absent); anything else is read as a dense matrix.
     """
-    if isinstance(a, Triplets):
-        a = build(a, "row")
+    a = _built(a)
     if hasattr(a, "matvec") or callable(a):
         return getattr(a, "matvec", a), getattr(a, "rmatvec", None), getattr(a, "n", None)
     arr = np.asarray(a, dtype=float)

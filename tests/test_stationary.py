@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from krylov import storage
 from krylov.core import spectral_radius_estimate
 from krylov.problems import (cavity_laplace, hilbert, indefinite_kron, poisson_test,
                              random_sparse)
 from krylov.stationary import (StationaryConfig, diagnostics,
                                iteration_matrix_applier, iterate,
                                optimal_omega_estimate, split, ssor_iterate)
-from krylov.storage import Triplets, to_dense
+from krylov.storage import Triplets, to_dense, to_triplets
 
 
 def dominant_random(n, rng):
@@ -185,6 +186,29 @@ def test_singular_diagonal_block_rejected_by_name(method):
             split(SINGULAR_BLOCK0, method, block_size=2)
         with pytest.raises(ValueError, match="singular diagonal block 0"):
             iterate(SINGULAR_BLOCK0, np.ones(4), StationaryConfig(method, block_size=2))
+
+
+TWO_DIVERGENT_BLOCKS = np.array([[1.0, 3.0, 0.0, 0.0], [3.0, 1.0, 0.0, 0.0],
+                                 [0.0, 0.0, 1.0, 3.0], [0.0, 0.0, 3.0, 1.0]])
+
+
+@pytest.mark.parametrize("method", ["jacobi", "block_jacobi"])
+def test_divergence_stops_as_non_finite_without_a_warning(method):
+    # the Jacobi radius is 3: ||r||**2 overflows at iteration 323
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = iterate(TWO_DIVERGENT_BLOCKS, np.ones(4),
+                      StationaryConfig(method, block_size=1))
+    assert (rep.status, rep.reason, rep.iterations) == ("breakdown", "non-finite", 323)
+
+
+@pytest.mark.parametrize("method", ["jacobi", "gauss_seidel", "sor", "block_jacobi", "block_gs"])
+def test_iterate_builds_triplets_once(method, monkeypatch):
+    built, real = [], storage.build
+    monkeypatch.setattr(storage, "build", lambda t, target: built.append(target) or real(t, target))
+    t = to_triplets(poisson_test(4).a)
+    iterate(t, np.ones(t.n), StationaryConfig(method, omega=1.2, block_size=4, max_iter=5))
+    assert built == ["row"]
 
 
 def test_ssor_one_step_equals_two_half_sweeps():

@@ -356,3 +356,25 @@ def test_diag_results_do_not_depend_on_layout(shape, seed, fill_off_grid):
     c_order.vals = vals  # bypass the conversion: results must not depend on layout
     assert c_order.vals.flags.c_contiguous
     assert _diag_outputs(a, x) == _diag_outputs(c_order, x)
+
+
+def _coalesced_by_unique(t):
+    """Duplicate sums by ``np.unique`` and ``np.bincount``, for any entry order."""
+    key = t.rows * t.n + t.cols
+    uniq, inverse = np.unique(key, return_inverse=True)
+    return Triplets(t.n, uniq // t.n, uniq % t.n,
+                    np.bincount(inverse, weights=t.vals, minlength=uniq.size))
+
+
+@given(st.integers(1, 12), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1), st.booleans())
+@example(n=3, density=1.0, seed=0, signed_zeros=True)
+def test_coalesced_sorted_entries_match_the_unique_path(n, density, seed, signed_zeros):
+    rng = np.random.default_rng(seed)
+    t, _ = random_triplets(n, density, rng)  # row-major, so keys strictly increase
+    if signed_zeros:  # stored zeros of both signs: the unique path sums 0.0 + -0.0 to 0.0
+        t.vals[rng.random(t.vals.size) < 0.4] = -0.0
+        t.vals[rng.random(t.vals.size) < 0.2] = 0.0
+    got, want = t.coalesced(), _coalesced_by_unique(t)
+    for field in ("rows", "cols", "vals"):
+        have, expect = getattr(got, field), getattr(want, field)
+        assert have.dtype == expect.dtype and have.tobytes() == expect.tobytes(), field

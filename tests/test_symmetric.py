@@ -4,6 +4,7 @@ from conftest import make_symmetric_indefinite
 
 from krylov.core import sturm_extreme_eigs
 from krylov.problems import indefinite_kron
+from krylov.storage import to_dense
 from krylov.symmetric import LanczosState, lanczos, minres
 
 
@@ -62,6 +63,13 @@ def test_minres_indefinite_kron_problem():
     rep = minres(inst.a, inst.b, tol=1e-12, tol_kind="abs", max_iter=100)
     assert rep.converged
     assert np.linalg.norm(inst.b - inst.a.matvec(rep.x)) <= 1e-12
+
+
+def test_minres_stops_before_iterating_when_the_start_meets_the_tolerance():
+    inst = indefinite_kron(4)
+    x0 = np.linalg.solve(to_dense(inst.a), inst.b)
+    rep = minres(inst.a, inst.b, x0=x0, tol=1e-8, tol_kind="rel_to_b")
+    assert rep.converged and rep.iterations == 0 and rep.x.tobytes() == x0.tobytes()
 
 
 def test_minres_residual_identity(rng):
