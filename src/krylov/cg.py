@@ -34,6 +34,7 @@ class LanczosLikeFactorization:
     ds: np.ndarray
 
 
+@np.errstate(over="ignore", invalid="ignore")  # growth ends the run, see below
 def factorize_aut(a, b_op, u1, steps=None) -> LanczosLikeFactorization:
     """Three-term recurrence building A U = U T with B-orthogonal columns.
 
@@ -43,6 +44,8 @@ def factorize_aut(a, b_op, u1, steps=None) -> LanczosLikeFactorization:
     which signals an invariant subspace and is a success, not an error.
     The vectors are not normalized and grow like powers of A, so this test
     is not scale-free: on Poisson N=8, 2**-40 A stops it after two steps.
+    It also stops, without a warning, before a step whose d, gamma or beta
+    is not finite: on Poisson N=8, 2**40 A keeps 13 steps.
     """
     a_apply = operator(a)[0]
     b_apply = operator(b_op)[0]
@@ -52,24 +55,26 @@ def factorize_aut(a, b_op, u1, steps=None) -> LanczosLikeFactorization:
     scale = np.linalg.norm(u)
     us, gammas, betas, ds = [], [], [], []
     u_prev = np.zeros(n)
-    beta_prev = 0.0
     for i in range(steps):
         if _negligible(np.linalg.norm(u), scale):
             break
-        us.append(u.copy())
         v = a_apply(u)
         z = b_apply(u)
         d = float(u @ z)
         gamma = float(v @ z) / d
+        beta = d / ds[-1] if ds else 0.0
+        if not all(map(math.isfinite, (d, gamma, beta))):
+            break
+        us.append(u.copy())
         gammas.append(gamma)
         ds.append(d)
         if i > 0:
-            beta_prev = ds[i] / ds[i - 1]
-            betas.append(beta_prev)
-        u, u_prev = v - gamma * u - beta_prev * u_prev, u
+            betas.append(beta)
+        u, u_prev = v - gamma * u - beta * u_prev, u
     return LanczosLikeFactorization(us, np.array(gammas), np.array(betas), np.array(ds))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # growth is a non-finite breakdown
 def cg_basic(a, b, x0=None, tol=1e-10, tol_kind="abs", max_iter=None,
              callback=None) -> SolveReport:
     """Conjugate gradients in the direct (unnormalized-direction) form.
@@ -79,7 +84,9 @@ def cg_basic(a, b, x0=None, tol=1e-10, tol_kind="abs", max_iter=None,
     efficient form :func:`cg` is preferred.  History records the recurrence
     residual norms.  The directions are not normalized and grow like powers
     of A, so the run is not scale-free: with 2**-40 A on Poisson N=8, u_i' A u_i
-    underflows and the run reports breakdown/"not-spd" at iteration 14.
+    underflows and the run reports breakdown/"not-spd" at iteration 14; with
+    2**40 A they overflow and it reports breakdown/"non-finite" at iteration
+    14, without numpy's overflow warnings.
     """
     run = _Run(a, b, x0, tol, tol_kind, max_iter, callback=callback)
     a_apply, x, r = run.a_apply, run.x, run.r

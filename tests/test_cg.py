@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,26 @@ def test_factorize_aut_general_b(rng):
     gram = u.T @ b_op @ u
     off = gram - np.diag(np.diag(gram))
     assert np.abs(off).max() <= 1e-7 * np.abs(np.diag(gram)).max()
+
+
+def test_factorize_aut_stops_before_non_finite_step():
+    # The unnormalized vectors grow like powers of 2**40 A and overflow after
+    # 13 steps: no non-finite coefficient comes back, and numpy does not warn.
+    inst = poisson_test(8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = factorize_aut(2.0 ** 40 * to_dense(inst.a), np.eye(64), inst.b)
+    assert len(f.us) == f.gammas.size == f.ds.size == f.betas.size + 1 == 13
+    for seq in (f.gammas, f.betas, f.ds, np.concatenate(f.us)):
+        assert np.all(np.isfinite(seq))
+
+
+def test_cg_basic_overflow_is_a_quiet_breakdown():
+    inst = poisson_test(8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = cg_basic(2.0 ** 40 * to_dense(inst.a), inst.b, tol=1e-8, tol_kind="rel_to_b")
+    assert (rep.status, rep.reason, rep.iterations) == ("breakdown", "non-finite", 14)
 
 
 def test_cg_basic_identity_one_iteration(rng):

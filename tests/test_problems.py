@@ -1,11 +1,17 @@
+import hashlib
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import poisson_dense
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from krylov import problems
 from krylov.core import TridiagSym, sturm_extreme_eigs
-from krylov.problems import (cavity_laplace, hilbert, indefinite_kron,
+from krylov.problems import (_Lcg, cavity_laplace, hilbert, indefinite_kron,
                              poisson_test, random_sparse)
 from krylov.storage import Triplets, build, read_matrix_market, to_dense, to_triplets, \
     write_matrix_market
@@ -194,3 +200,119 @@ def test_generators_round_trip_matrix_market(make, rng):
     x = rng.standard_normal(t.n)
     np.testing.assert_allclose(back.matvec(x), to_dense(inst.a) @ x,
                                rtol=1e-13, atol=1e-13)
+
+
+def _scalar_random_sparse(n, density, seed):
+    """Reference: the documented draw order, one ``_Lcg.next_uniform`` call at
+    a time.  Also returns the stream positions of the value draws."""
+    lcg = _Lcg(seed)
+    p_off = (density * n * n - n) / (n * n - n) if n > 1 else 0.0
+    p_off = min(max(p_off, 0.0), 1.0)
+    rows, cols, vals, value_at = [], [], [], []
+    offdiag_abs = np.zeros(n)
+    drawn = 0
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            drawn += 1
+            if lcg.next_uniform() < p_off:
+                v = 2.0 * lcg.next_uniform() - 1.0
+                value_at.append(drawn)
+                drawn += 1
+                rows.append(i)
+                cols.append(j)
+                vals.append(v)
+                offdiag_abs[i] += abs(v)
+    for i in range(n):
+        rows.append(i)
+        cols.append(i)
+        vals.append(1.0 + offdiag_abs[i])
+    a = build(Triplets(n, rows, cols, vals), "row")
+    return a, a.matvec(np.ones(n)), value_at
+
+
+def _assert_matches_scalar(n, density, seed):
+    inst = random_sparse(n, density, seed)
+    ref, b_ref, value_at = _scalar_random_sparse(n, density, seed)
+    assert inst.a.k == ref.k
+    for u, v in ((inst.a.vals, ref.vals), (inst.a.cols, ref.cols), (inst.b, b_ref)):
+        assert u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+    return value_at
+
+
+_SCALAR_CASES = [
+    (1, 1.0, 0),     # diagonal only
+    (2, 1.0, 0),
+    (2, 0.5, 3),     # p_off = 0: every test draw fails
+    (50, 0.02, 4),   # p_off = 0 at a larger n
+    (7, 1.0, 5),     # p_off = 1: every cell accepted
+    (100, 0.04, 1),
+    (300, 0.02, 1),
+]
+
+
+@pytest.mark.parametrize("n,density,seed", _SCALAR_CASES)
+def test_random_sparse_matches_scalar_lcg_bitwise(n, density, seed):
+    _assert_matches_scalar(n, density, seed)
+
+
+@pytest.mark.parametrize("block", [2, 3, 7])
+def test_random_sparse_block_boundaries_bitwise(block, monkeypatch):
+    monkeypatch.setattr(problems, "_LCG_BLOCK", block)
+    on_boundary = 0
+    for n, density, seed in _SCALAR_CASES[:-1] + [(30, 0.5, 1), (20, 0.3, 2)]:
+        value_at = _assert_matches_scalar(n, density, seed)
+        on_boundary += sum(pos % block == 0 for pos in value_at)
+    assert on_boundary > 0  # some value draw opened a block
+
+
+@pytest.mark.parametrize("step", [0, 1])
+def test_random_sparse_test_draw_next_to_p_off(step):
+    # Seed the stream so that the first test draw is the double just below
+    # p_off (accepted) or just above it (rejected).  This p_off is not a
+    # multiple of 2**-53, so no draw equals it.
+    n, density = 3, 0.45
+    p_off = (density * n * n - n) / (n * n - n)
+    assert p_off * 2 ** 53 % 1 != 0
+    top = math.ceil(p_off * 2 ** 53) - 1 + step
+    seed = ((top << 11) - _Lcg.INC) * pow(_Lcg.MULT, -1, 2 ** 64) % 2 ** 64
+    assert (_Lcg(seed).next_uniform() < p_off) == (step == 0)
+    _assert_matches_scalar(n, density, seed)
+    assert (to_dense(random_sparse(n, density, seed).a)[0, 1] != 0.0) == (step == 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 25), density=st.floats(1e-3, 1.0), seed=st.integers(-2**63, 2**64 - 1),
+       block=st.sampled_from([1, 2, 5, 64, problems._LCG_BLOCK]))
+def test_random_sparse_matches_scalar_lcg_property(n, density, seed, block):
+    with mock.patch.object(problems, "_LCG_BLOCK", block):
+        _assert_matches_scalar(n, density, seed)
+
+
+@pytest.mark.parametrize("n,density,digest", [
+    (2000, 0.003, "cb6f21e1b09574fe83422fd18de562146ee5c557b399e7cc8b18b6ad28f2a3a3"),
+    (1000, 0.04, "b168c2dbfece3af5c4dbb495816964b69a983cdf5f05c55be794da76ba964ff1"),
+])
+def test_random_sparse_benchmark_matrices_unchanged(n, density, digest):
+    # sha256 of the scalar generator's output for the benchmark's two matrices
+    inst = random_sparse(n, density, seed=1)
+    data = inst.a.vals.tobytes() + inst.a.cols.tobytes() + inst.b.tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_random_sparse_draws_in_bounded_memory():
+    # A block of draws at a time: the whole ~4e6-draw stream would need ~100 MB.
+    tracemalloc.start()
+    try:
+        random_sparse(2000, 0.003, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_random_sparse_rejects_bad_n(n):
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        random_sparse(n, 0.5)
