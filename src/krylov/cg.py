@@ -46,6 +46,12 @@ def factorize_aut(a, b_op, u1, steps=None) -> LanczosLikeFactorization:
     is not scale-free: on Poisson N=8, 2**-40 A stops it after two steps.
     It also stops, without a warning, before a step whose d, gamma or beta
     is not finite: on Poisson N=8, 2**40 A keeps 13 steps.
+
+    Raises
+    ------
+    ValueError
+        If a step's d = u' B u is zero or negative: ``b_op`` is not positive
+        definite.
     """
     a_apply = operator(a)[0]
     b_apply = operator(b_op)[0]
@@ -61,9 +67,13 @@ def factorize_aut(a, b_op, u1, steps=None) -> LanczosLikeFactorization:
         v = a_apply(u)
         z = b_apply(u)
         d = float(u @ z)
+        if not math.isfinite(d):
+            break
+        if d <= 0.0:
+            raise ValueError(f"b_op is not positive definite: u'B u = {d:g} at step {i}")
         gamma = float(v @ z) / d
         beta = d / ds[-1] if ds else 0.0
-        if not all(map(math.isfinite, (d, gamma, beta))):
+        if not (math.isfinite(gamma) and math.isfinite(beta)):
             break
         us.append(u.copy())
         gammas.append(gamma)

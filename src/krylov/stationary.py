@@ -18,7 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .report import SolveReport, _Run
-from .storage import _Blocks, _built, _Panels, _point_parts, _Sweep, operator, to_triplets
+from .storage import (_Blocks, _built, _check_dim, _column, _Panels, _point_parts, _Sweep,
+                      operator, to_triplets)
 
 POINT_METHODS = ("jacobi", "gauss_seidel", "sor")
 BLOCK_METHODS = ("block_jacobi", "block_gs")
@@ -30,6 +31,12 @@ class Splitting:
 
     ``m_solve`` solves M u = r, ``a_apply`` is the action of A (used for
     residuals), and ``n_apply`` (optional) is the action of N = M - A.
+
+    The splittings :func:`split` builds also take an (n, k) block in
+    ``m_solve`` and ``a_apply`` and act on it column by column: each column
+    is bitwise the vector result, except that the block methods' diagonal
+    blocks are solved by one multi-column LAPACK call, which rounds in its
+    own order.  A splitting of the caller's own need only act on vectors.
     """
 
     m_solve: Callable
@@ -66,7 +73,9 @@ def split(a, method, omega=None, block_size=None) -> Splitting:
         if np.any(d == 0.0):
             raise ValueError("matrix has a zero diagonal entry")
         if method == "jacobi":
-            m_solve = lambda r: r / d
+            def m_solve(r):
+                r = _check_dim(r, d.size, block=True)
+                return r / _column(d, r)
             m_apply = lambda x: d * x
         else:
             if method == "sor" and (omega is None or not (0.0 < omega < 2.0)):
@@ -163,7 +172,10 @@ class _HatStructure:
 
     def apply(self, x):
         """Ahat @ x, each row from its diagonal term through its entries by column."""
-        return self._offdiag.accumulate(self.diag * x, x)
+        return self._offdiag.accumulate(_column(self.diag, x) * x, x)
+
+
+_DENSE_G_BYTES = 2 << 20  # n <= 512; by n = 784, G @ v costs as much as a sweep step
 
 
 def iteration_matrix_applier(a, method, omega=None, block_size=None):
@@ -172,6 +184,16 @@ def iteration_matrix_applier(a, method, omega=None, block_size=None):
     Uses G v = v - inv(M) (A v).  For ``method="ssor"`` the returned applier
     acts in the symmetrically scaled variables (the spectrum is similarity
     invariant, so spectral radii are unaffected).
+
+    The splitting is built, and checked, here.  When a dense G takes at most
+    2 MB (n <= 512), the applier forms G on its first call, by one
+    application of the splitting's block kernels to the identity, and
+    answers G @ v from then on: at that size a dense product costs far less
+    than the numpy calls of a sweep's levels.  Column j of G is bitwise the
+    vector path's G e_j (for the block methods, up to the rounding of one
+    multi-column LAPACK solve), but G @ v sums in its own order, so results
+    agree with the vector path to rounding.  Past the bound each call runs
+    the vector path on v.
     """
     if method == "ssor":
         if omega is None or not (0.0 < omega < 2.0):
@@ -180,15 +202,31 @@ def iteration_matrix_applier(a, method, omega=None, block_size=None):
         if np.any(parts[0] <= 0.0):
             raise ValueError("ssor needs a positive diagonal")
         hat = _HatStructure(*parts)
-        diag_hat = np.full(hat.diag.size, 1.0 / omega)
+        n = hat.diag.size
+        diag_hat = np.full(n, 1.0 / omega)
 
         def g_apply(v):
             w = v - hat.lower.solve(diag_hat, hat.apply(v))
             return w - hat.upper.solve(diag_hat, hat.apply(w))
+    else:
+        a = _built(a)  # one build serves the size and the splitting
+        n = operator(a)[2]
+        sp = split(a, method, omega=omega, block_size=block_size)
+        g_apply = lambda v: v - sp.m_solve(sp.a_apply(v))
+    return g_apply if 8 * n * n > _DENSE_G_BYTES else _DenseOnFirstCall(g_apply, n)
 
-        return g_apply
-    sp = split(a, method, omega=omega, block_size=block_size)
-    return lambda v: v - sp.m_solve(sp.a_apply(v))
+
+class _DenseOnFirstCall:
+    """v -> G v by a dense G = g_apply(I), formed on the first call."""
+
+    def __init__(self, g_apply, n):
+        self.g_apply, self.n, self.matrix = g_apply, n, None
+
+    def __call__(self, v):
+        v = _check_dim(v, self.n)
+        if self.matrix is None:
+            self.matrix = self.g_apply(np.eye(self.n))
+        return self.matrix @ v
 
 
 def optimal_omega_estimate(rho_j: float) -> float:

@@ -86,8 +86,9 @@ class RowCompressed:
     cols: np.ndarray  # (n, k) column indices, padded by repetition
 
     def matvec(self, x):
-        x = _check_dim(x, self.n)
-        return (self.vals * x[self.cols]).sum(axis=1)
+        x = _check_dim(x, self.n, block=True)
+        # each row's products, per column of a block, summed as one contiguous run
+        return (self.vals * x.T.take(self.cols, axis=-1)).sum(axis=-1).T
 
     def rmatvec(self, x):
         x = _check_dim(x, self.n)
@@ -113,9 +114,9 @@ class ColCompressed:
     rows: np.ndarray  # (k, n) row indices, padded by repetition
 
     def matvec(self, x):
-        x = _check_dim(x, self.n)
-        return np.bincount(self.rows.ravel(), weights=(self.vals * x[None, :]).ravel(),
-                           minlength=self.n)
+        x = _check_dim(x, self.n, block=True)
+        products = _column(self.vals, x) * x
+        return _scatter(self.rows.ravel(), products.reshape((-1,) + x.shape[1:]), self.n)
 
     def rmatvec(self, x):
         x = _check_dim(x, self.n)
@@ -155,10 +156,10 @@ class DiagCompressed:
         self.vals = np.asfortranarray(self.vals, dtype=float)
 
     def matvec(self, x):
-        x = _check_dim(x, self.n)
-        y, term = np.zeros(self.n), np.empty(self.n)
+        x = _check_dim(x, self.n, block=True)
+        y, term, vals = np.zeros(x.shape), np.empty(x.shape), _column(self.vals, x)
         for r, (start, end, nu) in enumerate(self._spans()):
-            y[start:end] += np.multiply(self.vals[start:end, r], x[start + nu:end + nu],
+            y[start:end] += np.multiply(vals[start:end, r], x[start + nu:end + nu],
                                         out=term[:end - start])
         return y
 
@@ -187,11 +188,36 @@ class DiagCompressed:
         return self.to_triplets().to_dense()
 
 
-def _check_dim(x, n):
+def _check_dim(x, n, block=False):
+    """x as floats; ValueError naming its shape unless that is (n,), or (n, k)
+    when ``block`` (k columns, each acted on as the vector it holds)."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"vector has shape {x.shape}, expected ({n},)")
+    if x.shape[:1] != (n,) or x.ndim > 1 + block:
+        raise ValueError(f"vector has shape {x.shape}, expected ({n},)"
+                         + (f" or ({n}, k)" if block else ""))
     return x
+
+
+def _column(a, x):
+    """``a`` with a trailing unit axis when x is an (n, k) block, so that its
+    entries, one per row, broadcast along each row of x."""
+    return a if x.ndim == 1 else a[..., None]
+
+
+def _scatter(index, weights, n):
+    """out[index[e]] += weights[e] for each entry e in order, from out = 0
+    (np.bincount's sum), for (m,) or (m, k) ``weights``."""
+    if weights.ndim == 1:
+        return np.bincount(index, weights=weights, minlength=n)
+    out = np.zeros((n,) + weights.shape[1:])
+    np.add.at(out, index, weights)
+    return out
+
+
+def _with_sink(x, fill):
+    """x with one more row, at position n, holding ``fill``: the sink that
+    padded panel slots read."""
+    return np.concatenate((x, np.full((1,) + x.shape[1:], fill)))
 
 
 def _point_parts(a):
@@ -233,12 +259,19 @@ class _Panels:
         flat[self._slots] = entry_vals
         return [flat[f:f + w * m].reshape(w, m) for f, w, m in self._shapes]
 
+    def _levels(self, x):
+        """The groups, with values shaped to broadcast along the rows of x."""
+        if x.ndim == 1:
+            return self.groups
+        return [(rows, cols, vals[..., None]) for rows, cols, vals in self.groups]
+
     def accumulate(self, base, x):
-        """base + (the entries) @ x, each row adding its terms in slot order."""
-        xs = np.append(np.asarray(x, dtype=float)[self.perm], -0.0)  # y + 0.0 * -0.0 == y
+        """base + (the entries) @ x, each row adding its terms in slot order;
+        x (and base) an (n,) vector or an (n, k) block."""
+        xs = _with_sink(_check_dim(x, self.n, block=True)[self.perm], -0.0)  # y + 0.0 * -0.0 == y
         y = np.asarray(base, dtype=float)[self.perm]
-        for rows, cols, vals in self.groups:
-            for term in xs.take(cols) * vals:
+        for rows, cols, vals in self._levels(xs):
+            for term in xs.take(cols, axis=0) * vals:
                 y[rows] += term
         return y[self.pos]
 
@@ -252,7 +285,9 @@ class _Sweep(_Panels):
     loop subtracts them.  The groups are levels: a row's level is one more
     than the highest level of the rows it reads.  A level takes a few numpy
     calls in the loop's operation order (padding subtracts 0.0 * 1.0, the
-    sink holding 1.0), so results are bitwise the loop's."""
+    sink holding 1.0), so results are bitwise the loop's.  An (n, k) block
+    runs the same calls on its k columns at once, each bitwise its vector
+    sweep."""
 
     def __init__(self, n, rows, cols, vals, lower):
         keep = cols < rows if lower else cols > rows
@@ -264,12 +299,14 @@ class _Sweep(_Panels):
         super().__init__(n, rows, cols, vals, np.array(level, dtype=np.int64))
 
     def solve(self, diag, rhs):
-        """u with (D + T) u = rhs, D = diag(diag)."""
-        u = np.append(np.empty(self.n), 1.0)
-        d, r = (np.asarray(v, dtype=float)[self.perm] for v in (diag, rhs))
-        for rows, cols, vals in self.groups:
+        """u with (D + T) u = rhs, D = diag(diag), for an (n,) vector or an
+        (n, k) block rhs."""
+        r = _check_dim(rhs, self.n, block=True)[self.perm]
+        d = _column(np.asarray(diag, dtype=float)[self.perm], r)
+        u = _with_sink(np.empty(r.shape), 1.0)
+        for rows, cols, vals in self._levels(r):
             s = r[rows]
-            for term in u.take(cols) * vals:
+            for term in u.take(cols, axis=0) * vals:
                 s = s - term
             np.divide(s, d[rows], out=u[rows])
         return u[self.pos]
@@ -346,21 +383,25 @@ class _Blocks:
 
     def forward(self, factors, rhs, lower=True):
         """u_i = D_i^-1 (rhs_i - sum_{j<i} A_ij u_j) for i = 0, 1, ..., the
-        sum dropped when not ``lower``; D_i is given by its LU ``factors``."""
+        sum dropped when not ``lower``; D_i is given by its LU ``factors``.
+        rhs is an (n,) vector or an (n, k) block: the sums are those of each
+        column, and each D_i^-1 is one multi-column LAPACK solve."""
         return self._sweep(factors, rhs, self.lower if lower else None, range(self.nb))
 
     def backward(self, factors, rhs):
-        """u_i = D_i^-1 (rhs_i - sum_{j>i} A_ji' u_j) for i = nb-1, ..., 0."""
+        """u_i = D_i^-1 (rhs_i - sum_{j>i} A_ji' u_j) for i = nb-1, ..., 0;
+        rhs as for :meth:`forward`."""
         return self._sweep(factors, rhs, self.upper, reversed(range(self.nb)))
 
     def _sweep(self, factors, rhs, coupling, order):
-        u = np.empty(self.n)
+        rhs = _check_dim(rhs, self.n, block=True)
+        u = np.empty(rhs.shape)
         for i in order:
             sl = slice(i * self.bs, (i + 1) * self.bs)
             s = rhs[sl]
             if coupling:
                 loc, src, vals = coupling[i]
-                s = s - np.bincount(loc, weights=vals * u[src], minlength=self.bs)
+                s = s - _scatter(loc, _column(vals, u) * u[src], self.bs)
             u[sl] = scipy.linalg.lu_solve(factors[i], s)
         return u
 

@@ -65,6 +65,16 @@ def test_factorize_aut_stops_before_non_finite_step():
         assert np.all(np.isfinite(seq))
 
 
+@pytest.mark.parametrize("a,b_op,u1", [
+    (np.eye(3), np.zeros((3, 3)), np.ones(3)),
+    (np.diag([1.0, 2.0, 3.0]), np.diag([1.0, -1.0, 0.0]), np.array([1.0, 1.0, 0.0])),
+    (np.diag([1.0, 2.0]), -np.eye(2), np.array([1.0, 1.0])),
+], ids=["zero", "indefinite", "negative"])
+def test_factorize_aut_rejects_b_op_that_is_not_positive_definite(a, b_op, u1):
+    with pytest.raises(ValueError, match="b_op is not positive definite"):
+        factorize_aut(a, b_op, u1)
+
+
 def test_cg_basic_overflow_is_a_quiet_breakdown():
     inst = poisson_test(8)
     with warnings.catch_warnings():

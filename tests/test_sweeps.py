@@ -5,12 +5,14 @@ kernel must reproduce them bit for bit (zero signs included where the
 kernel keeps every entry the loop reads).
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krylov import cavity_laplace, poisson_test
+from krylov import cavity_laplace, poisson_test, stationary
 from krylov.precond import (IcBreakdownError, apply_ic_solve, ic0_pentadiagonal,
                             mic_pentadiagonal)
 from krylov.stationary import iteration_matrix_applier, split
@@ -262,7 +264,14 @@ def test_ssor_sweeps_match_row_loop(t, omega, seed):
     def apply_hat(x):
         return ref_accumulate(t.n, rows, cols, vals, diag_hat * x, x)
 
-    w = v - ref_triangular(t.n, rows[lower], cols[lower], vals[lower], w_hat, apply_hat(v))
-    want = w - ref_triangular(t.n, rows[upper], cols[upper], vals[upper], w_hat, apply_hat(w))
-    got = iteration_matrix_applier(t, "ssor", omega=omega)(v)
-    assert np.array_equal(bits(got), bits(want))
+    def ref_g(v):
+        w = v - ref_triangular(t.n, rows[lower], cols[lower], vals[lower], w_hat, apply_hat(v))
+        return w - ref_triangular(t.n, rows[upper], cols[upper], vals[upper], w_hat, apply_hat(w))
+
+    with mock.patch.object(stationary, "_DENSE_G_BYTES", 0):  # the sweeps on v
+        got = iteration_matrix_applier(t, "ssor", omega=omega)(v)
+    assert np.array_equal(bits(got), bits(ref_g(v)))
+    dense = iteration_matrix_applier(t, "ssor", omega=omega)  # one block sweep on I
+    dense(v)
+    for j, e in enumerate(np.eye(t.n)):
+        assert np.array_equal(bits(dense.matrix[:, j]), bits(ref_g(e)))
