@@ -4,9 +4,11 @@ studies, preconditioner comparisons, and eigenvalue estimation.
 Subcommands: generate, solve, spectrum, precond-compare, eigs.  Output is
 CSV (with a ``# key=value ...`` config echo line) and MatrixMarket files;
 numbers carry 17 significant digits so identical arguments and seed yield
-byte-identical files.  Exit codes: 0 converged/ok, 2 usage error or bad
-input, 3 not converged, 4 breakdown (a breakdown report or an incomplete
-factorization meeting a nonpositive pivot).
+byte-identical files.  Of the methods only gmres takes an option
+(``gmres,restart=k``), and ``--precond ic|mic`` reads its band offset from
+the matrix: the offset of its outermost entry.  Exit codes: 0 converged/ok,
+2 usage error or bad input, 3 not converged, 4 breakdown (a breakdown
+report or an incomplete factorization meeting a nonpositive pivot).
 """
 
 import argparse
@@ -27,14 +29,8 @@ from .report import BREAKDOWN, CONVERGED
 _EXIT_NOT_CONVERGED = 3
 _EXIT_BREAKDOWN = 4
 
-_STATIONARY = {
-    "jacobi": "jacobi",
-    "gauss-seidel": "gauss_seidel",
-    "sor": "sor",
-    "ssor": "ssor",
-    "block-jacobi": "block_jacobi",
-    "block-gs": "block_gs",
-}
+# CLI spellings of the stationary methods; the library's names use "_" for "-"
+_STATIONARY = ("jacobi", "gauss-seidel", "sor", "ssor", "block-jacobi", "block-gs")
 
 
 def _fmt(v) -> str:
@@ -73,24 +69,23 @@ def _load_problem(args, parser):
                 b = storage.read_vector_market(fh.read(), t.n)
         else:
             b = a.matvec(np.ones(t.n))
-        return problems.ProblemInstance(a, b, None, f"file({args.matrix})"), None
+        return problems.ProblemInstance(a, b, None, f"file({args.matrix})")
     name = args.problem
-    seed = int(os.environ.get("KRYLOV_SEED", args.seed))
     if name == "poisson":
-        return problems.poisson_test(args.n), args.n
+        return problems.poisson_test(args.n)
     if name == "cavity":
-        return problems.cavity_laplace(args.n, args.delta), args.n
+        return problems.cavity_laplace(args.n, args.delta)
     if name == "hilbert":
-        return problems.hilbert(args.n, shift=args.shift), None
+        return problems.hilbert(args.n, shift=args.shift)
     if name == "indefinite":
-        return problems.indefinite_kron(args.n), args.n
+        return problems.indefinite_kron(args.n)
     if name == "random":
-        return problems.random_sparse(args.n, args.density, seed=seed), None
+        return problems.random_sparse(args.n, args.density, seed=args.seed)
     parser.error(f"unknown problem {name!r}")
 
 
 def cmd_generate(args, parser):
-    inst, _ = _load_problem(args, parser)
+    inst = _load_problem(args, parser)
     t = storage.to_triplets(inst.a).coalesced()
     diags = stationary.diagnostics(inst.a)
     if isinstance(inst.a, np.ndarray):
@@ -111,23 +106,25 @@ def _default_rhs_path(out):
 
 
 def _parse_method(spec):
-    """Split "gmres,restart=5" into ("gmres", {"restart": 5})."""
-    parts = spec.split(",")
-    opts = {}
-    for p in parts[1:]:
-        k, _, v = p.partition("=")
-        opts[k.strip()] = int(v)
-    return parts[0].strip(), opts
+    """Split "gmres,restart=5" into ("gmres", 5).  The restart length, None
+    when not given, is gmres's one option; any other option is a ValueError."""
+    name, *opts = (tok.strip() for tok in spec.split(","))
+    restart = None
+    for key, _, val in (opt.partition("=") for opt in opts):
+        if (name, key.strip()) != ("gmres", "restart"):
+            raise ValueError(f"method {name!r} takes no option {key.strip()!r}")
+        restart = int(val)
+    return name, restart
 
 
-def _build_preconditioner(spec, inst, band, block_size, parser):
+def _build_preconditioner(spec, inst, block_size, parser):
     if spec in (None, "none"):
         return None, None
     if spec == "jacobi":
         return pcmod.jacobi_preconditioner(inst.a), None
     if spec in ("ic", "mic"):
-        if band is None:
-            parser.error(f"--precond {spec} needs the band offset (use --band)")
+        t = storage.to_triplets(inst.a)  # the band offset is that of the outermost entry
+        band = max(1, int(np.max(np.abs(t.cols - t.rows), initial=0)))
         factory = pcmod.ic0_pentadiagonal if spec == "ic" else pcmod.mic_pentadiagonal
         factors = factory(inst.a, band)
         return (lambda r: pcmod.apply_ic_solve(factors, r)), None
@@ -140,23 +137,16 @@ def _build_preconditioner(spec, inst, band, block_size, parser):
 
 
 def cmd_solve(args, parser):
-    inst, problem_band = _load_problem(args, parser)
-    method, mopts = _parse_method(args.method)
-    restart = mopts.get("restart", args.restart)
-    band = args.band if args.band is not None else problem_band
-    tol, tol_kind, max_iter = args.tol, args.tol_kind, args.max_iter
-    diags = stationary.diagnostics(inst.a)
-    symmetric_methods = {"cg", "cg-basic", "minres", "chebyshev"}
-    if method in symmetric_methods and not diags["symmetric"]:
+    inst = _load_problem(args, parser)
+    method, restart = _parse_method(args.method)
+    symmetric_methods = ("cg", "cg-basic", "minres", "chebyshev")
+    if method in symmetric_methods and not stationary._is_symmetric(inst.a):
         print(f"warning: method {method} assumes a symmetric matrix", file=sys.stderr)
 
     try:
-        c_apply, poly_m = _build_preconditioner(args.precond, inst, band,
-                                                args.block_size, parser)
+        c_apply, poly_m = _build_preconditioner(args.precond, inst, args.block_size, parser)
         t0 = time.perf_counter()
-        report = _dispatch_solve(method, inst, args, parser, restart=restart,
-                                 tol=tol, tol_kind=tol_kind, max_iter=max_iter,
-                                 c_apply=c_apply, poly_m=poly_m)
+        report = _dispatch_solve(method, restart, inst, args, parser, c_apply, poly_m)
     except pcmod.IcBreakdownError as exc:  # other ValueErrors exit 2 from main
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_BREAKDOWN
@@ -164,8 +154,8 @@ def cmd_solve(args, parser):
 
     rows, header = _history_rows(report)
     pairs = [("command", "solve"), ("problem", inst.label), ("method", args.method),
-             ("precond", args.precond or "none"), ("tol", tol),
-             ("tol_kind", tol_kind)]
+             ("precond", args.precond or "none"), ("tol", args.tol),
+             ("tol_kind", args.tol_kind)]
     _write_csv(args.out, pairs, header, rows)
     status = report.status if report.status != BREAKDOWN else f"breakdown({report.reason})"
     print(f"{status} {report.iterations} {report.final_residual:.17g} "
@@ -175,31 +165,25 @@ def cmd_solve(args, parser):
     return _EXIT_BREAKDOWN if report.status == BREAKDOWN else _EXIT_NOT_CONVERGED
 
 
-def _dispatch_solve(method, inst, args, parser, restart, tol, tol_kind,
-                    max_iter, c_apply, poly_m):
+def _dispatch_solve(method, restart, inst, args, parser, c_apply, poly_m):
     a, b = inst.a, inst.b
-    n = inst.n
+    kw = dict(tol=args.tol, tol_kind=args.tol_kind, max_iter=args.max_iter)
     if method in _STATIONARY:
-        cfg = stationary.StationaryConfig(method=_STATIONARY[method],
-                                          omega=args.omega,
-                                          block_size=args.block_size,
-                                          tol=tol, tol_kind=tol_kind,
-                                          max_iter=max_iter)
+        cfg = stationary.StationaryConfig(method=method.replace("-", "_"), omega=args.omega,
+                                          block_size=args.block_size, **kw)
         return stationary.iterate(a, b, cfg)
     if method == "chebyshev":
         if args.alpha is None or args.beta is None:
             parser.error("chebyshev needs --alpha and --beta")
-        base = stationary.split(a, _STATIONARY.get(args.base, args.base),
+        base = stationary.split(a, args.base.replace("-", "_"),
                                 omega=args.omega, block_size=args.block_size)
-        return semi_iterative(base, b, args.alpha, args.beta, tol=tol,
-                                      tol_kind=tol_kind, max_iter=max_iter)
+        return semi_iterative(base, b, args.alpha, args.beta, **kw)
     if method == "cg-basic":
-        return cg_basic(a, b, tol=tol, tol_kind=tol_kind, max_iter=max_iter)
+        return cg_basic(a, b, **kw)
     if method == "cg":
-        return _solve_cg(inst, c_apply, poly_m, tol=tol, tol_kind=tol_kind,
-                         max_iter=max_iter)
+        return _solve_cg(inst, c_apply, poly_m, **kw)
     if method == "minres":
-        return symmetric.minres(a, b, tol=tol, tol_kind=tol_kind, max_iter=max_iter)
+        return symmetric.minres(a, b, **kw)
     krylov_map = {
         "gmres": nonsym.gmres,
         "bicg": nonsym.bicg,
@@ -211,12 +195,12 @@ def _dispatch_solve(method, inst, args, parser, restart, tol, tol_kind,
     }
     if method not in krylov_map:
         parser.error(f"unknown method {method!r}")
-    kwargs = dict(tol=tol, tol_kind=tol_kind, max_iter=max_iter, c_apply=c_apply)
+    kw["c_apply"] = c_apply
     if method == "gmres":
-        kwargs["restart"] = restart
-        if restart is not None and max_iter is None:
-            kwargs["max_iter"] = 10 * n  # restarts forfeit finite termination
-    return krylov_map[method](a, b, **kwargs)
+        kw["restart"] = restart
+        if restart is not None and args.max_iter is None:
+            kw["max_iter"] = 10 * inst.n  # restarts forfeit finite termination
+    return krylov_map[method](a, b, **kw)
 
 
 def _solve_cg(inst, c_apply, poly_m, **kw):
@@ -254,7 +238,7 @@ def _history_rows(report):
 
 
 def cmd_spectrum(args, parser):
-    inst, _ = _load_problem(args, parser)
+    inst = _load_problem(args, parser)
     n = inst.n
     rows = []
     if args.methods:
@@ -263,7 +247,7 @@ def cmd_spectrum(args, parser):
             if name not in _STATIONARY or name == "ssor":
                 parser.error(f"spectrum --methods does not support {name!r}")
             g = stationary.iteration_matrix_applier(
-                inst.a, _STATIONARY[name], omega=args.omega,
+                inst.a, name.replace("-", "_"), omega=args.omega,
                 block_size=args.block_size)
             rows.append((name, spectral_radius_estimate(g, n, m_max=args.power_steps)))
         header = "method,rho"
@@ -295,7 +279,7 @@ def cmd_precond_compare(args, parser):
         inst = problems.poisson_test(N)
         for name in methods:
             spec = "none" if name == "cg" else name
-            c_apply, poly_m = _build_preconditioner(spec, inst, N, None, parser)
+            c_apply, poly_m = _build_preconditioner(spec, inst, None, parser)
             rep = _solve_cg(inst, c_apply, poly_m, tol=args.tol, tol_kind="abs",
                             max_iter=100 * inst.n)
             rows.append((N, name, rep.iterations))
@@ -306,9 +290,7 @@ def cmd_precond_compare(args, parser):
 
 
 def cmd_eigs(args, parser):
-    inst, _ = _load_problem(args, parser)
-    if args.estimates != "cg":
-        parser.error(f"unknown estimator {args.estimates!r}")
+    inst = _load_problem(args, parser)
     lam_min, lam_max = estimate_extremes_by_cg(inst.a, inst.b, iters=min(args.iters, inst.n),
                                                tol_eig=1e-12)
     pairs = [("command", "eigs"), ("problem", inst.label), ("iters", args.iters)]
@@ -326,8 +308,7 @@ def _add_problem_args(p):
     p.add_argument("--delta", type=float, default=0.3, help="cavity outlet width")
     p.add_argument("--shift", type=float, default=0.0, help="hilbert diagonal shift")
     p.add_argument("--density", type=float, default=0.04, help="random density")
-    p.add_argument("--seed", type=int, default=0,
-                   help="generator seed (KRYLOV_SEED overrides)")
+    p.add_argument("--seed", type=int, default=0, help="random generator seed")
 
 
 def build_parser():
@@ -348,14 +329,13 @@ def build_parser():
                         "chebyshev|cg|cg-basic|minres|gmres[,restart=k]|bicg|"
                         "qmr|qmr-alt|bidiag|cgs|bicgstab")
     p.add_argument("--precond", default="none",
-                   help="none|jacobi|ic|mic|block|poly:m (cg and krylov methods)")
+                   help="none|jacobi|ic|mic|block|poly:m (cg and krylov methods; "
+                        "ic and mic take the band offset of A's outermost entry)")
     p.add_argument("--omega", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--base", default="jacobi", help="chebyshev baseline splitting")
-    p.add_argument("--band", type=int, default=None, help="ic/mic band offset")
     p.add_argument("--block-size", type=int, default=None)
-    p.add_argument("--restart", type=int, default=None, help="gmres restart length")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--tol-kind", default="rel_to_r0",
                    choices=["abs", "rel_to_b", "rel_to_r0"])
@@ -386,7 +366,6 @@ def build_parser():
 
     p = sub.add_parser("eigs", help="extreme eigenvalue estimates")
     _add_problem_args(p)
-    p.add_argument("--estimates", default="cg")
     p.add_argument("--iters", type=int, default=25)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_eigs)

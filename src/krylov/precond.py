@@ -22,7 +22,8 @@ import scipy.linalg
 
 from .core import _ZERO, _negligible
 from .report import SolveReport, _Run
-from .storage import _Blocks, _point_parts, _Sweep, operator, to_triplets
+from .stationary import split
+from .storage import _Blocks, _Sweep, operator, to_triplets
 
 
 class IcBreakdownError(RuntimeError):
@@ -111,11 +112,9 @@ def _pcg(run, op, r, c_apply, norm_key, keys, true_residual=False, stop_on_true=
 
 
 def jacobi_preconditioner(a):
-    """Diagonal scaling C = inv(diag(A))."""
-    d = _point_parts(a)[0]
-    if np.any(d == 0.0):
-        raise ValueError("matrix has a zero diagonal entry")
-    return lambda r: r / d
+    """Diagonal scaling C = inv(diag(A)): the Jacobi splitting's ``m_solve``,
+    which takes an (n,) vector or an (n, k) block."""
+    return split(a, "jacobi").m_solve
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,11 @@ class Splitting:
     residuals), and ``n_apply`` (optional) is the action of N = M - A.
 
     The splittings :func:`split` builds also take an (n, k) block in
-    ``m_solve`` and ``a_apply`` and act on it column by column: each column
-    is bitwise the vector result, except that the block methods' diagonal
-    blocks are solved by one multi-column LAPACK call, which rounds in its
-    own order.  A splitting of the caller's own need only act on vectors.
+    ``m_solve``, ``a_apply`` and ``n_apply`` and act on it column by column:
+    each column is bitwise the vector result, except that the block methods
+    solve and multiply by their diagonal blocks for all columns at once
+    (one LAPACK call, one matmul), which rounds in its own order.  A
+    splitting of the caller's own need only act on vectors.
     """
 
     m_solve: Callable
@@ -67,23 +68,23 @@ def split(a, method, omega=None, block_size=None) -> Splitting:
     SOR requires omega in (0, 2).  Block sizes must divide n (None means
     round(sqrt(n))); a singular diagonal block raises ValueError.
     """
-    a_apply = operator(a)[0]
+    a_apply, _, n = operator(a)
     if method in POINT_METHODS:
         d, rows, cols, vals = _point_parts(a)
         if np.any(d == 0.0):
             raise ValueError("matrix has a zero diagonal entry")
         if method == "jacobi":
             def m_solve(r):
-                r = _check_dim(r, d.size, block=True)
+                r = _check_dim(r, n, block=True)
                 return r / _column(d, r)
-            m_apply = lambda x: d * x
+            m_apply = lambda x: _column(d, x) * x
         else:
             if method == "sor" and (omega is None or not (0.0 < omega < 2.0)):
                 raise ValueError("sor requires omega in (0, 2)")
             d = d / omega if method == "sor" else d
             lower = _Sweep(d.size, rows, cols, vals, lower=True)
             m_solve = lambda r: lower.solve(d, r)
-            m_apply = lambda x: lower.accumulate(d * x, x)
+            m_apply = lambda x: lower.accumulate(_column(d, x) * x, x)
     elif method in BLOCK_METHODS:
         blocks = _Blocks(a, block_size)
         factors = [blocks.factor(d, i) for i, d in enumerate(blocks.diag)]
@@ -92,7 +93,10 @@ def split(a, method, omega=None, block_size=None) -> Splitting:
         m_apply = lambda x: blocks.multiply(x, gs)
     else:
         raise ValueError(f"unknown splitting method {method!r}")
-    n_apply = lambda x: m_apply(x) - a_apply(x)
+
+    def n_apply(x):
+        x = _check_dim(x, n, block=True)
+        return m_apply(x) - a_apply(x)
     return Splitting(m_solve=m_solve, a_apply=a_apply, n_apply=n_apply)
 
 
@@ -264,13 +268,20 @@ def diagnostics(a) -> dict:
         row_sum[i:i + step] = np.sum(block, axis=1)
     row_off = row_sum - absd
     col_off = np.bincount(t.cols, weights=mag, minlength=n) - absd
-    nz = t.vals != 0.0
-    rows, cols, vals = t.rows[nz], t.cols[nz], t.vals[nz]
-    tr = np.lexsort((rows, cols))  # the transpose's entries, by row
     return {
         "diag_dominant_rows": bool(np.all(absd >= row_off) and np.any(absd > row_off)),
         "diag_dominant_cols": bool(np.all(absd >= col_off) and np.any(absd > col_off)),
-        "m_matrix_sign_pattern": bool(np.all(diag > 0) and np.all(vals[rows != cols] <= 0)),
-        "symmetric": bool(np.array_equal(rows, cols[tr]) and np.array_equal(cols, rows[tr])
-                          and np.array_equal(vals, vals[tr])),
+        "m_matrix_sign_pattern": bool(np.all(diag > 0)
+                                      and np.all(t.vals[t.rows != t.cols] <= 0)),
+        "symmetric": _is_symmetric(t),
     }
+
+
+def _is_symmetric(a) -> bool:
+    """Whether A = A' entry for entry (explicit zeros count as absent)."""
+    t = to_triplets(a).coalesced()
+    nz = t.vals != 0.0
+    rows, cols, vals = t.rows[nz], t.cols[nz], t.vals[nz]
+    tr = np.lexsort((rows, cols))  # the transpose's entries, by row
+    return bool(np.array_equal(rows, cols[tr]) and np.array_equal(cols, rows[tr])
+                and np.array_equal(vals, vals[tr]))

@@ -373,12 +373,12 @@ class _Blocks:
         return lu
 
     def multiply(self, x, lower):
-        """M x for M the block diagonal of A, plus its block-lower part if ``lower``."""
-        y = (self.diag @ x.reshape(self.nb, self.bs, 1)).ravel()
+        """M x for M the block diagonal of A, plus its block-lower part if
+        ``lower``; x an (n,) vector or an (n, k) block, as for :meth:`forward`."""
+        y = (self.diag @ x.reshape(self.nb, self.bs, -1)).reshape(x.shape)
         for i in range(1, self.nb) if lower else ():  # block row 0 has no such part
             loc, cols, vals = self.lower[i]
-            y[i * self.bs:(i + 1) * self.bs] += np.bincount(loc, weights=vals * x[cols],
-                                                            minlength=self.bs)
+            y[i * self.bs:(i + 1) * self.bs] += _scatter(loc, _column(vals, x) * x[cols], self.bs)
         return y
 
     def forward(self, factors, rhs, lower=True):
@@ -474,7 +474,9 @@ def operator(a):
     if hasattr(a, "matvec") or callable(a):
         return getattr(a, "matvec", a), getattr(a, "rmatvec", None), getattr(a, "n", None)
     arr = np.asarray(a, dtype=float)
-    return (lambda x: arr @ x), (lambda x: arr.T @ x), arr.shape[0]
+    n = arr.shape[0]
+    matvec = lambda x: arr @ _check_dim(x, n, block=True)
+    return matvec, (lambda x: arr.T @ _check_dim(x, n)), n
 
 
 _MM_GENERAL = "%%MatrixMarket matrix coordinate real general"

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from krylov import poisson_test, spectral_radius_estimate, stationary
+from krylov import cavity_laplace, poisson_test, spectral_radius_estimate, stationary
 from krylov.stationary import iteration_matrix_applier, split
 from krylov.storage import Triplets, _Blocks, _Panels, _Sweep, build
 
@@ -141,6 +141,27 @@ def test_splitting_acts_on_a_block_column_by_column(method):
     for x in inputs_of_wrong_shape(25):
         with pytest.raises(ValueError):
             sp.m_solve(x)
+
+
+@pytest.mark.parametrize("method", ["jacobi", "gauss_seidel", "sor", "block_jacobi", "block_gs"])
+@pytest.mark.parametrize("bs", [2, 4])
+def test_n_apply_acts_on_a_block_column_by_column(method, bs):
+    a = cavity_laplace(4, 0.3).a  # its diagonal is not constant, unlike Poisson's
+    sp = split(a, method, omega=1.3 if method == "sor" else None, block_size=bs)
+    rng = np.random.default_rng(bs)
+    for k in (1, 3, 16, 33):
+        x = rng.standard_normal((16, k))
+        x[::3, ::2] = -0.0
+        if method.startswith("block"):
+            # the coupling sums are the vector's; one matmul over the diagonal
+            # blocks of a k-column block rounds in its own order
+            got, want = sp.n_apply(x), by_columns(sp.n_apply, x)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
+        else:
+            assert_columnwise(sp.n_apply, x)
+    for x in inputs_of_wrong_shape(16):
+        with pytest.raises(ValueError, match=r"vector has shape"):
+            sp.n_apply(x)
 
 
 def vector_path_applier(*args, **kwargs):

@@ -122,6 +122,14 @@ def test_semi_iterative_detects_interval_mismatch():
     assert rep.reason == "interval-mismatch"
 
 
+@pytest.mark.parametrize("method", ["jacobi", "gauss_seidel", "block_gs"])
+def test_semi_iterative_on_a_dense_splitting_names_a_wrong_rhs_length(method):
+    base = split(to_dense(poisson_test(3).a), method, block_size=3)
+    with pytest.raises(ValueError, match=r"vector has shape \(8,\), expected \(9,\)"):
+        semi_iterative(base, np.ones(8), -0.5, 0.5)
+    assert semi_iterative(base, np.ones(9), -0.9, 0.9).converged
+
+
 def test_semi_iterative_validates_interval():
     base = Splitting(m_solve=lambda r: r, a_apply=lambda x: x)
     with pytest.raises(ValueError):

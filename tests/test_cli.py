@@ -1,7 +1,13 @@
+import pathlib
+import re
+import shlex
+
 import numpy as np
 import pytest
 
 from krylov.cli import main
+from krylov.precond import apply_ic_solve, mic_pentadiagonal, pcg
+from krylov.problems import cavity_laplace
 from krylov.storage import read_matrix_market
 
 
@@ -132,6 +138,30 @@ def test_solve_precond_variants(tmp_path, capsys):
         assert code == 0, precond
 
 
+def test_ic_band_is_that_of_the_outermost_entry(tmp_path):
+    # cavity(N) is a five-point N x N grid: the outermost entries sit N off the diagonal
+    out = tmp_path / "m.csv"
+    assert run(["solve", "--problem", "cavity", "--n", "6", "--method", "cg",
+                "--precond", "mic", "--out", str(out)]) == 0
+    inst = cavity_laplace(6, 0.3)
+    factors = mic_pentadiagonal(inst.a, 6)
+    want = pcg(inst.a, inst.b, lambda r: apply_ic_solve(factors, r), tol=1e-6,
+               tol_kind="rel_to_r0").history
+    assert [float(row.split(",")[1]) for row in out.read_text().splitlines()[2:]] == want
+
+
+@pytest.mark.parametrize("problem,method,warns", [
+    (["poisson", "--n", "6"], "cg", False),
+    (["random", "--n", "30", "--density", "0.2"], "minres", True),
+    (["random", "--n", "30", "--density", "0.2"], "bicgstab", False),
+])
+def test_symmetric_methods_warn_on_a_nonsymmetric_matrix(tmp_path, capsys, problem, method,
+                                                         warns):
+    run(["solve", "--problem", *problem, "--method", method, "--max-iter", "3",
+         "--out", str(tmp_path / "w.csv")])
+    assert ("assumes a symmetric matrix" in capsys.readouterr().err) == warns
+
+
 def test_csv_determinism(tmp_path):
     args = ["solve", "--problem", "random", "--n", "30", "--density", "0.15",
             "--seed", "5", "--method", "bicgstab", "--tol", "1e-9",
@@ -142,14 +172,16 @@ def test_csv_determinism(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_seed_env_override(tmp_path, monkeypatch):
+@pytest.mark.parametrize("problem", [["--problem", "poisson"],
+                                     ["--problem", "random", "--density", "0.3", "--seed", "7"]],
+                         ids=["poisson", "random"])
+def test_seed_comes_from_the_command_line_only(tmp_path, monkeypatch, problem):
+    args = ["generate", *problem, "--n", "12"]
     out1, out2 = tmp_path / "s1.mtx", tmp_path / "s2.mtx"
-    assert run(["generate", "--problem", "random", "--n", "12",
-                "--density", "0.3", "--seed", "1", "--out", str(out1)]) == 0
-    monkeypatch.setenv("KRYLOV_SEED", "1")
-    assert run(["generate", "--problem", "random", "--n", "12",
-                "--density", "0.3", "--seed", "99", "--out", str(out2)]) == 0
-    assert out1.read_text() == out2.read_text()
+    assert run(args + ["--out", str(out1)]) == 0
+    monkeypatch.setenv("KRYLOV_SEED", "abc")
+    assert run(args + ["--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_spectrum_methods_rows(tmp_path):
@@ -224,7 +256,7 @@ def test_matrix_file_round_trip_through_solver(tmp_path, capsys):
                 "--out", str(mtx)]) == 0
     capsys.readouterr()
     code = run(["solve", "--matrix", str(mtx), "--rhs",
-                str(tmp_path / "A_rhs.mtx"), "--method", "cg", "--band", "5",
+                str(tmp_path / "A_rhs.mtx"), "--method", "cg",
                 "--precond", "ic", "--tol", "1e-8", "--tol-kind", "abs",
                 "--out", str(tmp_path / "h.csv")])
     assert code == 0
@@ -252,13 +284,28 @@ def test_solve_rejects_bad_rhs_file(tmp_path, capsys, body):
 
 @pytest.mark.parametrize("extra", [
     ["--method", "gmres,restart=0"],
+    ["--method", "gmres,foo=3"],                           # restart is gmres's one option
+    ["--method", "cg,restart=5"],                          # only gmres takes an option
     ["--method", "sor"],                                   # no --omega
     ["--method", "block-jacobi", "--block-size", "3"],     # 3 does not divide 16
-], ids=["gmres-restart-0", "sor-without-omega", "block-size-not-dividing"])
+], ids=["gmres-restart-0", "gmres-unknown-option", "cg-with-option", "sor-without-omega",
+        "block-size-not-dividing"])
 def test_solve_usage_value_error_exit_code(tmp_path, capsys, extra):
     code = run(["solve", "--problem", "poisson", "--n", "4", *extra,
                 "--out", str(tmp_path / "u.csv")])
     assert code == 2
+
+
+@pytest.mark.parametrize("problem", [["hilbert", "--n", "8"], ["random", "--n", "50"]],
+                         ids=["hilbert", "random"])
+@pytest.mark.parametrize("precond", ["ic", "mic"])
+def test_ic_rejects_a_matrix_off_the_pentadiagonal_pattern(tmp_path, capsys, problem, precond):
+    # the band offset is read from the outermost entry; the other entries
+    # must then lie on the five diagonals it allows
+    code = run(["solve", "--problem", *problem, "--method", "cg",
+                "--precond", precond, "--out", str(tmp_path / "p.csv")])
+    assert code == 2
+    assert "pentadiagonal" in capsys.readouterr().err
 
 
 def test_solve_ic_pivot_breakdown_exit_code(tmp_path, capsys):
@@ -287,3 +334,19 @@ def test_eigs_clamps_iterations_to_the_size(tmp_path):
     exact = 4.0 * np.sin(np.pi * np.array([1, 3]) / 8.0) ** 2  # extremes of the N=3 Laplacian
     assert lam["lambda_min"] == pytest.approx(2 * exact[0], abs=1e-8)
     assert lam["lambda_max"] == pytest.approx(2 * exact[1], abs=1e-8)
+
+
+def readme_commands():
+    """The ``krylov ...`` lines of README's sh blocks, in order, continuations joined."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(ln, comments=True)[1:] for ln in lines if ln.startswith("krylov ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    commands = readme_commands()
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run(argv) == 0, argv

@@ -16,7 +16,7 @@ from krylov.precond import (IcBreakdownError, apply_block_solve,
                             mic_pentadiagonal, pcg, poly_apply_Cb,
                             poly_apply_pmA, poly_monomial_coeffs,
                             poly_precond_build, solve_poly_pcg)
-from krylov.problems import poisson_test
+from krylov.problems import cavity_laplace, poisson_test
 from krylov.storage import Triplets, build, to_dense
 
 
@@ -59,6 +59,19 @@ def test_pcg_jacobi_biorthogonality():
                 continue
             scale = np.linalg.norm(ss[j]) * np.linalg.norm(rs[i])
             assert abs(ss[j] @ rs[i]) <= 1e-8 * max(scale, 1e-30)
+
+
+def test_jacobi_preconditioner_divides_each_row_of_a_block(rng):
+    a = cavity_laplace(4, 0.3).a  # its diagonal is not constant
+    d = np.diag(to_dense(a))
+    c_apply = jacobi_preconditioner(a)
+    x = rng.standard_normal((16, 16))  # square: dividing its columns would raise nothing
+    assert np.array_equal(c_apply(x), x / d[:, None])
+    for j in range(16):
+        assert np.array_equal(c_apply(x[:, j]), x[:, j] / d)
+    for bad in (np.ones(15), np.ones((17, 2))):
+        with pytest.raises(ValueError, match=r"vector has shape"):
+            c_apply(bad)
 
 
 def test_pcg_detects_indefinite_preconditioner(rng):
