@@ -180,11 +180,10 @@ def stopping_check(r, tol, kind, b_norm=None, r0_norm=None, lambda_min_est=None)
     """Residual stopping decision, optionally with an error bound.
 
     ``kind`` is "error_bound" or any ``tol_kind`` the solvers take ("abs",
-    alias "abs_residual", "rel_to_b", "rel_to_r0").  "error_bound" uses
-    ||e|| <= ||r|| / lambda_min and stops when that bound drops below
-    ``tol``; it requires a positive smallest-eigenvalue estimate.  Returns
-    ``(stop, error_bound)`` where the bound is None unless an estimate was
-    supplied.
+    "rel_to_b", "rel_to_r0").  "error_bound" uses ||e|| <= ||r|| / lambda_min
+    and stops when that bound drops below ``tol``; it requires a positive
+    smallest-eigenvalue estimate.  Returns ``(stop, error_bound)`` where the
+    bound is None unless an estimate was supplied.
     """
     r_norm = float(np.linalg.norm(r)) if np.ndim(r) else float(abs(r))
     bound = None

@@ -109,15 +109,15 @@ def semi_iterative(base: Splitting, b, alpha, beta, tol=1e-6,
     return run.finish(x, run.max_iter)
 
 
-def estimate_interval(g_apply, n, m_max=1000, margin=0.0):
+def estimate_interval(g_apply, n):
     """Spectral inclusion interval (-rho, rho) for a baseline iteration matrix.
 
-    Estimates rho(G) by norm growth and returns the symmetric interval,
-    optionally widened by a relative ``margin``.  Suitable when G is
-    (similar to) symmetric, so its spectrum is real and symmetric bounds
-    apply; the choice of a sharper asymmetric interval is up to the caller.
+    Estimates rho(G) by norm growth and returns the symmetric interval.
+    Suitable when G is (similar to) symmetric, so its spectrum is real and
+    symmetric bounds apply; the choice of a sharper asymmetric interval
+    (such as [0, rho) for SSOR on an SPD matrix) is up to the caller.
     """
-    rho = spectral_radius_estimate(g_apply, n, m_max=m_max) * (1.0 + margin)
+    rho = spectral_radius_estimate(g_apply, n)
     if not rho < 1.0:
         raise ValueError(f"estimated radius {rho:g} is not below 1: "
                          "the baseline iteration does not converge")

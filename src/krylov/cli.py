@@ -6,9 +6,11 @@ CSV (with a ``# key=value ...`` config echo line) and MatrixMarket files;
 numbers carry 17 significant digits so identical arguments and seed yield
 byte-identical files.  Of the methods only gmres takes an option
 (``gmres,restart=k``), and ``--precond ic|mic`` reads its band offset from
-the matrix: the offset of its outermost entry.  Exit codes: 0 converged/ok,
-2 usage error or bad input, 3 not converged, 4 breakdown (a breakdown
-report or an incomplete factorization meeting a nonpositive pivot).
+the matrix: the offset of its outermost entry.  ``--precond`` reaches cg
+and the nonsymmetric Krylov methods, ``poly:m`` cg alone.  Exit codes: 0
+converged/ok, 2 usage error or bad input, 3 not converged, 4 breakdown (a
+breakdown report or an incomplete factorization meeting a nonpositive
+pivot).
 """
 
 import argparse
@@ -31,6 +33,16 @@ _EXIT_BREAKDOWN = 4
 
 # CLI spellings of the stationary methods; the library's names use "_" for "-"
 _STATIONARY = ("jacobi", "gauss-seidel", "sor", "ssor", "block-jacobi", "block-gs")
+# the nonsymmetric Krylov solvers: they and cg apply --precond, cg alone poly:m
+_KRYLOV = {
+    "gmres": nonsym.gmres,
+    "bicg": nonsym.bicg,
+    "qmr": nonsym.qmr,
+    "qmr-alt": nonsym.qmr_alt,
+    "bidiag": nonsym.bidiag_solve,
+    "cgs": nonsym.cgs,
+    "bicgstab": nonsym.bicgstab,
+}
 
 
 def _fmt(v) -> str:
@@ -143,8 +155,12 @@ def cmd_solve(args, parser):
     if method in symmetric_methods and not stationary._is_symmetric(inst.a):
         print(f"warning: method {method} assumes a symmetric matrix", file=sys.stderr)
 
+    spec = args.precond
+    applies = ("cg",) if spec.startswith("poly:") else ("cg", *_KRYLOV)
+    if spec != "none" and method not in applies:
+        raise ValueError(f"method {method} does not apply --precond {spec}")
     try:
-        c_apply, poly_m = _build_preconditioner(args.precond, inst, args.block_size, parser)
+        c_apply, poly_m = _build_preconditioner(spec, inst, args.block_size, parser)
         t0 = time.perf_counter()
         report = _dispatch_solve(method, restart, inst, args, parser, c_apply, poly_m)
     except pcmod.IcBreakdownError as exc:  # other ValueErrors exit 2 from main
@@ -154,8 +170,7 @@ def cmd_solve(args, parser):
 
     rows, header = _history_rows(report)
     pairs = [("command", "solve"), ("problem", inst.label), ("method", args.method),
-             ("precond", args.precond or "none"), ("tol", args.tol),
-             ("tol_kind", args.tol_kind)]
+             ("precond", spec), ("tol", args.tol), ("tol_kind", args.tol_kind)]
     _write_csv(args.out, pairs, header, rows)
     status = report.status if report.status != BREAKDOWN else f"breakdown({report.reason})"
     print(f"{status} {report.iterations} {report.final_residual:.17g} "
@@ -184,23 +199,14 @@ def _dispatch_solve(method, restart, inst, args, parser, c_apply, poly_m):
         return _solve_cg(inst, c_apply, poly_m, **kw)
     if method == "minres":
         return symmetric.minres(a, b, **kw)
-    krylov_map = {
-        "gmres": nonsym.gmres,
-        "bicg": nonsym.bicg,
-        "qmr": nonsym.qmr,
-        "qmr-alt": nonsym.qmr_alt,
-        "bidiag": nonsym.bidiag_solve,
-        "cgs": nonsym.cgs,
-        "bicgstab": nonsym.bicgstab,
-    }
-    if method not in krylov_map:
+    if method not in _KRYLOV:
         parser.error(f"unknown method {method!r}")
     kw["c_apply"] = c_apply
     if method == "gmres":
         kw["restart"] = restart
         if restart is not None and args.max_iter is None:
             kw["max_iter"] = 10 * inst.n  # restarts forfeit finite termination
-    return krylov_map[method](a, b, **kw)
+    return _KRYLOV[method](a, b, **kw)
 
 
 def _solve_cg(inst, c_apply, poly_m, **kw):
@@ -244,7 +250,7 @@ def cmd_spectrum(args, parser):
     if args.methods:
         for name in args.methods.split(","):
             name = name.strip()
-            if name not in _STATIONARY or name == "ssor":
+            if name not in _STATIONARY:
                 parser.error(f"spectrum --methods does not support {name!r}")
             g = stationary.iteration_matrix_applier(
                 inst.a, name.replace("-", "_"), omega=args.omega,
@@ -256,9 +262,7 @@ def cmd_spectrum(args, parser):
             parser.error("sweep bounds must satisfy 0 < min < max < 2")
         omega = args.omega_min
         while omega <= args.omega_max + 1e-12:
-            g = stationary.iteration_matrix_applier(
-                inst.a, "ssor" if args.sweep == "ssor" else "sor",
-                omega=omega, block_size=args.block_size)
+            g = stationary.iteration_matrix_applier(inst.a, args.sweep, omega=omega)
             rows.append((omega, spectral_radius_estimate(g, n, m_max=args.power_steps)))
             omega += args.omega_step
         header = "omega,rho"
@@ -329,12 +333,14 @@ def build_parser():
                         "chebyshev|cg|cg-basic|minres|gmres[,restart=k]|bicg|"
                         "qmr|qmr-alt|bidiag|cgs|bicgstab")
     p.add_argument("--precond", default="none",
-                   help="none|jacobi|ic|mic|block|poly:m (cg and krylov methods; "
-                        "ic and mic take the band offset of A's outermost entry)")
+                   help="none|jacobi|ic|mic|block|poly:m (cg and the nonsymmetric "
+                        "krylov methods, poly:m cg only; ic and mic take the band "
+                        "offset of A's outermost entry)")
     p.add_argument("--omega", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--base", default="jacobi", help="chebyshev baseline splitting")
+    p.add_argument("--base", default="jacobi",
+                   help="chebyshev baseline splitting: any stationary method")
     p.add_argument("--block-size", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--tol-kind", default="rel_to_r0",
@@ -345,7 +351,8 @@ def build_parser():
 
     p = sub.add_parser("spectrum", help="spectral radii of iteration matrices")
     _add_problem_args(p)
-    p.add_argument("--methods", help="comma list: jacobi,gauss-seidel,block-jacobi,block-gs")
+    p.add_argument("--methods", help="comma list of stationary methods: jacobi,"
+                   "gauss-seidel,sor,ssor,block-jacobi,block-gs (sor and ssor need --omega)")
     p.add_argument("--sweep", choices=["sor", "ssor"])
     p.add_argument("--omega", type=float, default=None)
     p.add_argument("--omega-min", type=float, default=0.05)

@@ -63,10 +63,9 @@ class SolveReport:
 def residual_threshold(tol, tol_kind, b_norm, r0_norm):
     """Absolute residual threshold for a relative/absolute stopping rule.
 
-    ``tol_kind`` is one of ``"abs"`` (alias ``"abs_residual"``),
-    ``"rel_to_b"`` or ``"rel_to_r0"``.
+    ``tol_kind`` is one of ``"abs"``, ``"rel_to_b"`` or ``"rel_to_r0"``.
     """
-    if tol_kind in ("abs", "abs_residual"):
+    if tol_kind == "abs":
         return tol
     if tol_kind == "rel_to_b":
         return tol * b_norm

@@ -4,11 +4,12 @@ their block versions, plus splitting diagnostics and spectral-radius tools.
 A splitting A = M - N (M invertible) defines the iteration
 M x_{k+1} = N x_k + b, implemented throughout in the equivalent
 residual-update form: solve M u_k = r_k with r_k = b - A x_k, then
-x_{k+1} = x_k + u_k.  Point sweeps run level by level on a schedule of
-the sparse rows (:class:`krylov.storage._Sweep`) with the results of a
-row-by-row loop.  Block variants keep the diagonal blocks dense, each
-factored once, and the coupling between blocks as sparse entries
-(:class:`krylov.storage._Blocks`); no n x n array is formed.
+x_{k+1} = x_k + u_k.  SSOR is one more splitting, whose M solve is the
+forward SOR sweep followed by the backward one.  Point sweeps run level by
+level on a schedule of the sparse rows (:class:`krylov.storage._Sweep`)
+with the results of a row-by-row loop.  Block variants keep the diagonal
+blocks dense, each factored once, and the coupling between blocks as
+sparse entries (:class:`krylov.storage._Blocks`); no n x n array is formed.
 """
 
 import math
@@ -18,10 +19,10 @@ from typing import Callable
 import numpy as np
 
 from .report import SolveReport, _Run
-from .storage import (_Blocks, _built, _check_dim, _column, _Panels, _point_parts, _Sweep,
-                      operator, to_triplets)
+from .storage import (_Blocks, _built, _check_dim, _column, _point_parts, _Sweep, operator,
+                      to_triplets)
 
-POINT_METHODS = ("jacobi", "gauss_seidel", "sor")
+POINT_METHODS = ("jacobi", "gauss_seidel", "sor", "ssor")
 BLOCK_METHODS = ("block_jacobi", "block_gs")
 
 
@@ -56,19 +57,27 @@ class StationaryConfig:
 
 
 def split(a, method, omega=None, block_size=None) -> Splitting:
-    """Splitting for one of jacobi, gauss_seidel, sor, block_jacobi, block_gs.
+    """Splitting for one of jacobi, gauss_seidel, sor, ssor, block_jacobi,
+    block_gs.
 
     Writing A = D - L - U (D diagonal, L/U strictly triangular):
 
     * jacobi        M = D,                 N = L + U
     * gauss_seidel  M = D - L,             N = U
     * sor           M = (D - omega L)/omega, N = ((1-omega) D + omega U)/omega
+    * ssor          M = omega/(2-omega) (D/omega - L) inv(D) (D/omega - U)
+      (Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed., §4.1);
+      M u = r is solved as the forward SOR sweep u = inv(D/omega - L) r
+      followed by the backward one, u + inv(D/omega - U) (r - A u)
     * block forms   the same with the block partition of A
 
-    SOR requires omega in (0, 2).  Block sizes must divide n (None means
-    round(sqrt(n))); a singular diagonal block raises ValueError.
+    The point methods need a nonzero diagonal, and SOR and SSOR need omega
+    in (0, 2).  Block sizes must divide n (None means round(sqrt(n))); a
+    singular diagonal block raises ValueError.
     """
     a_apply, _, n = operator(a)
+    if method in ("sor", "ssor") and (omega is None or not (0.0 < omega < 2.0)):
+        raise ValueError(f"{method} requires omega in (0, 2)")
     if method in POINT_METHODS:
         d, rows, cols, vals = _point_parts(a)
         if np.any(d == 0.0):
@@ -78,9 +87,18 @@ def split(a, method, omega=None, block_size=None) -> Splitting:
                 r = _check_dim(r, n, block=True)
                 return r / _column(d, r)
             m_apply = lambda x: _column(d, x) * x
+        elif method == "ssor":
+            dw = d / omega
+            lower, upper = (_Sweep(d.size, rows, cols, vals, side) for side in (True, False))
+
+            def m_solve(r):
+                u = lower.solve(dw, r)
+                return u + upper.solve(dw, r - a_apply(u))
+
+            def m_apply(x):
+                y = upper.accumulate(_column(dw, x) * x, x) / _column(d, x)
+                return omega / (2.0 - omega) * lower.accumulate(_column(dw, y) * y, y)
         else:
-            if method == "sor" and (omega is None or not (0.0 < omega < 2.0)):
-                raise ValueError("sor requires omega in (0, 2)")
             d = d / omega if method == "sor" else d
             lower = _Sweep(d.size, rows, cols, vals, lower=True)
             m_solve = lambda r: lower.solve(d, r)
@@ -107,9 +125,6 @@ def iterate(a, b, cfg: StationaryConfig, x0=None) -> SolveReport:
     The history records true residual 2-norms (recomputed every sweep, not
     recurrence estimates), starting with the initial residual.
     """
-    if cfg.method == "ssor":
-        return ssor_iterate(a, b, cfg.omega, tol=cfg.tol, tol_kind=cfg.tol_kind,
-                            max_iter=cfg.max_iter, x0=x0)
     a = _built(a)  # one build serves the splitting and the run
     sp = split(a, cfg.method, omega=cfg.omega, block_size=cfg.block_size)
     run = _Run(a, b, x0, cfg.tol, cfg.tol_kind, cfg.max_iter, sweeps=100)
@@ -127,56 +142,13 @@ def iterate(a, b, cfg: StationaryConfig, x0=None) -> SolveReport:
     return run.finish(x, run.max_iter)
 
 
-@np.errstate(over="ignore")
 def ssor_iterate(a, b, omega, tol=1e-6, tol_kind="rel_to_r0", max_iter=None,
                  x0=None) -> SolveReport:
-    """Symmetric SOR for a symmetric matrix with positive diagonal.
-
-    Internally the system is scaled to Ahat = D^{-1/2} A D^{-1/2} and each
-    iteration performs the forward SOR half-sweep followed by the reversed
-    (transposed) one; the report is in the original variables and its
-    history holds true residual norms of the original system.
-    """
-    if omega is None or not (0.0 < omega < 2.0):
-        raise ValueError("ssor requires omega in (0, 2)")
-    parts = _point_parts(a)
-    if np.any(parts[0] == 0.0):
-        raise ValueError("matrix has a zero diagonal entry")
-    run = _Run(a, b, x0, tol, tol_kind, max_iter, sweeps=100)
-    if np.any(parts[0] < 0.0):
-        return run.breakdown(run.x, 0, "negative diagonal entry: D^(1/2) undefined")
-    hat = _HatStructure(*parts)
-    x, b = run.x, run.b
-    xhat = hat.sqd * x
-    bhat = b / hat.sqd
-    diag_hat = np.full(b.size, 1.0 / omega)
-    for it in range(run.max_iter):
-        if run.stop(run.history[-1]):
-            return run.finish(x, it)
-        rhat = bhat - hat.apply(xhat)
-        xhat = xhat + hat.lower.solve(diag_hat, rhat)
-        rhat = bhat - hat.apply(xhat)
-        xhat = xhat + hat.upper.solve(diag_hat, rhat)
-        x = xhat / hat.sqd
-        run.record(float(np.linalg.norm(b - run.a_apply(x))))
-    return run.finish(x, run.max_iter)
-
-
-class _HatStructure:
-    """Ahat = D^{-1/2} A D^{-1/2} from the parts of A, for SSOR sweeps."""
-
-    def __init__(self, diag, rows, cols, vals):
-        n = diag.size
-        self.sqd = np.sqrt(diag)
-        inv = 1.0 / self.sqd
-        vals = vals * (inv[rows] * inv[cols])
-        self.diag = diag * inv * inv  # all ones up to rounding, kept for apply()
-        self.lower, self.upper = (_Sweep(n, rows, cols, vals, side) for side in (True, False))
-        self._offdiag = _Panels(n, rows, cols, vals, np.zeros(n, dtype=np.int64))
-
-    def apply(self, x):
-        """Ahat @ x, each row from its diagonal term through its entries by column."""
-        return self._offdiag.accumulate(_column(self.diag, x) * x, x)
+    """Symmetric SOR: :func:`iterate` on the ``"ssor"`` splitting.  Each
+    iteration is a forward SOR half-sweep followed by a backward one; the
+    history holds true residual norms."""
+    cfg = StationaryConfig("ssor", omega=omega, tol=tol, tol_kind=tol_kind, max_iter=max_iter)
+    return iterate(a, b, cfg, x0=x0)
 
 
 _DENSE_G_BYTES = 2 << 20  # n <= 512; by n = 784, G @ v costs as much as a sweep step
@@ -185,9 +157,7 @@ _DENSE_G_BYTES = 2 << 20  # n <= 512; by n = 784, G @ v costs as much as a sweep
 def iteration_matrix_applier(a, method, omega=None, block_size=None):
     """Action v -> inv(M) N v of the iteration matrix G for spectral studies.
 
-    Uses G v = v - inv(M) (A v).  For ``method="ssor"`` the returned applier
-    acts in the symmetrically scaled variables (the spectrum is similarity
-    invariant, so spectral radii are unaffected).
+    Uses G v = v - inv(M) (A v), for any method :func:`split` takes.
 
     The splitting is built, and checked, here.  When a dense G takes at most
     2 MB (n <= 512), the applier forms G on its first call, by one
@@ -199,24 +169,10 @@ def iteration_matrix_applier(a, method, omega=None, block_size=None):
     agree with the vector path to rounding.  Past the bound each call runs
     the vector path on v.
     """
-    if method == "ssor":
-        if omega is None or not (0.0 < omega < 2.0):
-            raise ValueError("ssor requires omega in (0, 2)")
-        parts = _point_parts(a)
-        if np.any(parts[0] <= 0.0):
-            raise ValueError("ssor needs a positive diagonal")
-        hat = _HatStructure(*parts)
-        n = hat.diag.size
-        diag_hat = np.full(n, 1.0 / omega)
-
-        def g_apply(v):
-            w = v - hat.lower.solve(diag_hat, hat.apply(v))
-            return w - hat.upper.solve(diag_hat, hat.apply(w))
-    else:
-        a = _built(a)  # one build serves the size and the splitting
-        n = operator(a)[2]
-        sp = split(a, method, omega=omega, block_size=block_size)
-        g_apply = lambda v: v - sp.m_solve(sp.a_apply(v))
+    a = _built(a)  # one build serves the size and the splitting
+    n = operator(a)[2]
+    sp = split(a, method, omega=omega, block_size=block_size)
+    g_apply = lambda v: v - sp.m_solve(sp.a_apply(v))
     return g_apply if 8 * n * n > _DENSE_G_BYTES else _DenseOnFirstCall(g_apply, n)
 
 

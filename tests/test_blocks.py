@@ -127,10 +127,17 @@ def test_block_sweeps_of_a_block_are_those_of_each_column(N, bs):
                 sweep(x)
 
 
-@pytest.mark.parametrize("method", ["jacobi", "gauss_seidel", "sor", "block_jacobi", "block_gs"])
+SPLITTINGS = ["jacobi", "gauss_seidel", "sor", "ssor", "block_jacobi", "block_gs"]
+
+
+def omega_of(method):
+    return 1.3 if method in ("sor", "ssor") else None
+
+
+@pytest.mark.parametrize("method", SPLITTINGS)
 def test_splitting_acts_on_a_block_column_by_column(method):
     a = poisson_test(5).a
-    sp = split(a, method, omega=1.3 if method == "sor" else None)
+    sp = split(a, method, omega=omega_of(method))
     x = np.random.default_rng(5).standard_normal((25, 25))
     assert_columnwise(sp.a_apply, x)
     if method.startswith("block"):
@@ -143,11 +150,11 @@ def test_splitting_acts_on_a_block_column_by_column(method):
             sp.m_solve(x)
 
 
-@pytest.mark.parametrize("method", ["jacobi", "gauss_seidel", "sor", "block_jacobi", "block_gs"])
+@pytest.mark.parametrize("method", SPLITTINGS)
 @pytest.mark.parametrize("bs", [2, 4])
 def test_n_apply_acts_on_a_block_column_by_column(method, bs):
     a = cavity_laplace(4, 0.3).a  # its diagonal is not constant, unlike Poisson's
-    sp = split(a, method, omega=1.3 if method == "sor" else None, block_size=bs)
+    sp = split(a, method, omega=omega_of(method), block_size=bs)
     rng = np.random.default_rng(bs)
     for k in (1, 3, 16, 33):
         x = rng.standard_normal((16, k))

@@ -213,6 +213,24 @@ def test_spectrum_ssor_sweep(tmp_path):
     assert 0.0 < float(lines[2].split(",")[1]) < 1.0
 
 
+def test_spectrum_methods_take_ssor(tmp_path):
+    out = tmp_path / "js.csv"
+    assert run(["spectrum", "--problem", "poisson", "--n", "10", "--methods", "jacobi,ssor",
+                "--omega", "1.2", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["method", "jacobi", "ssor"]
+    assert 0.0 < float(lines[3].split(",")[1]) < float(lines[2].split(",")[1]) < 1.0
+
+
+def test_chebyshev_on_an_ssor_base_converges(tmp_path, capsys):
+    # SSOR's iteration matrix has its spectrum in [0, rho), rho(N=10, omega=1) < 0.86
+    code = run(["solve", "--problem", "poisson", "--n", "10", "--method", "chebyshev",
+                "--base", "ssor", "--omega", "1.0", "--alpha", "0", "--beta", "0.86",
+                "--out", str(tmp_path / "c.csv")])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("converged ")
+
+
 def test_spectrum_sweep_rows(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run(["spectrum", "--problem", "poisson", "--n", "4", "--sweep", "sor",
@@ -288,12 +306,33 @@ def test_solve_rejects_bad_rhs_file(tmp_path, capsys, body):
     ["--method", "cg,restart=5"],                          # only gmres takes an option
     ["--method", "sor"],                                   # no --omega
     ["--method", "block-jacobi", "--block-size", "3"],     # 3 does not divide 16
+    # --precond reaches cg and the nonsymmetric Krylov methods only
+    ["--method", "jacobi", "--precond", "jacobi"],
+    ["--method", "sor", "--omega", "1.2", "--precond", "mic"],
+    ["--method", "chebyshev", "--alpha", "-0.9", "--beta", "0.9", "--precond", "block"],
+    ["--method", "minres", "--precond", "jacobi"],
+    ["--method", "cg-basic", "--precond", "ic"],
+    ["--method", "gmres", "--precond", "poly:5"],          # poly:m reaches cg only
+    ["--method", "bicgstab", "--precond", "poly:3"],
 ], ids=["gmres-restart-0", "gmres-unknown-option", "cg-with-option", "sor-without-omega",
-        "block-size-not-dividing"])
+        "block-size-not-dividing", "precond-jacobi-on-jacobi", "precond-mic-on-sor",
+        "precond-block-on-chebyshev", "precond-on-minres", "precond-on-cg-basic",
+        "poly-on-gmres", "poly-on-bicgstab"])
 def test_solve_usage_value_error_exit_code(tmp_path, capsys, extra):
     code = run(["solve", "--problem", "poisson", "--n", "4", *extra,
                 "--out", str(tmp_path / "u.csv")])
     assert code == 2
+    if "--precond" in extra:
+        method = extra[extra.index("--method") + 1]
+        assert f"method {method} does not apply --precond" in capsys.readouterr().err
+
+
+def test_precond_is_not_built_for_a_method_that_does_not_apply_it(tmp_path, capsys):
+    # random's pattern is not pentadiagonal: building IC would fail with that error
+    code = run(["solve", "--problem", "random", "--n", "50", "--method", "jacobi",
+                "--precond", "ic", "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: method jacobi does not apply --precond ic\n"
 
 
 @pytest.mark.parametrize("problem", [["hilbert", "--n", "8"], ["random", "--n", "50"]],

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from krylov import storage
+from krylov.chebyshev import semi_iterative
 from krylov.core import spectral_radius_estimate
 from krylov.problems import (cavity_laplace, hilbert, indefinite_kron, poisson_test,
                              random_sparse)
@@ -202,7 +203,8 @@ def test_divergence_stops_as_non_finite_without_a_warning(method):
     assert (rep.status, rep.reason, rep.iterations) == ("breakdown", "non-finite", 323)
 
 
-@pytest.mark.parametrize("method", ["jacobi", "gauss_seidel", "sor", "block_jacobi", "block_gs"])
+@pytest.mark.parametrize("method",
+                         ["jacobi", "gauss_seidel", "sor", "ssor", "block_jacobi", "block_gs"])
 def test_iterate_builds_triplets_once(method, monkeypatch):
     built, real = [], storage.build
     monkeypatch.setattr(storage, "build", lambda t, target: built.append(target) or real(t, target))
@@ -243,10 +245,34 @@ def test_ssor_rejects_omega_outside_interval():
         iteration_matrix_applier(inst.a, "ssor", omega=0.0)
 
 
-def test_ssor_negative_diagonal_breaks_down():
+def test_ssor_needs_only_a_nonzero_diagonal():
+    # like SOR: a negative diagonal runs (and here solves in one sweep)
     a = np.array([[-1.0, 0.0], [0.0, 2.0]])
     rep = ssor_iterate(a, np.array([1.0, 1.0]), 1.0, max_iter=5)
-    assert rep.status == "breakdown"
+    assert (rep.status, rep.iterations) == ("converged", 1)
+    np.testing.assert_array_equal(rep.x, [-1.0, 0.5])
+    with pytest.raises(ValueError, match="zero diagonal"):
+        ssor_iterate(np.array([[0.0, 1.0], [1.0, 2.0]]), np.ones(2), 1.0)
+
+
+@pytest.mark.parametrize("inst", [poisson_test(6), cavity_laplace(6, 0.3)],
+                         ids=["poisson", "cavity"])
+@pytest.mark.parametrize("omega", [0.7, 1.0, 1.6])
+def test_ssor_m_solve_inverts_its_m_action(inst, omega):
+    sp = split(inst.a, "ssor", omega=omega)
+    x = np.random.default_rng(6).standard_normal((inst.n, 4))
+    m_x = sp.a_apply(x) + sp.n_apply(x)  # M x = (A + N) x
+    np.testing.assert_allclose(sp.m_solve(m_x), x, rtol=0, atol=1e-14 * np.abs(x).max())
+
+
+def test_chebyshev_accelerates_ssor_poisson16():
+    # G = I - inv(M) A has its spectrum in [0, rho) for SSOR on an SPD matrix
+    inst = poisson_test(16)
+    rho = spectral_radius_estimate(iteration_matrix_applier(inst.a, "ssor", omega=1.0), inst.n)
+    plain = ssor_iterate(inst.a, inst.b, 1.0, tol=1e-8)
+    accel = semi_iterative(split(inst.a, "ssor", omega=1.0), inst.b, 0.0, rho, tol=1e-8)
+    assert plain.converged and accel.converged
+    assert accel.iterations < plain.iterations / 5, (accel.iterations, plain.iterations)
 
 
 def test_ssor_converges_on_poisson():

@@ -254,20 +254,22 @@ def test_gauss_seidel_and_sor_sweeps_match_row_loop(t, omega, seed):
 def test_ssor_sweeps_match_row_loop(t, omega, seed):
     v = np.random.default_rng(seed).standard_normal(t.n)
     d = _diag_of(t)
-    inv = 1.0 / np.sqrt(d)
-    rows, cols = t.rows[t.rows != t.cols], t.cols[t.rows != t.cols]
-    vals = t.vals[t.rows != t.cols] * (inv[rows] * inv[cols])
-    diag_hat = d * inv * inv
-    lower, upper = cols < rows, cols > rows
-    w_hat = np.full(t.n, 1.0 / omega)
+    d_omega = d / omega
+    lower, upper = _triangle_of(t, lower=True), _triangle_of(t, lower=False)
+    a_apply = build(t, "row").matvec  # the splitting's A; its kernel has tests of its own
 
-    def apply_hat(x):
-        return ref_accumulate(t.n, rows, cols, vals, diag_hat * x, x)
+    def ref_m_solve(r):
+        u = ref_triangular(t.n, *lower, d_omega, r)
+        return u + ref_triangular(t.n, *upper, d_omega, r - a_apply(u))
 
     def ref_g(v):
-        w = v - ref_triangular(t.n, rows[lower], cols[lower], vals[lower], w_hat, apply_hat(v))
-        return w - ref_triangular(t.n, rows[upper], cols[upper], vals[upper], w_hat, apply_hat(w))
+        return v - ref_m_solve(a_apply(v))
 
+    y = ref_accumulate(t.n, *upper, d_omega * v, v) / d
+    m_v = omega / (2.0 - omega) * ref_accumulate(t.n, *lower, d_omega * y, y)
+    sp = split(build(t, "row"), "ssor", omega=omega)
+    assert np.array_equal(bits(sp.m_solve(v)), bits(ref_m_solve(v)))
+    assert np.array_equal(bits(sp.n_apply(v)), bits(m_v - a_apply(v)))
     with mock.patch.object(stationary, "_DENSE_G_BYTES", 0):  # the sweeps on v
         got = iteration_matrix_applier(t, "ssor", omega=omega)(v)
     assert np.array_equal(bits(got), bits(ref_g(v)))
