@@ -35,8 +35,9 @@ class LanczosLikeFactorization:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # growth ends the run, see below
-def factorize_aut(a, b_op, u1, steps=None) -> LanczosLikeFactorization:
-    """Three-term recurrence building A U = U T with B-orthogonal columns.
+def factorize_aut(a, b_op, u1) -> LanczosLikeFactorization:
+    """Three-term recurrence building A U = U T with B-orthogonal columns,
+    at most n of them.
 
     ``b_op`` defines the inner product (it must be spd and commute with A
     for the orthogonality to hold; the caller is responsible for that).
@@ -57,11 +58,10 @@ def factorize_aut(a, b_op, u1, steps=None) -> LanczosLikeFactorization:
     b_apply = operator(b_op)[0]
     u = np.array(u1, dtype=float)
     n = u.size
-    steps = n if steps is None else min(steps, n)
     scale = np.linalg.norm(u)
     us, gammas, betas, ds = [], [], [], []
     u_prev = np.zeros(n)
-    for i in range(steps):
+    for i in range(n):
         if _negligible(np.linalg.norm(u), scale):
             break
         v = a_apply(u)

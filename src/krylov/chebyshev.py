@@ -26,7 +26,7 @@ def cheb_T(k: int, x: float) -> float:
     """First-kind Chebyshev polynomial T_k(x), stable for all real x.
 
     Uses cos(k arccos x) on [-1, 1] and the cosh form outside, switching
-    exactly at |x| = 1.
+    exactly at |x| = 1; a value past the largest double is infinite.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -34,7 +34,10 @@ def cheb_T(k: int, x: float) -> float:
     if ax <= 1.0:
         val = math.cos(k * math.acos(x))
     else:
-        val = math.cosh(k * math.acosh(ax))
+        try:
+            val = math.cosh(k * math.acosh(ax))
+        except OverflowError:
+            val = math.inf
     if x < -1.0 and k % 2 == 1:
         val = -val
     return val

@@ -1,7 +1,7 @@
 """Krylov methods for general nonsingular systems: Arnoldi/GMRES, the
-two-sided Lanczos process and its descendants Bi-CG, QMR (two
-implementations), CGS and Bi-CGStab, plus the orthogonal bidiagonalization
-solver.
+two-sided Lanczos process and its descendants Bi-CG, QMR, CGS and
+Bi-CGStab, plus the orthogonal bidiagonalization solver.  QMR's two
+implementations are MINRES's loop on two processes.
 
 The two-sided (nonsymmetric Lanczos) methods trade the long recurrences of
 GMRES for three-term ones at the price of possible breakdowns; these are
@@ -158,21 +158,15 @@ class BiLanczosState:
     """Two-sided Lanczos recurrence state (biorthonormal u/w sequences).
 
     A step is two halves, :meth:`a_half` with A and :meth:`at_half` with
-    A', so that a solver can stop in between.  The default shadow start is
-    w_1 = u_1.
+    A', so that a solver can stop in between; every Lanczos-type process
+    here has them.  The shadow start is w_1 = u_1.
     """
 
-    def __init__(self, a, r0, r0_hat=None):
+    def __init__(self, a, r0):
         self.a_apply, self.at_apply, _ = operator(a)
         if self.at_apply is None:
             raise ValueError("operator does not expose a transpose action")
         self.u_curr = self.w_curr = _unit(r0)
-        if r0_hat is not None:
-            r0_hat = np.asarray(r0_hat, dtype=float)
-            eta = float(self.u_curr @ r0_hat)
-            if _negligible(eta, float(np.linalg.norm(r0_hat))):
-                raise ValueError("start vectors are (nearly) orthogonal")
-            self.w_curr = r0_hat / eta
         self.u_prev = self.w_prev = np.zeros_like(self.u_curr)
         self.alpha_prev = self.beta_prev = 0.0
 
@@ -202,19 +196,43 @@ class BiLanczosState:
         self.alpha_prev, self.beta_prev = self.alpha, self.beta
 
 
-def bilanczos_step(state: BiLanczosState):
-    """Advance the two-sided Lanczos recurrence by one step.
+class LUBiLanczosState:
+    """The two-sided process in LU-normalized form: the pair (q, z), with
+    z_j' A q_i = 0 for j != i, makes the projected matrix lower bidiagonal.
+    The halves are those of :class:`BiLanczosState`, with q_i in ``u_curr``
+    and ``beta_prev`` always 0; (u, v) is the unit pair, f_i = v_i' u_i."""
 
-    Returns ``("ok", (gamma, alpha, beta))`` on success, or
-    ``(breakdown_kind, partial)`` where the kind is "invariant_subspace"
-    (the u sequence terminated: a right invariant subspace was found) or
-    "serious_breakdown" (the new pair is orthogonal and the recurrence
-    cannot continue without look-ahead).
-    """
-    gamma, alpha, invariant = state.a_half()
-    if invariant:
-        return INVARIANT_SUBSPACE, (gamma, alpha, None)
-    return state.at_half() or "ok", (gamma, alpha, state.beta)
+    beta_prev = 0.0
+
+    def __init__(self, a, r0):
+        self.a_apply, self.at_apply, _ = operator(a)
+        self.u = self.v = self.u_curr = self.z = _unit(r0)
+        self.f = 1.0
+
+    def a_half(self):
+        """(ell_i = z_i' A q_i / f_i, alpha_i, invariant) as in
+        :meth:`BiLanczosState.a_half`, or "lu_breakdown" when the pivot
+        z_i' A q_i is negligible: the LU factors do not exist."""
+        q_hat = self.a_apply(self.u_curr)
+        num, scale = float(self.z @ q_hat), float(np.linalg.norm(q_hat))
+        if _negligible(num, float(np.linalg.norm(self.z)) * scale):
+            return LU_BREAKDOWN
+        self.ell = num / self.f
+        self.u_hat = q_hat - self.ell * self.u
+        self.alpha = float(np.linalg.norm(self.u_hat))
+        return self.ell, self.alpha, _negligible(self.alpha, scale)
+
+    def at_half(self):
+        """The move to step i+1.  Returns None, or "serious_breakdown" when
+        f_{i+1} is negligible (u is a unit vector; v has no scale of A or b)."""
+        self.u = self.u_hat / self.alpha
+        self.v = (self.at_apply(self.z) - self.ell * self.v) / self.alpha
+        f = float(self.v @ self.u)
+        if _negligible(f, 1.0):
+            return SERIOUS_BREAKDOWN
+        phi = self.alpha * f / (self.ell * self.f)
+        self.u_curr, self.z = self.u - phi * self.u_curr, self.v - phi * self.z
+        self.f = f
 
 
 def bicg(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
@@ -279,63 +297,17 @@ def qmr_alt(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
             c_apply=None, callback=None) -> SolveReport:
     """QMR on the LU-normalized two-sided factorization (cheaper variant).
 
-    Works with the rescaled pair (q, z) so the projected matrix becomes
-    lower bidiagonal and only one old rotation is needed per step.  The
-    price is an extra breakdown mode: the implicit LU factorization of the
-    tridiagonal matrix may not exist, surfacing as a zero pivot ell_i
-    ("lu_breakdown") while plain :func:`qmr` proceeds.
+    :func:`qmr`'s loop on :class:`LUBiLanczosState`: the rescaled pair
+    (q, z) makes the projected matrix lower bidiagonal, so only one old
+    rotation acts per step.  The price is an extra breakdown mode: the
+    implicit LU factorization of the tridiagonal matrix may not exist,
+    surfacing as a zero pivot ("lu_breakdown") while plain :func:`qmr`
+    proceeds.
     """
     run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply, transpose="qmr_alt",
                callback=callback)
-    a_apply, at_apply, x = run.a_apply, run.at_apply, run.x
-    beta0 = run.r_norm
-    true_norms = run.extras["true_residual_norms"] = [beta0]
-    if run.stop(beta0):
-        return run.finish(x, 0)
-    u = run.r / beta0
-    v = u.copy()
-    q = u.copy()
-    z = u.copy()
-    f = 1.0
-    g = beta0
-    p_prev = np.zeros(u.size)
-    rot_prev = None
-    for i in range(1, run.max_iter + 1):
-        q_hat = a_apply(q)
-        num = float(z @ q_hat)
-        if _negligible(num, float(np.linalg.norm(z)) * float(np.linalg.norm(q_hat))):
-            return run.breakdown(x, i - 1, LU_BREAKDOWN)
-        ell = num / f
-        u_hat = q_hat - ell * u
-        alpha = float(np.linalg.norm(u_hat))
-        r_im1, r_ii = 0.0, ell
-        p = q.copy()
-        if i > 1:
-            r_im1, r_ii = rot_prev.apply(0.0, ell)
-            p -= r_im1 * p_prev
-        rot, r_ii = make_givens(r_ii, alpha)
-        if r_ii == 0.0:
-            return run.breakdown(x, i - 1, "singular-R")
-        p /= r_ii
-        xi, g = rot.apply(g, 0.0)
-        x = x + xi * p
-        true_norms.append(float(np.linalg.norm(run.b - a_apply(x))))
-        run.record(abs(g), i, x=x, g=g)
-        invariant = _negligible(alpha, float(np.linalg.norm(q_hat)))
-        if run.stop(run.history[-1], invariant):
-            return run.finish(x, i, exact=invariant)
-        u = u_hat / alpha
-        v = (at_apply(z) - ell * v) / alpha
-        f_next = float(v @ u)
-        if _negligible(f_next, 1.0):  # u is a unit vector; v carries no scale of A or b
-            return run.breakdown(x, i, SERIOUS_BREAKDOWN)
-        phi = alpha * f_next / (ell * f)
-        q = u - phi * q
-        z = v - phi * z
-        f = f_next
-        p_prev = p
-        rot_prev = rot
-    return run.finish(x, run.max_iter)
+    return _quasi_minimal(run, LUBiLanczosState,
+                          SimpleNamespace(matvec=run.a_apply, rmatvec=run.at_apply))
 
 
 def _bidiagonalization(a_apply, at_apply, u):

@@ -118,7 +118,7 @@ def split(a, method, omega=None, block_size=None) -> Splitting:
     return Splitting(m_solve=m_solve, a_apply=a_apply, n_apply=n_apply)
 
 
-@np.errstate(over="ignore")  # a diverging run stops as a non-finite breakdown
+@np.errstate(over="ignore", invalid="ignore")  # a diverging run stops as a non-finite breakdown
 def iterate(a, b, cfg: StationaryConfig, x0=None) -> SolveReport:
     """Run the stationary iteration described by ``cfg``.
 

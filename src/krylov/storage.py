@@ -402,19 +402,18 @@ class _Blocks:
             if coupling:
                 loc, src, vals = coupling[i]
                 s = s - _scatter(loc, _column(vals, u) * u[src], self.bs)
-            u[sl] = scipy.linalg.lu_solve(factors[i], s)
+            u[sl] = scipy.linalg.lu_solve(factors[i], s, check_finite=False)
         return u
 
 
 def build(triplets: Triplets, target: str):
     """Assemble a storage format from triplets (duplicates summed).
 
-    ``target`` is one of "row", "col", "diag", "dense".
+    ``target`` is one of "row", "col", "diag"; :func:`to_dense` gives the
+    dense matrix.
     """
     t = triplets.coalesced()
     n = t.n
-    if target == "dense":
-        return t.to_dense()
     if target == "row":  # coalesced order is by (row, col)
         count = np.bincount(t.rows, minlength=n)
         k = max(1, int(count.max()))

@@ -93,10 +93,12 @@ def test_sweep_and_accumulate_of_a_block_are_those_of_each_column(n, density, se
 _lu_solve = scipy.linalg.lu_solve
 
 
-def _lu_solve_by_columns(lu, b):
+def _lu_solve_by_columns(lu, b, **kw):
     """lu_solve one column at a time: the vector path's LAPACK call."""
     b = np.asarray(b)
-    return _lu_solve(lu, b) if b.ndim == 1 else by_columns(lambda v: _lu_solve(lu, v), b)
+    if b.ndim == 1:
+        return _lu_solve(lu, b, **kw)
+    return by_columns(lambda v: _lu_solve(lu, v, **kw), b)
 
 
 @pytest.mark.parametrize("N,bs", [(3, 1), (3, 3), (4, 2), (10, 10), (12, 6)])

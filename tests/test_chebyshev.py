@@ -31,6 +31,12 @@ def test_T_odd_symmetry_outside_interval():
     assert cheb_T(4, -2.0) == pytest.approx(cheb_T(4, 2.0))
 
 
+def test_T_past_the_largest_double_is_infinite():
+    assert cheb_T(2000, 1.2) == math.inf
+    assert cheb_T(2001, -1.2) == -math.inf
+    assert cheb_T(2000, -1.2) == math.inf
+
+
 def test_U_small_values():
     assert cheb_U(1, 0.3) == pytest.approx(0.6)
     for k in range(11):
@@ -65,6 +71,7 @@ def test_minimax_bound_values():
     assert minimax_error_bound(-0.5, 0.5, 0) == 1.0
     mu1 = 1.0 + 2.0 * (1.0 - 0.5) / 1.0
     assert minimax_error_bound(-0.5, 0.5, 10) == pytest.approx(1.0 / cheb_T(10, mu1))
+    assert minimax_error_bound(-0.9, 0.9, 2000) == 0.0  # 1/T_2000 is below the smallest double
 
 
 def test_minimax_bound_is_sampled_maximum():

@@ -87,6 +87,20 @@ def test_solve_breakdown_exit_code(tmp_path, capsys):
     assert code == 4
 
 
+def test_solve_overflowing_block_sweep_exit_code(tmp_path, capsys):
+    mtx = tmp_path / "O.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n"
+                   "4 4 6\n1 1 1e-200\n2 2 1e-200\n3 3 1e-200\n4 4 1e-200\n"
+                   "3 1 1e200\n4 2 1e200\n")
+    rhs = tmp_path / "b.mtx"
+    rhs.write_text("%%MatrixMarket matrix coordinate real general\n"
+                   "4 1 4\n1 1 1.0\n2 1 1.0\n3 1 1.0\n4 1 1.0\n")
+    code = run(["solve", "--matrix", str(mtx), "--rhs", str(rhs), "--method", "block-gs",
+                "--block-size", "2", "--out", str(tmp_path / "o.csv")])
+    assert code == 4
+    assert capsys.readouterr().out.split()[-4:-2] == ["breakdown(non-finite)", "1"]
+
+
 def test_solve_singular_diagonal_block_exit_code(tmp_path, capsys):
     mtx = tmp_path / "B.mtx"
     mtx.write_text("%%MatrixMarket matrix coordinate real general\n"

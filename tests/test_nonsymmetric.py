@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 from conftest import make_general, make_spd, make_symmetric_indefinite
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krylov.cg import cg
+from krylov.core import _negligible, make_givens
 from krylov.nonsymmetric import (BiLanczosState, arnoldi, bicg, bicgstab,
-                                 bidiag_solve, bidiagonalize, bilanczos_step,
-                                 cgs, gmres, qmr, qmr_alt)
+                                 bidiag_solve, bidiagonalize, cgs, gmres, qmr,
+                                 qmr_alt)
 from krylov.precond import jacobi_preconditioner
 from krylov.problems import random_sparse
+from krylov.report import _Run
 from krylov.symmetric import minres
 from krylov.storage import to_dense
 
@@ -89,8 +93,7 @@ def test_bilanczos_reduces_to_lanczos_on_symmetric(rng):
     state = BiLanczosState(a, r0)
     us, ws = [state.u_curr.copy()], [state.w_curr.copy()]
     for _ in range(9):
-        status, _ = bilanczos_step(state)
-        if status != "ok":
+        if state.a_half()[2] or state.at_half():
             break
         us.append(state.u_curr.copy())
         ws.append(state.w_curr.copy())
@@ -103,8 +106,7 @@ def test_bilanczos_biorthogonality(rng):
     state = BiLanczosState(a, rng.standard_normal(10))
     us, ws = [state.u_curr.copy()], [state.w_curr.copy()]
     for _ in range(9):
-        status, _ = bilanczos_step(state)
-        if status != "ok":
+        if state.a_half()[2] or state.at_half():
             break
         us.append(state.u_curr.copy())
         ws.append(state.w_curr.copy())
@@ -116,8 +118,8 @@ def test_bilanczos_biorthogonality(rng):
 def test_bilanczos_serious_breakdown_detected():
     a = np.array([[1.0, 0.0], [1.0, 1.0]])
     state = BiLanczosState(a, np.array([1.0, 0.0]))
-    status, _ = bilanczos_step(state)
-    assert status == "serious_breakdown"
+    assert not state.a_half()[2]
+    assert state.at_half() == "serious_breakdown"
 
 
 def test_bicg_equals_cg_on_spd(rng):
@@ -234,6 +236,116 @@ def test_qmr_alt_identity_one_step(rng):
     b = rng.standard_normal(4)
     rep = qmr_alt(np.eye(4), b, tol=1e-12, tol_kind="abs")
     assert rep.converged and rep.iterations == 1
+
+
+def _qmr_alt_reference(a, b, tol=1e-8, tol_kind="rel_to_b", max_iter=None, callback=None):
+    """QMR on the LU-normalized two-sided factorization, written as one loop
+    with its own rotation cascade: the reference for qmr_alt, which runs the
+    quasi-minimal loop of minres and qmr on :class:`LUBiLanczosState`."""
+    run = _Run(a, b, None, tol, tol_kind, max_iter, transpose="qmr_alt", callback=callback)
+    a_apply, at_apply, x = run.a_apply, run.at_apply, run.x
+    beta0 = run.r_norm
+    true_norms = run.extras["true_residual_norms"] = [beta0]
+    if run.stop(beta0):
+        return run.finish(x, 0)
+    u = run.r / beta0
+    v, q, z = u.copy(), u.copy(), u.copy()
+    f, g = 1.0, beta0
+    p_prev, rot_prev = np.zeros(u.size), None
+    for i in range(1, run.max_iter + 1):
+        q_hat = a_apply(q)
+        num = float(z @ q_hat)
+        if _negligible(num, float(np.linalg.norm(z)) * float(np.linalg.norm(q_hat))):
+            return run.breakdown(x, i - 1, "lu_breakdown")
+        ell = num / f
+        u_hat = q_hat - ell * u
+        alpha = float(np.linalg.norm(u_hat))
+        r_im1, r_ii = 0.0, ell
+        p = q.copy()
+        if i > 1:
+            r_im1, r_ii = rot_prev.apply(0.0, ell)
+            p -= r_im1 * p_prev
+        rot, r_ii = make_givens(r_ii, alpha)
+        if r_ii == 0.0:
+            return run.breakdown(x, i - 1, "singular-R")
+        p /= r_ii
+        xi, g = rot.apply(g, 0.0)
+        x = x + xi * p
+        true_norms.append(float(np.linalg.norm(run.b - a_apply(x))))
+        run.record(abs(g), i, x=x, g=g)
+        invariant = _negligible(alpha, float(np.linalg.norm(q_hat)))
+        if run.stop(run.history[-1], invariant):
+            return run.finish(x, i, exact=invariant)
+        u = u_hat / alpha
+        v = (at_apply(z) - ell * v) / alpha
+        f_next = float(v @ u)
+        if _negligible(f_next, 1.0):
+            return run.breakdown(x, i, "serious_breakdown")
+        phi = alpha * f_next / (ell * f)
+        q = u - phi * q
+        z = v - phi * z
+        f = f_next
+        p_prev, rot_prev = p, rot
+    return run.finish(x, run.max_iter)
+
+
+def _report_bits(solver, a, b, **kw):
+    """Every bit of a run: the report, its true residual norms and the
+    callback's iterates.  Overflow is part of the run, not an error."""
+    events = []
+    with np.errstate(all="ignore"):
+        rep = solver(a, b, callback=events.append, **kw)
+    return (rep.x.tobytes(), np.array(rep.history).tobytes(), rep.status, rep.reason,
+            rep.iterations, np.array(rep.extras["true_residual_norms"]).tobytes(),
+            [(e["i"], e["x"].tobytes(), np.float64(e["g"]).tobytes()) for e in events])
+
+
+ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]),
+                    st.floats(-4.0, 4.0).map(lambda v: round(v, 3)))
+
+
+@st.composite
+def small_systems(draw):
+    n = draw(st.integers(1, 5))
+    a = np.array(draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n))).reshape(n, n)
+    b = np.array(draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.0, 0.5]),
+                               min_size=n, max_size=n)))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_systems(), st.sampled_from([0.0, 1e-8]), st.integers(1, 8))
+def test_qmr_alt_is_the_reference_loop_bit_for_bit(system, tol, max_iter):
+    a, b = system
+    kw = dict(tol=tol, tol_kind="abs", max_iter=max_iter)
+    assert _report_bits(qmr_alt, a, b, **kw) == _report_bits(_qmr_alt_reference, a, b, **kw)
+
+
+E1 = np.array([1.0, 0.0])
+ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
+SHEAR = np.array([[1.0, 0.0], [1.0, 1.0]])
+EXITS = {  # case -> (solver, A, b, (status, reason, iterations)) at max_iter=2
+    "zero-b-qmr_alt": (qmr_alt, np.eye(2), np.zeros(2), ("converged", None, 0)),
+    "zero-A-qmr": (qmr, np.zeros((2, 2)), E1, ("breakdown", "singular-R", 0)),
+    "zero-A-minres": (minres, np.zeros((2, 2)), E1, ("breakdown", "singular-R", 0)),
+    "rotation-qmr": (qmr, ROTATION, E1, ("converged", None, 2)),
+    "rotation-qmr_alt": (qmr_alt, ROTATION, E1, ("breakdown", "lu_breakdown", 0)),
+    "shear-qmr": (qmr, SHEAR, E1, ("breakdown", "serious_breakdown", 1)),
+    "shear-qmr_alt": (qmr_alt, SHEAR, E1, ("breakdown", "serious_breakdown", 1)),
+    "identity-qmr_alt": (qmr_alt, np.eye(3), np.ones(3), ("converged", None, 1)),
+    "max-iter-qmr_alt": (qmr_alt, np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 4.0]]),
+                         np.ones(3), ("max_iter", None, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXITS))
+def test_each_exit_of_the_quasi_minimal_loop(case):
+    solver, a, b, want = EXITS[case]
+    kw = dict(tol=1e-10, tol_kind="abs", max_iter=2)
+    rep = solver(a, b, **kw)
+    assert (rep.status, rep.reason, rep.iterations) == want
+    if solver is qmr_alt:
+        assert _report_bits(qmr_alt, a, b, **kw) == _report_bits(_qmr_alt_reference, a, b, **kw)
 
 
 def test_bidiagonalize_normal_equations_equivalence(rng):

@@ -193,14 +193,26 @@ TWO_DIVERGENT_BLOCKS = np.array([[1.0, 3.0, 0.0, 0.0], [3.0, 1.0, 0.0, 0.0],
                                  [0.0, 0.0, 1.0, 3.0], [0.0, 0.0, 3.0, 1.0]])
 
 
-@pytest.mark.parametrize("method", ["jacobi", "block_jacobi"])
+# the first sweep overflows: 1e200 / 1e-200 in rows 3 and 4
+OVERFLOWING_SWEEP = np.eye(4) * 1e-200
+OVERFLOWING_SWEEP[2, 0] = OVERFLOWING_SWEEP[3, 1] = 1e200
+
+
+# method -> iteration at which ||r||**2 overflows on TWO_DIVERGENT_BLOCKS
+# (the Jacobi radius is 3, the Gauss-Seidel radius 9; omega = 1.5)
+DIVERGENCE_AT = {"jacobi": 323, "gauss_seidel": 162, "sor": 120, "ssor": 206,
+                 "block_jacobi": 323, "block_gs": 162}
+
+
+@pytest.mark.parametrize("method", sorted(DIVERGENCE_AT))
 def test_divergence_stops_as_non_finite_without_a_warning(method):
-    # the Jacobi radius is 3: ||r||**2 overflows at iteration 323
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rep = iterate(TWO_DIVERGENT_BLOCKS, np.ones(4),
-                      StationaryConfig(method, block_size=1))
-    assert (rep.status, rep.reason, rep.iterations) == ("breakdown", "non-finite", 323)
+    cases = [(TWO_DIVERGENT_BLOCKS, 1, DIVERGENCE_AT[method]), (OVERFLOWING_SWEEP, 2, 1),
+             (storage.build(to_triplets(OVERFLOWING_SWEEP), "row"), 2, 1)]
+    for a, block_size, iterations in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = iterate(a, np.ones(4), StationaryConfig(method, omega=1.5, block_size=block_size))
+        assert (rep.status, rep.reason, rep.iterations) == ("breakdown", "non-finite", iterations)
 
 
 @pytest.mark.parametrize("method",

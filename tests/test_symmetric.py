@@ -10,10 +10,10 @@ from krylov.symmetric import LanczosState, lanczos, minres
 
 def test_lanczos_identity_terminates_first_step():
     state = LanczosState(np.eye(4), np.ones(4))
-    gamma, beta = state.step()
+    gamma, beta, invariant = state.a_half()
     assert gamma == pytest.approx(1.0)
     assert beta == 0.0
-    assert state.terminated
+    assert invariant
 
 
 def test_lanczos_exact_termination_recovers_spectrum():
