@@ -62,6 +62,7 @@ def minimax_error_bound(alpha: float, beta: float, j: int) -> float:
     return 1.0 / cheb_T(j, mu1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging run stops as a non-finite breakdown
 def semi_iterative(base: Splitting, b, alpha, beta, tol=1e-6,
                    tol_kind="rel_to_r0", max_iter=None, x0=None) -> SolveReport:
     """Chebyshev acceleration of the baseline iteration M x_{k+1} = N x_k + b.

@@ -255,7 +255,7 @@ def cmd_spectrum(args, parser):
             g = stationary.iteration_matrix_applier(
                 inst.a, name.replace("-", "_"), omega=args.omega,
                 block_size=args.block_size)
-            rows.append((name, spectral_radius_estimate(g, n, m_max=args.power_steps)))
+            rows.append((name, spectral_radius_estimate(g, n)))
         header = "method,rho"
     elif args.sweep:
         if not (0.0 < args.omega_min < args.omega_max < 2.0):
@@ -263,7 +263,7 @@ def cmd_spectrum(args, parser):
         omega = args.omega_min
         while omega <= args.omega_max + 1e-12:
             g = stationary.iteration_matrix_applier(inst.a, args.sweep, omega=omega)
-            rows.append((omega, spectral_radius_estimate(g, n, m_max=args.power_steps)))
+            rows.append((omega, spectral_radius_estimate(g, n)))
             omega += args.omega_step
         header = "omega,rho"
     else:
@@ -359,7 +359,6 @@ def build_parser():
     p.add_argument("--omega-max", type=float, default=1.95)
     p.add_argument("--omega-step", type=float, default=0.05)
     p.add_argument("--block-size", type=int, default=None)
-    p.add_argument("--power-steps", type=int, default=1000)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_spectrum)
 

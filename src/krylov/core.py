@@ -198,9 +198,10 @@ def sturm_extreme_eigs(tri, tol=1e-12):
 
 _POWER_SEED = 1234  # of the start vector: every estimate starts alike
 _POWER_RTOL = 1e-5  # early exit once the tail estimate, checked every 20 steps, settles
+_POWER_STEPS = 1000  # applications of G at most
 
 
-def spectral_radius_estimate(g_apply, n, m_max=1000):
+def spectral_radius_estimate(g_apply, n):
     """Estimate the spectral radius of a linear map by norm growth.
 
     Runs the renormalized power recurrence ``v <- G v / ||G v||`` from a
@@ -209,24 +210,16 @@ def spectral_radius_estimate(g_apply, n, m_max=1000):
     ``||G^m v||**(1/m)``.  Using only norm growth makes the estimate robust
     to complex or plus/minus dominant eigenvalue pairs (the tail window is
     kept even-length so a two-cycle in the step norms averages out).
-
-    Parameters
-    ----------
-    g_apply : operand
-        The matrix whose spectral radius is sought (see ``a_norm``).
-    n : int
-        Dimension of the space.
-    m_max : int
-        Maximum number of applications (at least 100).
+    ``g_apply`` is any operand (see ``a_norm``) on a space of dimension
+    ``n``.  The run stops once the estimate settles, or after
+    ``_POWER_STEPS`` applications.
     """
-    if m_max < 100:
-        raise ValueError("m_max must be at least 100")
     apply_ = operator(g_apply)[0]
     v = np.random.default_rng(_POWER_SEED).standard_normal(n)
     v /= np.linalg.norm(v)
     logs = []
     previous = None
-    for m in range(1, m_max + 1):
+    for m in range(1, _POWER_STEPS + 1):
         w = apply_(v)
         s = float(np.linalg.norm(w))
         if s <= 1e-300:

@@ -23,10 +23,9 @@ import numpy as np
 from .core import _ZERO, _negligible, _unit, make_givens
 from .report import SolveReport, _Run
 from .storage import operator
-from .symmetric import _quasi_minimal
+from .symmetric import INVARIANT_SUBSPACE, _quasi_minimal
 
-# Breakdown kinds
-INVARIANT_SUBSPACE = "invariant_subspace"
+# Breakdown kinds; INVARIANT_SUBSPACE is shared with the quasi-minimal loop
 SERIOUS_BREAKDOWN = "serious_breakdown"
 LU_BREAKDOWN = "lu_breakdown"
 
@@ -95,10 +94,11 @@ def gmres(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     forming the residual; the history records these values.  With
     ``restart=k`` the basis is discarded and rebuilt from the current
     iterate every k steps (finite-termination is then lost, but memory is
-    capped).  A vanished subdiagonal with the residual above tolerance
-    means the Krylov space became invariant without containing the
-    solution, which cannot happen for nonsingular A and is reported as a
-    breakdown.
+    capped).  A vanished subdiagonal means the Krylov space is invariant.
+    Above tolerance, the iterate is then exact when |g| is negligible next
+    to ||r_0||, as in :func:`krylov.symmetric.minres`; otherwise the space
+    holds no solution, which happens only for singular A, and the run stops
+    as an "invariant_subspace" breakdown.
     """
     run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply, callback=callback)
     a_apply, x = run.a_apply, run.x
@@ -116,7 +116,7 @@ def gmres(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
         rots = []    # Givens pairs
         g1 = []      # rotated rhs components
         g = beta
-        breakdown = None
+        breakdown, exact = None, False
         for i in range(min(cycle, run.max_iter - total)):
             v, col, hnext, scale = _mgs_step(a_apply, us)
             for j in range(i):
@@ -135,9 +135,9 @@ def gmres(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
             g1.append(xi)
             run.record(abs(g), total, g=g)
             lucky = _negligible(hnext, scale)
+            exact = lucky and _negligible(g, run.r_norm)
+            breakdown = INVARIANT_SUBSPACE if lucky and not exact else None
             if run.stop(abs(g)) or lucky:
-                if lucky and abs(g) > run.threshold:
-                    breakdown = INVARIANT_SUBSPACE
                 break
             us.append(v / hnext)
         # Assemble the iterate from the triangular system R y = g1.
@@ -150,8 +150,8 @@ def gmres(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
             x = x + sum(y[j] * us[j] for j in range(m))
         if breakdown and abs(g) > run.threshold:
             return run.breakdown(x, total, breakdown)
-        if run.stop(abs(g)) or total >= run.max_iter:
-            return run.finish(x, total, res=abs(g))
+        if run.stop(abs(g), exact) or total >= run.max_iter:
+            return run.finish(x, total, res=abs(g), exact=exact)
 
 
 class BiLanczosState:

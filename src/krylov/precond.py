@@ -239,7 +239,7 @@ def ic_matrix_apply(f: IcFactors, x):
 
 @dataclass
 class BlockFactors:
-    blocks: _Blocks       # the partition of A; its block-lower entries are the B_i
+    blocks: _Blocks       # the partition of A; its coupling entries are the B_i
     d_blocks: np.ndarray  # approximate pivot blocks D_i, (nb, bs, bs)
     factors: list         # LU factorizations of the pivot blocks
 
@@ -253,7 +253,8 @@ def block_precond(a, block_size, sigma_rule="tridiagonal") -> BlockFactors:
     round(sqrt(n)); a five-point grid of side N is at block size N): an
     entry outside that band raises ValueError naming it.  Only the diagonal
     blocks A_i and the sub-diagonal blocks B_i (block i coupled to block
-    i-1) are read.  The pivot blocks follow D_i = A_i - B_i S_{i-1} B_i'
+    i-1) are read, B_i straight from the partition's block-lower entries
+    (``coupling``).  The pivot blocks follow D_i = A_i - B_i S_{i-1} B_i'
     where S_{i-1} approximates inv(D_{i-1}): with
     ``sigma_rule="tridiagonal"`` it is the tridiagonal part of the exact
     block inverse (computed column by column from solves against unit
@@ -265,11 +266,12 @@ def block_precond(a, block_size, sigma_rule="tridiagonal") -> BlockFactors:
         raise ValueError(f"unknown sigma rule {sigma_rule!r}")
     blocks = _Blocks(a, block_size, band=1)
     bs, d_blocks, factors = blocks.bs, blocks.diag.copy(), []
+    rows, cols, vals = blocks.coupling  # at band 1, every one lies in some B_i
     for i, d_i in enumerate(d_blocks):
         if i:
-            loc, cols, vals = blocks.lower[i]
+            on = rows // bs == i
             sub = np.zeros((bs, bs))
-            sub[loc, cols - (i - 1) * bs] = vals
+            sub[rows[on] % bs, cols[on] % bs] = vals[on]
             d_i -= sub @ sigma @ sub.T
         try:
             factors.append(blocks.factor(d_i, i))

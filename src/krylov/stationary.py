@@ -9,7 +9,8 @@ forward SOR sweep followed by the backward one.  Point sweeps run level by
 level on a schedule of the sparse rows (:class:`krylov.storage._Sweep`)
 with the results of a row-by-row loop.  Block variants keep the diagonal
 blocks dense, each factored once, and the coupling between blocks as
-sparse entries (:class:`krylov.storage._Blocks`); no n x n array is formed.
+sparse entries (:class:`krylov.storage._Blocks`), and run the same sweep
+loop with the blocks as groups; no n x n array is formed.
 """
 
 import math

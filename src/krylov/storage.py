@@ -18,6 +18,7 @@ adjacent memory.  All indices are 0-based in memory; MatrixMarket files are
 1-based on disk.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -100,9 +101,6 @@ class RowCompressed:
         r = np.broadcast_to(np.arange(self.n)[:, None], self.vals.shape)
         return Triplets(self.n, r[mask], self.cols[mask], self.vals[mask])
 
-    def to_dense(self):
-        return self.to_triplets().to_dense()
-
 
 @dataclass
 class ColCompressed:
@@ -115,8 +113,12 @@ class ColCompressed:
 
     def matvec(self, x):
         x = _check_dim(x, self.n, block=True)
-        products = _column(self.vals, x) * x
-        return _scatter(self.rows.ravel(), products.reshape((-1,) + x.shape[1:]), self.n)
+        products = (_column(self.vals, x) * x).reshape((-1,) + x.shape[1:])
+        if x.ndim == 1:  # bincount adds the entries in turn from 0, as np.add.at does
+            return np.bincount(self.rows.ravel(), weights=products, minlength=self.n)
+        y = np.zeros(x.shape)
+        np.add.at(y, self.rows.ravel(), products)
+        return y
 
     def rmatvec(self, x):
         x = _check_dim(x, self.n)
@@ -126,9 +128,6 @@ class ColCompressed:
         mask = self.vals != 0.0
         c = np.broadcast_to(np.arange(self.n)[None, :], self.vals.shape)
         return Triplets(self.n, self.rows[mask], c[mask], self.vals[mask])
-
-    def to_dense(self):
-        return self.to_triplets().to_dense()
 
 
 @dataclass
@@ -184,9 +183,6 @@ class DiagCompressed:
         mask = (vals != 0.0) & (c >= 0) & (c < self.n)  # slots off the grid are unused
         return Triplets(self.n, r[mask], c[mask], vals[mask])
 
-    def to_dense(self):
-        return self.to_triplets().to_dense()
-
 
 def _check_dim(x, n, block=False):
     """x as floats; ValueError naming its shape unless that is (n,), or (n, k)
@@ -202,16 +198,6 @@ def _column(a, x):
     """``a`` with a trailing unit axis when x is an (n, k) block, so that its
     entries, one per row, broadcast along each row of x."""
     return a if x.ndim == 1 else a[..., None]
-
-
-def _scatter(index, weights, n):
-    """out[index[e]] += weights[e] for each entry e in order, from out = 0
-    (np.bincount's sum), for (m,) or (m, k) ``weights``."""
-    if weights.ndim == 1:
-        return np.bincount(index, weights=weights, minlength=n)
-    out = np.zeros((n,) + weights.shape[1:])
-    np.add.at(out, index, weights)
-    return out
 
 
 def _with_sink(x, fill):
@@ -234,7 +220,9 @@ class _Panels:
     rows renumbered group by group (row ``perm[p]`` at position p, row i at
     ``pos[i]``), each group a slice of positions with (width, size) panels of
     entry positions and values, slot k of a row holding its k-th entry;
-    slots past a row's end hold 0.0 and read a sink at position n."""
+    slots past a row's end hold 0.0 and read a sink at position n.  Every
+    triangular solve is :meth:`sweep`: its groups are levels of rows that do
+    not couple (:class:`_Sweep`) or diagonal blocks (:class:`_Blocks`)."""
 
     def __init__(self, n, rows, cols, vals, group):
         self.n, self.perm = n, np.argsort(group, kind="stable")
@@ -275,6 +263,21 @@ class _Panels:
                 y[rows] += term
         return y[self.pos]
 
+    def sweep(self, rhs, finish):
+        """u from rhs, group by group in order: s = rhs[rows] minus each
+        slot's term in turn (padding subtracts 0.0 * 1.0, the sink holding
+        1.0), then ``finish(k, rows, s, out)`` writes group k's part of u into
+        ``out``.  Entries read earlier groups only.  rhs is an (n,) vector or
+        an (n, k) block, whose columns run alike."""
+        r = _check_dim(rhs, self.n, block=True)[self.perm]
+        u = _with_sink(np.empty(r.shape), 1.0)
+        for k, (rows, cols, vals) in enumerate(self._levels(r)):
+            s = r[rows]
+            for term in u.take(cols, axis=0) * vals:
+                s = s - term
+            finish(k, rows, s, u[rows])
+        return u[self.pos]
+
 
 class _Sweep(_Panels):
     """Level-scheduled triangular sweeps (Anderson & Saad 1989; Saad,
@@ -283,11 +286,11 @@ class _Sweep(_Panels):
     T is the strict lower (or upper) triangle of the entries given as int64
     (rows, cols) and values, each row's entries in the order a row-by-row
     loop subtracts them.  The groups are levels: a row's level is one more
-    than the highest level of the rows it reads.  A level takes a few numpy
-    calls in the loop's operation order (padding subtracts 0.0 * 1.0, the
-    sink holding 1.0), so results are bitwise the loop's.  An (n, k) block
-    runs the same calls on its k columns at once, each bitwise its vector
-    sweep."""
+    than the highest level of the rows it reads.  :meth:`solve` is the
+    panel sweep with a division by D as its finish: a level takes a few
+    numpy calls in the loop's operation order, so results are bitwise the
+    loop's.  An (n, k) block runs the same calls on its k columns at once,
+    each bitwise its vector sweep."""
 
     def __init__(self, n, rows, cols, vals, lower):
         keep = cols < rows if lower else cols > rows
@@ -301,15 +304,8 @@ class _Sweep(_Panels):
     def solve(self, diag, rhs):
         """u with (D + T) u = rhs, D = diag(diag), for an (n,) vector or an
         (n, k) block rhs."""
-        r = _check_dim(rhs, self.n, block=True)[self.perm]
-        d = _column(np.asarray(diag, dtype=float)[self.perm], r)
-        u = _with_sink(np.empty(r.shape), 1.0)
-        for rows, cols, vals in self._levels(r):
-            s = r[rows]
-            for term in u.take(cols, axis=0) * vals:
-                s = s - term
-            np.divide(s, d[rows], out=u[rows])
-        return u[self.pos]
+        d = _column(np.asarray(diag, dtype=float)[self.perm], np.asarray(rhs))
+        return self.sweep(rhs, lambda k, rows, s, out: np.divide(s, d[rows], out=out))
 
     def pivots(self, diag, nums):
         """u with u_i = diag_i - sum_k nums_k / u_(col k) over row i's entries
@@ -328,12 +324,13 @@ class _Blocks:
     """Partition of an n x n matrix into square blocks of size ``bs`` (None:
     round(sqrt(n))), without an n x n array.
 
-    ``diag`` holds the dense diagonal blocks A_ii as an (nb, bs, bs) array.
-    ``lower[i]`` holds the strictly block-lower entries of block row i as
-    (row offsets within the block, columns, values), by row; ``upper[i]``
-    holds the entries of the transpose of that part in block row i, so a
-    backward sweep reads the same entries.  With ``band`` given, an entry
-    more than ``band`` blocks off the diagonal is rejected by name.
+    ``diag`` holds the dense diagonal blocks A_ii as an (nb, bs, bs) array
+    and ``coupling`` the strictly block-lower entries (rows, cols, vals), by
+    row.  The block sweeps run them as :class:`_Panels` with the blocks as
+    groups, built on first use: ``_lower`` in block order, ``_upper`` the
+    transposed entries with the last block first, ``_none`` no entries.
+    With ``band`` given, an entry more than ``band`` blocks off the diagonal
+    is rejected by name.
     """
 
     def __init__(self, a, bs=None, band=None):
@@ -351,15 +348,20 @@ class _Blocks:
         on, low = bi == bj, bj < bi
         self.diag = np.zeros((self.nb, bs, bs))
         self.diag[bi[on], t.rows[on] % bs, t.cols[on] % bs] = t.vals[on]
-        rows, cols, vals = t.rows[low], t.cols[low], t.vals[low]
-        self.lower, self.upper = self._by_block(rows, cols, vals), self._by_block(cols, rows, vals)
+        self.coupling = t.rows[low], t.cols[low], t.vals[low]
 
-    def _by_block(self, rows, cols, vals):
-        order = np.argsort(rows, kind="stable")
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        cut = np.searchsorted(rows, np.arange(self.nb + 1) * self.bs).tolist()
-        return [(rows[lo:hi] - i * self.bs, cols[lo:hi], vals[lo:hi])
-                for i, (lo, hi) in enumerate(zip(cut, cut[1:]))]
+    @functools.cached_property
+    def _lower(self):
+        return _Panels(self.n, *self.coupling, np.arange(self.n) // self.bs)
+
+    @functools.cached_property
+    def _upper(self):
+        rows, cols, vals = self.coupling
+        return _Panels(self.n, cols, rows, vals, self.nb - 1 - np.arange(self.n) // self.bs)
+
+    @functools.cached_property
+    def _none(self):
+        return _Panels(self.n, *(v[:0] for v in self.coupling), np.arange(self.n) // self.bs)
 
     @staticmethod
     def factor(block, i):
@@ -372,38 +374,30 @@ class _Blocks:
             raise ValueError(f"singular diagonal block {i}")
         return lu
 
+    @staticmethod
+    def _lu(factors):
+        """The finish of a block sweep: group k's sum solved with ``factors[k]``."""
+        return lambda k, rows, s, out: np.copyto(
+            out, scipy.linalg.lu_solve(factors[k], s, check_finite=False))
+
     def multiply(self, x, lower):
         """M x for M the block diagonal of A, plus its block-lower part if
         ``lower``; x an (n,) vector or an (n, k) block, as for :meth:`forward`."""
         y = (self.diag @ x.reshape(self.nb, self.bs, -1)).reshape(x.shape)
-        for i in range(1, self.nb) if lower else ():  # block row 0 has no such part
-            loc, cols, vals = self.lower[i]
-            y[i * self.bs:(i + 1) * self.bs] += _scatter(loc, _column(vals, x) * x[cols], self.bs)
-        return y
+        return self._lower.accumulate(y, x) if lower else y
 
     def forward(self, factors, rhs, lower=True):
         """u_i = D_i^-1 (rhs_i - sum_{j<i} A_ij u_j) for i = 0, 1, ..., the
         sum dropped when not ``lower``; D_i is given by its LU ``factors``.
-        rhs is an (n,) vector or an (n, k) block: the sums are those of each
-        column, and each D_i^-1 is one multi-column LAPACK solve."""
-        return self._sweep(factors, rhs, self.lower if lower else None, range(self.nb))
+        rhs is an (n,) vector or an (n, k) block: each row subtracts its
+        terms in turn, column by column, and each D_i^-1 is one multi-column
+        LAPACK solve."""
+        return (self._lower if lower else self._none).sweep(rhs, self._lu(factors))
 
     def backward(self, factors, rhs):
         """u_i = D_i^-1 (rhs_i - sum_{j>i} A_ji' u_j) for i = nb-1, ..., 0;
         rhs as for :meth:`forward`."""
-        return self._sweep(factors, rhs, self.upper, reversed(range(self.nb)))
-
-    def _sweep(self, factors, rhs, coupling, order):
-        rhs = _check_dim(rhs, self.n, block=True)
-        u = np.empty(rhs.shape)
-        for i in order:
-            sl = slice(i * self.bs, (i + 1) * self.bs)
-            s = rhs[sl]
-            if coupling:
-                loc, src, vals = coupling[i]
-                s = s - _scatter(loc, _column(vals, u) * u[src], self.bs)
-            u[sl] = scipy.linalg.lu_solve(factors[i], s, check_finite=False)
-        return u
+        return self._upper.sweep(rhs, self._lu(factors[::-1]))
 
 
 def build(triplets: Triplets, target: str):

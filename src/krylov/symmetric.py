@@ -16,6 +16,8 @@ from .core import TridiagSym, _negligible, _unit, make_givens
 from .report import SolveReport, _Run
 from .storage import operator
 
+INVARIANT_SUBSPACE = "invariant_subspace"
+
 
 class LanczosState:
     """Running state of the Lanczos recurrence.
@@ -84,7 +86,8 @@ def _quasi_minimal(run, process, operand):
     p_i = (u_i - r_{i-2,i} p_{i-2} - r_{i-1,i} p_{i-1}) / r_ii then advances
     x by xi_i p_i.  |g|, the rotated right-hand side, is the
     (quasi-)residual norm that the history records; the true residual norms
-    go to ``extras["true_residual_norms"]``.
+    go to ``extras["true_residual_norms"]``.  An invariant step above the
+    threshold is exact if |g| is negligible next to ||r_0||, else a breakdown.
     """
     x, g = run.x, run.r_norm
     true_norms = run.extras["true_residual_norms"] = [g]
@@ -114,8 +117,11 @@ def _quasi_minimal(run, process, operand):
         x = x + xi * p
         true_norms.append(float(np.linalg.norm(run.b - run.a_apply(x))))
         run.record(abs(g), i, x=x, g=g)
-        if run.stop(abs(g), invariant):
-            return run.finish(x, i, exact=invariant)
+        exact = invariant and _negligible(g, run.r_norm)
+        if run.stop(abs(g), exact):
+            return run.finish(x, i, exact=exact)
+        if invariant:
+            return run.breakdown(x, i, INVARIANT_SUBSPACE)
         reason = lz.at_half()
         if reason:
             return run.breakdown(x, i, reason)
@@ -129,9 +135,10 @@ def minres(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     History records |g_i|, the residual norm delivered for free by the
     rotation cascade; the recomputed true residual norms are in
     ``extras["true_residual_norms"]`` so drift between the two is
-    observable.  The basis comes from :class:`LanczosState`; the run ends
-    when a first half finds an invariant subspace (the iterate is then
-    exact) or on the residual test.  A vanishing diagonal entry of the
+    observable.  The basis comes from :class:`LanczosState`; an invariant
+    subspace ends the run with an exact iterate, or, when |g| is not
+    negligible next to ||r_0|| (A singular, b outside its range), with an
+    "invariant_subspace" breakdown.  A vanishing diagonal entry of the
     triangular factor cannot occur while beta stays nonzero and is flagged
     defensively as a breakdown.
     """

@@ -92,6 +92,14 @@ def test_semi_iterative_exact_splitting_converges_immediately(rng):
     assert rep.converged and rep.iterations == 1
 
 
+def test_semi_iterative_on_a_zero_rhs_stops_before_a_step():
+    calls = []
+    jac = split(np.diag([2.0, 3.0]), "jacobi")
+    base = Splitting(m_solve=lambda r: calls.append(r) or jac.m_solve(r), a_apply=jac.a_apply)
+    rep = semi_iterative(base, np.zeros(2), -0.5, 0.5)
+    assert (rep.status, rep.iterations, rep.history, calls) == ("converged", 0, [0.0], [])
+
+
 def test_semi_iterative_respects_minimax_bound():
     inst = poisson_test(10)
     dense = to_dense(inst.a)

@@ -87,7 +87,7 @@ def test_solve_breakdown_exit_code(tmp_path, capsys):
     assert code == 4
 
 
-def test_solve_overflowing_block_sweep_exit_code(tmp_path, capsys):
+def _overflowing_files(tmp_path):
     mtx = tmp_path / "O.mtx"
     mtx.write_text("%%MatrixMarket matrix coordinate real general\n"
                    "4 4 6\n1 1 1e-200\n2 2 1e-200\n3 3 1e-200\n4 4 1e-200\n"
@@ -95,10 +95,24 @@ def test_solve_overflowing_block_sweep_exit_code(tmp_path, capsys):
     rhs = tmp_path / "b.mtx"
     rhs.write_text("%%MatrixMarket matrix coordinate real general\n"
                    "4 1 4\n1 1 1.0\n2 1 1.0\n3 1 1.0\n4 1 1.0\n")
-    code = run(["solve", "--matrix", str(mtx), "--rhs", str(rhs), "--method", "block-gs",
-                "--block-size", "2", "--out", str(tmp_path / "o.csv")])
+    return ["--matrix", str(mtx), "--rhs", str(rhs), "--out", str(tmp_path / "o.csv")]
+
+
+def test_solve_overflowing_block_sweep_exit_code(tmp_path, capsys):
+    code = run(["solve", *_overflowing_files(tmp_path), "--method", "block-gs",
+                "--block-size", "2"])
     assert code == 4
     assert capsys.readouterr().out.split()[-4:-2] == ["breakdown(non-finite)", "1"]
+
+
+def test_solve_overflowing_chebyshev_exit_code(tmp_path, capsys):
+    code = run(["solve", *_overflowing_files(tmp_path), "--method", "chebyshev",
+                "--base", "gauss-seidel", "--alpha", "-0.9", "--beta", "0.9"])
+    assert code == 4
+    out, err = capsys.readouterr()
+    assert out.split()[-4:-2] == ["breakdown(non-finite)", "1"]
+    # the matrix is not symmetric: that warning, and no floating-point one
+    assert err == "warning: method chebyshev assumes a symmetric matrix\n"
 
 
 def test_solve_singular_diagonal_block_exit_code(tmp_path, capsys):

@@ -172,11 +172,6 @@ def test_spectral_radius_agrees_with_sturm_on_tridiagonalized(rng):
         max(abs(lo), abs(hi)), abs=1e-3)
 
 
-def test_spectral_radius_rejects_small_m_max():
-    with pytest.raises(ValueError):
-        spectral_radius_estimate(np.eye(2), 2, m_max=10)
-
-
 @pytest.mark.parametrize("fmt", ["triplets", "row", "col", "diag"])
 def test_estimators_take_every_operand_kind(fmt, rng):
     t = to_triplets(poisson_test(5).a)

@@ -10,7 +10,7 @@ from krylov.nonsymmetric import (BiLanczosState, arnoldi, bicg, bicgstab,
                                  bidiag_solve, bidiagonalize, cgs, gmres, qmr,
                                  qmr_alt)
 from krylov.precond import jacobi_preconditioner
-from krylov.problems import random_sparse
+from krylov.problems import hilbert, random_sparse
 from krylov.report import _Run
 from krylov.symmetric import minres
 from krylov.storage import to_dense
@@ -274,8 +274,11 @@ def _qmr_alt_reference(a, b, tol=1e-8, tol_kind="rel_to_b", max_iter=None, callb
         true_norms.append(float(np.linalg.norm(run.b - a_apply(x))))
         run.record(abs(g), i, x=x, g=g)
         invariant = _negligible(alpha, float(np.linalg.norm(q_hat)))
-        if run.stop(run.history[-1], invariant):
-            return run.finish(x, i, exact=invariant)
+        exact = invariant and _negligible(g, beta0)
+        if run.stop(run.history[-1], exact):
+            return run.finish(x, i, exact=exact)
+        if invariant:
+            return run.breakdown(x, i, "invariant_subspace")
         u = u_hat / alpha
         v = (at_apply(z) - ell * v) / alpha
         f_next = float(v @ u)
@@ -490,3 +493,90 @@ def test_solvers_report_converged_only_when_residual_small(rng):
         rep = solver(a, b, tol=1e-8, tol_kind="rel_to_b", max_iter=40)
         if rep.converged:
             assert np.linalg.norm(b - a @ rep.x) <= 1e-6 * np.linalg.norm(b)
+
+
+class Counted:
+    """A dense operand that counts its matvecs: the count tells which test of
+    an iteration fired, one before its first matvec or one after it."""
+
+    def __init__(self, a):
+        self.a, self.n, self.matvecs = np.asarray(a, dtype=float), len(a), 0
+
+    def matvec(self, x):
+        self.matvecs += 1
+        return self.a @ x
+
+    def rmatvec(self, x):
+        return self.a.T @ x
+
+
+SWAP = [[0.0, 1.0], [1.0, 0.0]]
+NEG = [[-1.0, -1.0], [-1.0, 0.0]]
+# Matvecs: 1 for r_0, then per iteration 1 for bicg, 2 for cgs and bicgstab.
+BREAKDOWNS = {  # case -> (solver, A, b, max_iter, (status, reason, iterations), matvecs)
+    # d = p_hat' A p vanishes at the first step: 1 + 1 matvecs
+    "d-test-bicg": (bicg, SWAP, E1, None, ("breakdown", "serious_breakdown", 0), 2),
+    "d-test-cgs": (cgs, SWAP, E1, None, ("breakdown", "serious_breakdown", 0), 2),
+    "d-test-bicgstab": (bicgstab, SWAP, E1, None, ("breakdown", "serious_breakdown", 0), 2),
+    # eta = r_hat' r vanishes before the next step's matvec
+    "eta-test-bicg": (bicg, NEG, np.ones(2), 10, ("breakdown", "serious_breakdown", 2), 1 + 2),
+    "eta-test-cgs": (cgs, NEG, np.ones(2), 10, ("breakdown", "serious_breakdown", 4), 1 + 8),
+    "eta-test-bicgstab": (bicgstab, [[-1.0, -1.0, -1.0], [-1.0, -1.0, 0.0], [1.0, 0.0, 0.0]],
+                          np.array([1.0, 0.0, 0.0]), 10, ("breakdown", "serious_breakdown", 1),
+                          1 + 2),
+    # t' r_half vanishes after the half step's t = A r_half
+    "omega-zero-bicgstab": (bicgstab, NEG, E1, None, ("breakdown", "omega-zero", 1), 1 + 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BREAKDOWNS))
+def test_each_breakdown_test_of_the_lanczos_descendants(case):
+    solver, a, b, max_iter, want, matvecs = BREAKDOWNS[case]
+    op = Counted(a)
+    rep = solver(op, b, tol=0.0, max_iter=max_iter)
+    assert (rep.status, rep.reason, rep.iterations) == want
+    assert op.matvecs == matvecs
+
+
+def test_each_exit_of_bidiag_solve():
+    zero_alpha = bidiag_solve(np.diag([1.0, 0.0]), np.array([0.0, 1.0]))  # A' u_1 = 0
+    assert (zero_alpha.status, zero_alpha.reason, zero_alpha.iterations) == \
+        ("breakdown", "zero-alpha", 0)
+    capped = bidiag_solve(hilbert(8).a, np.ones(8), tol=0.0, max_iter=2)
+    assert (capped.status, capped.iterations, len(capped.history)) == ("max_iter", 2, 3)
+    # beta_3 vanishes with the residual above a zero threshold: the exact exit
+    exact = bidiag_solve(np.diag([1.0, 2.0, 3.0]), np.ones(3), tol=0.0)
+    assert (exact.status, exact.iterations) == ("converged", 3)
+    assert 0.0 < exact.history[-1] < 1e-14
+
+
+# The rule for an invariant Krylov space above the threshold: an exact solve
+# when |g| is negligible next to ||r_0||, else an invariant_subspace breakdown.
+SINGULAR = {  # (A, b) inconsistent: minres and qmr stop at the invariant step
+    "diag(1,0)": (np.diag([1.0, 0.0]), np.ones(2), 2),
+    "diag(1,2,0)": (np.diag([1.0, 2.0, 0.0]), np.ones(3), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SINGULAR))
+@pytest.mark.parametrize("solver", [minres, qmr], ids=["minres", "qmr"])
+def test_an_inconsistent_singular_system_is_not_converged(solver, case):
+    a, b, at = SINGULAR[case]
+    rep = solver(a, b, tol=1e-10)
+    assert (rep.status, rep.reason, rep.iterations) == ("breakdown", "invariant_subspace", at)
+    assert np.linalg.norm(b - a @ rep.x) > 1.0
+
+
+def test_gmres_reports_an_invariant_space_without_the_solution():
+    rep = gmres(np.diag([1.0, 2.0, 0.0]), np.ones(3), tol=1e-10)
+    assert (rep.status, rep.reason, rep.iterations) == ("breakdown", "invariant_subspace", 3)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("solver", [gmres, minres, qmr, qmr_alt, bidiag_solve],
+                         ids=lambda s: s.__name__)
+def test_an_invariant_space_with_the_solution_converges_at_zero_tol(solver, n):
+    a, b = np.diag(np.arange(1.0, n + 1.0)), np.ones(n)
+    rep = solver(a, b, tol=0.0)
+    assert (rep.status, rep.iterations) == ("converged", n)
+    assert 0.0 < rep.history[-1] < 1e-14  # above the threshold: the invariant step ended it

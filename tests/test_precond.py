@@ -81,6 +81,15 @@ def test_pcg_detects_indefinite_preconditioner(rng):
     assert rep.status == "breakdown" and rep.reason == "precond-not-spd"
 
 
+def test_each_breakdown_of_the_pcg_loop():
+    # d = p' A p <= 0 at the first step
+    rep = cg(np.diag([1.0, -1.0]), np.ones(2))
+    assert (rep.status, rep.reason, rep.iterations) == ("breakdown", "not-spd", 0)
+    # eta_0 = r' C r > 0, then eta_1 < 0 after one step
+    rep = pcg(np.diag([1.0, 3.0]), np.ones(2), lambda r: np.array([1.0, -0.5]) * r)
+    assert (rep.status, rep.reason, rep.iterations) == ("breakdown", "precond-not-spd", 1)
+
+
 def test_ic_tridiagonal_is_exact(rng):
     a = tridiag_stieltjes(12, rng)
     f = ic0_pentadiagonal(a, 12)  # band offset beyond n: pure tridiagonal

@@ -215,6 +215,16 @@ def test_divergence_stops_as_non_finite_without_a_warning(method):
         assert (rep.status, rep.reason, rep.iterations) == ("breakdown", "non-finite", iterations)
 
 
+@pytest.mark.parametrize("method", sorted(DIVERGENCE_AT))
+def test_chebyshev_overflow_stops_as_non_finite_without_a_warning(method):
+    for a in (OVERFLOWING_SWEEP, storage.build(to_triplets(OVERFLOWING_SWEEP), "row")):
+        base = split(a, method, omega=1.5 if method in ("sor", "ssor") else None, block_size=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = semi_iterative(base, np.ones(4), -0.9, 0.9)
+        assert (rep.status, rep.reason, rep.iterations) == ("breakdown", "non-finite", 1)
+
+
 @pytest.mark.parametrize("method",
                          ["jacobi", "gauss_seidel", "sor", "ssor", "block_jacobi", "block_gs"])
 def test_iterate_builds_triplets_once(method, monkeypatch):

@@ -307,7 +307,7 @@ def test_diag_to_triplets_skips_slots_off_the_grid(N):
         got, want = d.to_triplets().coalesced(), _diag_triplets_by_diagonal(d)
         for field in ("rows", "cols", "vals"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
-        np.testing.assert_array_equal(d.to_dense() @ np.arange(a.n), d.matvec(np.arange(a.n)))
+        np.testing.assert_array_equal(to_dense(d) @ np.arange(a.n), d.matvec(np.arange(a.n)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -323,7 +323,7 @@ def _diag_outputs(a, x):
     """Everything the diag format computes from ``a``, as bytes."""
     t = a.to_triplets()
     return (a.matvec(x).view(np.int64).tobytes(), a.rmatvec(x).view(np.int64).tobytes(),
-            t.rows.tobytes(), t.cols.tobytes(), t.vals.tobytes(), a.to_dense().tobytes(),
+            t.rows.tobytes(), t.cols.tobytes(), t.vals.tobytes(), to_dense(a).tobytes(),
             write_matrix_market(t))
 
 
