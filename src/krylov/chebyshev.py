@@ -89,7 +89,7 @@ def semi_iterative(base: Splitting, b, alpha, beta, tol=1e-6,
     def baseline_step(x):
         return x + base.m_solve(b - base.a_apply(x))
 
-    if run.stop(run.r_norm):
+    if run.stop(run.r_norm) or run.max_iter == 0:
         return run.finish(x_prev, 0)
     x = baseline_step(x_prev)
     run.record(float(np.linalg.norm(b - base.a_apply(x))))

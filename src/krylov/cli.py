@@ -260,6 +260,8 @@ def cmd_spectrum(args, parser):
     elif args.sweep:
         if not (0.0 < args.omega_min < args.omega_max < 2.0):
             parser.error("sweep bounds must satisfy 0 < min < max < 2")
+        if not 0.0 < args.omega_step < np.inf:
+            parser.error("--omega-step must be positive and finite")
         omega = args.omega_min
         while omega <= args.omega_max + 1e-12:
             g = stationary.iteration_matrix_applier(inst.a, args.sweep, omega=omega)

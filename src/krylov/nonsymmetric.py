@@ -102,9 +102,9 @@ def gmres(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     """
     run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply, callback=callback)
     a_apply, x = run.a_apply, run.x
-    cycle = restart if restart is not None else run.max_iter
-    if cycle < 1:
+    if restart is not None and restart < 1:
         raise ValueError("restart must be at least 1")
+    cycle = restart if restart is not None else run.max_iter
     total = 0
     while True:
         r0 = run.b - a_apply(x)

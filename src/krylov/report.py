@@ -65,6 +65,8 @@ def residual_threshold(tol, tol_kind, b_norm, r0_norm):
 
     ``tol_kind`` is one of ``"abs"``, ``"rel_to_b"`` or ``"rel_to_r0"``.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     if tol_kind == "abs":
         return tol
     if tol_kind == "rel_to_b":
@@ -82,8 +84,9 @@ class _Run:
     ``at_apply`` (None if the operand has none; a ``transpose`` solver then
     raises ValueError), the start ``x`` (a copy of ``x0`` or zero), its
     residual ``r`` and norm ``r_norm``, ``max_iter`` (default ``sweeps`` * n)
-    and the absolute stopping ``threshold``.  A ``b`` or ``x0`` that is not
-    1-D with the operator's length (else ``b``'s size) raises ValueError.
+    and the absolute stopping ``threshold``.  A negative ``max_iter`` or
+    ``tol``, a NaN ``tol``, or a ``b`` or ``x0`` not 1-D with the operator's
+    length (else ``b``'s size) raises ValueError.
 
     Record: ``history`` starts as [r_norm] and grows by :meth:`record`,
     which also sends ``callback`` its events; ``extras`` (default empty)
@@ -93,6 +96,8 @@ class _Run:
 
     def __init__(self, a, b, x0, tol, tol_kind, max_iter, c_apply=None,
                  transpose=None, sweeps=1, callback=None, extras=None):
+        if max_iter is not None and max_iter < 0:
+            raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
         a_apply, at_apply, n = operator(a)
         if transpose and at_apply is None:
             raise ValueError(f"{transpose} needs the transpose action of the operator")

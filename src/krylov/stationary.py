@@ -9,8 +9,8 @@ forward SOR sweep followed by the backward one.  Point sweeps run level by
 level on a schedule of the sparse rows (:class:`krylov.storage._Sweep`)
 with the results of a row-by-row loop.  Block variants keep the diagonal
 blocks dense, each factored once, and the coupling between blocks as
-sparse entries (:class:`krylov.storage._Blocks`), and run the same sweep
-loop with the blocks as groups; no n x n array is formed.
+sparse entries (:class:`krylov.storage._Blocks`): block GS sweeps the blocks
+as groups, block Jacobi solves each block alone; no n x n array is formed.
 """
 
 import math
@@ -108,7 +108,7 @@ def split(a, method, omega=None, block_size=None) -> Splitting:
         blocks = _Blocks(a, block_size)
         factors = [blocks.factor(d, i) for i, d in enumerate(blocks.diag)]
         gs = method == "block_gs"
-        m_solve = lambda r: blocks.forward(factors, r, gs)
+        m_solve = lambda r: (blocks.forward if gs else blocks.solve)(factors, r)
         m_apply = lambda x: blocks.multiply(x, gs)
     else:
         raise ValueError(f"unknown splitting method {method!r}")

@@ -328,9 +328,9 @@ class _Blocks:
     and ``coupling`` the strictly block-lower entries (rows, cols, vals), by
     row.  The block sweeps run them as :class:`_Panels` with the blocks as
     groups, built on first use: ``_lower`` in block order, ``_upper`` the
-    transposed entries with the last block first, ``_none`` no entries.
-    With ``band`` given, an entry more than ``band`` blocks off the diagonal
-    is rejected by name.
+    transposed entries with the last block first.  :meth:`solve` leaves the
+    coupling out: one LU solve per diagonal block.  With ``band`` given, an
+    entry more than ``band`` blocks off the diagonal is rejected by name.
     """
 
     def __init__(self, a, bs=None, band=None):
@@ -359,10 +359,6 @@ class _Blocks:
         rows, cols, vals = self.coupling
         return _Panels(self.n, cols, rows, vals, self.nb - 1 - np.arange(self.n) // self.bs)
 
-    @functools.cached_property
-    def _none(self):
-        return _Panels(self.n, *(v[:0] for v in self.coupling), np.arange(self.n) // self.bs)
-
     @staticmethod
     def factor(block, i):
         """LU factors of diagonal block ``i``; ValueError on a zero or
@@ -386,13 +382,18 @@ class _Blocks:
         y = (self.diag @ x.reshape(self.nb, self.bs, -1)).reshape(x.shape)
         return self._lower.accumulate(y, x) if lower else y
 
-    def forward(self, factors, rhs, lower=True):
-        """u_i = D_i^-1 (rhs_i - sum_{j<i} A_ij u_j) for i = 0, 1, ..., the
-        sum dropped when not ``lower``; D_i is given by its LU ``factors``.
-        rhs is an (n,) vector or an (n, k) block: each row subtracts its
-        terms in turn, column by column, and each D_i^-1 is one multi-column
-        LAPACK solve."""
-        return (self._lower if lower else self._none).sweep(rhs, self._lu(factors))
+    def solve(self, factors, rhs):
+        """u_i = D_i^-1 rhs_i for each block i: :meth:`forward` without the sum."""
+        parts = np.split(_check_dim(rhs, self.n, block=True), self.nb)
+        return np.concatenate([scipy.linalg.lu_solve(lu, r_i, check_finite=False)
+                               for lu, r_i in zip(factors, parts)])
+
+    def forward(self, factors, rhs):
+        """u_i = D_i^-1 (rhs_i - sum_{j<i} A_ij u_j) for i = 0, 1, ..., D_i
+        given by its LU ``factors``.  rhs is an (n,) vector or an (n, k)
+        block: each row subtracts its terms in turn, column by column, and
+        each D_i^-1 is one multi-column LAPACK solve."""
+        return self._lower.sweep(rhs, self._lu(factors))
 
     def backward(self, factors, rhs):
         """u_i = D_i^-1 (rhs_i - sum_{j>i} A_ji' u_j) for i = nb-1, ..., 0;
@@ -479,10 +480,12 @@ _MM_SYMMETRIC = "%%MatrixMarket matrix coordinate real symmetric"
 def _parse_coordinate(text: str):
     """Validated content of MatrixMarket coordinate real text.
 
-    Returns ``(symmetric, nrows, ncols, entries)`` with 0-based ``(i, j, v)``
-    entries.  Rejects an unknown header, a malformed size line, an entry
-    count other than the announced one, malformed or non-finite entries,
-    and indices outside the announced size.
+    Returns ``(symmetric, nrows, ncols, rows, cols, vals)``: the entries as
+    0-based int64 ``rows``, ``cols`` and float ``vals`` arrays, in file order.
+    Rejects an unknown header, a malformed size line, an entry count other
+    than the announced one, then malformed entry lines (numpy's reason names
+    the token, its row among the entry lines and its column), then the first
+    entry line with an index outside the announced size or a non-finite value.
     """
     lines = text.splitlines()
     if not lines:
@@ -493,51 +496,48 @@ def _parse_coordinate(text: str):
     body = [ln for ln in lines[1:] if ln.strip() and not ln.lstrip().startswith("%")]
     if not body:
         raise ValueError("missing size line")
-    size = body[0].split()
-    if len(size) != 3:
-        raise ValueError(f"malformed size line: {body[0]!r}")
-    try:
-        nrows, ncols, nnz = (int(tok) for tok in size)
+    try:  # also a count of tokens other than three
+        nrows, ncols, nnz = map(int, body[0].split())
     except ValueError as exc:
         raise ValueError(f"malformed size line: {body[0]!r}") from exc
     if len(body) - 1 != nnz:
         raise ValueError(f"expected {nnz} entries, found {len(body) - 1}")
-    entries = []
-    for ln in body[1:]:
-        tok = ln.split()
-        if len(tok) != 3:
-            raise ValueError(f"malformed entry line: {ln!r}")
-        try:
-            i, j, v = int(tok[0]), int(tok[1]), float(tok[2])
-        except ValueError as exc:
-            raise ValueError(f"malformed entry line: {ln!r}") from exc
-        if not (1 <= i <= nrows and 1 <= j <= ncols):
-            raise ValueError(f"index out of range in line {ln!r}")
-        if not np.isfinite(v):
-            raise ValueError(f"non-finite value in line {ln!r}")
-        entries.append((i - 1, j - 1, v))
-    return header == _MM_SYMMETRIC, nrows, ncols, entries
+    fields = [("i", np.int64), ("j", np.int64), ("v", float)]
+    try:  # no comments left to strip; loadtxt warns when given no lines
+        e = np.loadtxt(body[1:], fields, comments=None, ndmin=1) if nnz else np.empty(0, fields)
+    except ValueError as exc:
+        raise ValueError(f"malformed entry line: {exc}") from exc
+    rows, cols, vals = e["i"] - 1, e["j"] - 1, e["v"]
+    out = (rows < 0) | (rows >= nrows) | (cols < 0) | (cols >= ncols)
+    bad = np.flatnonzero(out | ~np.isfinite(vals))
+    if bad.size:
+        kind = "index out of range" if out[bad[0]] else "non-finite value"
+        raise ValueError(f"{kind} in line {body[1 + bad[0]]!r}")
+    return header == _MM_SYMMETRIC, nrows, ncols, rows, cols, vals
 
 
 def read_matrix_market(text: str) -> Triplets:
     """Parse MatrixMarket coordinate real (general or symmetric) text.
 
-    Symmetric files store the lower triangle; the strictly-lower entries are
-    mirrored on read.  Indices are 1-based on disk, 0-based in the result.
+    Symmetric files store the lower triangle; each off-diagonal entry is
+    followed by its mirror.  Indices are 1-based on disk, 0-based in the result.
     """
-    symmetric, nrows, ncols, entries = _parse_coordinate(text)
+    symmetric, nrows, ncols, rows, cols, vals = _parse_coordinate(text)
     if nrows != ncols:
         raise ValueError("only square matrices are supported")
-    rows, cols, vals = [], [], []
-    for i, j, v in entries:
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-        if symmetric and i != j:
-            rows.append(j)
-            cols.append(i)
-            vals.append(v)
+    if symmetric:
+        count = 1 + (rows != cols)
+        take = np.repeat(np.arange(rows.size), count)
+        mirror = np.cumsum(count)[count == 2] - 1
+        rows, cols, vals = rows[take], cols[take], vals[take]
+        rows[mirror], cols[mirror] = cols[mirror], rows[mirror]
     return Triplets(nrows, rows, cols, vals)
+
+
+def _coordinate(header, nrows, ncols, rows, cols, vals):
+    """MatrixMarket coordinate text of 0-based entries, written 1-based."""
+    lines = map("{} {} {:.17g}".format, (rows + 1).tolist(), (cols + 1).tolist(), vals.tolist())
+    return "\n".join([header, f"{nrows} {ncols} {len(vals)}", *lines]) + "\n"
 
 
 def write_matrix_market(triplets: Triplets, symmetric=False) -> str:
@@ -549,33 +549,25 @@ def write_matrix_market(triplets: Triplets, symmetric=False) -> str:
     the lower triangle only.
     """
     t = triplets.coalesced()
-    keep = t.rows >= t.cols if symmetric else np.ones(t.rows.size, dtype=bool)
-    out = [_MM_SYMMETRIC if symmetric else _MM_GENERAL,
-           f"{t.n} {t.n} {int(np.count_nonzero(keep))}"]
-    for i, j, v in zip(t.rows[keep], t.cols[keep], t.vals[keep]):
-        out.append(f"{i + 1} {j + 1} {v:.17g}")
-    return "\n".join(out) + "\n"
+    keep = t.rows >= t.cols if symmetric else slice(None)
+    return _coordinate(_MM_SYMMETRIC if symmetric else _MM_GENERAL, t.n, t.n,
+                       t.rows[keep], t.cols[keep], t.vals[keep])
 
 
 def read_vector_market(text: str, n: int) -> np.ndarray:
     """Parse an n x 1 MatrixMarket coordinate real general file as a vector.
 
     Validation is that of :func:`read_matrix_market`; entries absent from
-    the file are zero and duplicates are summed.
+    the file are zero and duplicates are summed in file order.
     """
-    symmetric, nrows, ncols, entries = _parse_coordinate(text)
+    symmetric, nrows, ncols, rows, _, vals = _parse_coordinate(text)
     if symmetric or nrows != n or ncols != 1:
         raise ValueError(f"expected a general {n} x 1 vector")
-    b = np.zeros(n)
-    for i, _, v in entries:
-        b[i] += v
-    return b
+    return np.bincount(rows, weights=vals, minlength=n).astype(float, copy=False)  # int if empty
 
 
 def write_vector_market(b) -> str:
     """Serialize a vector as an n x 1 MatrixMarket coordinate real general
     file listing every entry, 1-based, with 17 significant digits."""
     b = np.asarray(b, dtype=float)
-    out = [_MM_GENERAL, f"{b.size} 1 {b.size}"]
-    out += [f"{i + 1} 1 {v:.17g}" for i, v in enumerate(b)]
-    return "\n".join(out) + "\n"
+    return _coordinate(_MM_GENERAL, b.size, 1, np.arange(b.size), np.zeros(b.size, int), b)

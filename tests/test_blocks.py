@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from krylov import cavity_laplace, poisson_test, spectral_radius_estimate, stationary
+from krylov import (cavity_laplace, poisson_test, random_sparse, spectral_radius_estimate,
+                    stationary)
 from krylov.stationary import iteration_matrix_applier, split
 from krylov.storage import Triplets, _Blocks, _Panels, _Sweep, build
 
@@ -107,7 +108,7 @@ def test_block_sweeps_of_a_block_are_those_of_each_column(N, bs):
     n = N * N
     blocks = _Blocks(a, bs)
     factors = [blocks.factor(d, i) for i, d in enumerate(blocks.diag)]
-    sweeps = [lambda r: blocks.forward(factors, r), lambda r: blocks.forward(factors, r, False),
+    sweeps = [lambda r: blocks.forward(factors, r), lambda r: blocks.solve(factors, r),
               lambda r: blocks.backward(factors, r)]
     rng = np.random.default_rng(N)
     for k in (1, 3, n):
@@ -127,6 +128,24 @@ def test_block_sweeps_of_a_block_are_those_of_each_column(N, bs):
         for sweep in sweeps:
             with pytest.raises(ValueError, match=r"vector has shape"):
                 sweep(x)
+
+
+@pytest.mark.parametrize("make", [lambda: poisson_test(10), lambda: poisson_test(32),
+                                  lambda: cavity_laplace(12, 0.3),
+                                  lambda: random_sparse(64, 0.2, seed=3)],
+                         ids=["poisson10", "poisson32", "cavity12", "random64"])
+def test_block_jacobi_solve_is_the_sweep_without_coupling(make):
+    """One LU solve per diagonal block is bitwise the block sweep over
+    groups that hold no entries."""
+    a = make().a
+    blocks = _Blocks(a)
+    factors = [blocks.factor(d, i) for i, d in enumerate(blocks.diag)]
+    empty = _Panels(blocks.n, *(v[:0] for v in blocks.coupling), np.arange(blocks.n) // blocks.bs)
+    n, rng, m_solve = blocks.n, np.random.default_rng(5), split(a, "block_jacobi").m_solve
+    for rhs in (rng.standard_normal(n), rng.standard_normal((n, 5)), np.eye(n), np.full(n, -0.0)):
+        want = empty.sweep(rhs, _Blocks._lu(factors))
+        assert bits(blocks.solve(factors, rhs)).tobytes() == bits(want).tobytes()
+        assert bits(m_solve(rhs)).tobytes() == bits(want).tobytes()
 
 
 SPLITTINGS = ["jacobi", "gauss_seidel", "sor", "ssor", "block_jacobi", "block_gs"]

@@ -5,6 +5,7 @@ import shlex
 import numpy as np
 import pytest
 
+from krylov import stationary
 from krylov.cli import main
 from krylov.precond import apply_ic_solve, mic_pentadiagonal, pcg
 from krylov.problems import cavity_laplace
@@ -276,6 +277,18 @@ def test_spectrum_rejects_bad_bounds(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf"])
+def test_spectrum_rejects_a_step_that_is_not_positive_and_finite(tmp_path, monkeypatch, step):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep started")
+    monkeypatch.setattr(stationary, "iteration_matrix_applier", no_work)
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["spectrum", "--problem", "poisson", "--n", "4", "--sweep", "sor",
+             "--omega-step", step, "--out", str(out)])
+    assert exc.value.code == 2 and not out.exists()
+
+
 def test_precond_compare_orders_methods(tmp_path):
     out = tmp_path / "pc.csv"
     assert run(["precond-compare", "--n-list", "10", "--methods", "cg,ic,mic",
@@ -353,6 +366,21 @@ def test_solve_usage_value_error_exit_code(tmp_path, capsys, extra):
     if "--precond" in extra:
         method = extra[extra.index("--method") + 1]
         assert f"method {method} does not apply --precond" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--max-iter", "-1"], "max_iter must be nonnegative, got -1"),
+    (["--tol", "-1"], "tol must be nonnegative, got -1.0"),
+    (["--tol", "nan"], "tol must be nonnegative, got nan"),
+], ids=["max-iter", "negative-tol", "nan-tol"])
+@pytest.mark.parametrize("method", ["cg", "gmres", "jacobi"])
+def test_solve_rejects_a_bad_cap_or_tolerance(tmp_path, capsys, extra, message, method):
+    out = tmp_path / "u.csv"
+    code = run(["solve", "--problem", "poisson", "--n", "4", "--method", method, *extra,
+                "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == f"error: {message}\n" and captured.out == ""
+    assert not out.exists()
 
 
 def test_precond_is_not_built_for_a_method_that_does_not_apply_it(tmp_path, capsys):

@@ -113,6 +113,46 @@ def test_triplets_solve_like_their_row_build(case):
         assert g_t(v).tobytes() == g_row(v).tobytes(), method
 
 
+# Every solver behind the shared scaffold, passing tol, tol_kind and max_iter on.
+KW_SOLVERS = {
+    **SOLVERS,
+    "iterate": lambda a, b, **kw: iterate(a, b, StationaryConfig("gauss_seidel", **kw)),
+    "ssor_iterate": lambda a, b, **kw: ssor_iterate(a, b, 1.3, **kw),
+    "semi_iterative": lambda a, b, **kw: semi_iterative(split(a, "jacobi"), b, -0.95, 0.95, **kw),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KW_SOLVERS))
+def test_negative_iteration_cap_is_rejected(name):
+    inst = poisson_test(4)
+    with pytest.raises(ValueError, match=r"^max_iter must be nonnegative, got -1$"):
+        KW_SOLVERS[name](inst.a, inst.b, max_iter=-1)
+
+
+@pytest.mark.parametrize("tol", [-1e-8, np.nan], ids=["negative", "nan"])
+@pytest.mark.parametrize("name", sorted(KW_SOLVERS))
+def test_negative_or_nan_tolerance_is_rejected(name, tol):
+    inst = poisson_test(4)
+    with pytest.raises(ValueError, match=f"^tol must be nonnegative, got {tol}$"):
+        KW_SOLVERS[name](inst.a, inst.b, tol=tol, max_iter=5)
+
+
+@pytest.mark.parametrize("name", sorted(KW_SOLVERS))
+def test_zero_iteration_cap_takes_no_step(name):
+    inst = poisson_test(4)
+    rep = KW_SOLVERS[name](inst.a, inst.b, tol=1e-8, tol_kind="abs", max_iter=0)
+    assert (rep.status, rep.iterations, rep.history) == ("max_iter", 0, [np.linalg.norm(inst.b)])
+    assert rep.x.tobytes() == np.zeros(inst.n).tobytes()
+
+
+def test_gmres_with_a_restart_takes_no_step_at_a_zero_cap():
+    inst = poisson_test(4)
+    rep = gmres(inst.a, inst.b, max_iter=0, restart=5)
+    assert (rep.status, rep.iterations, len(rep.history)) == ("max_iter", 0, 1)
+    with pytest.raises(ValueError, match="restart must be at least 1"):
+        gmres(inst.a, inst.b, max_iter=5, restart=0)
+
+
 X0_SOLVERS = {
     **SOLVERS,
     "iterate": lambda a, b, x0: iterate(a, b, StationaryConfig("gauss_seidel", max_iter=40), x0=x0),

@@ -1,5 +1,10 @@
+import io
+import warnings
+
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -246,6 +251,103 @@ def test_matrix_market_symmetric_writer_keeps_lower_triangle():
     assert lines[1] == "9 9 21"  # 9 diagonal + 12 strictly lower entries
     assert all(int(i) >= int(j) for i, j, _ in (ln.split() for ln in lines[2:]))
     np.testing.assert_array_equal(to_dense(read_matrix_market(text)), to_dense(a))
+
+
+_MM = "%%MatrixMarket matrix coordinate real general\n"
+
+
+def test_matrix_market_files_without_entries_read_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = read_matrix_market(_MM + "3 3 0\n")
+        b = read_vector_market(_MM + "% none\n\n3 1 0\n", 3)
+    assert t.n == 3 and t.rows.size == t.cols.size == t.vals.size == 0
+    assert (t.rows.dtype, t.cols.dtype, t.vals.dtype) == (np.int64, np.int64, np.float64)
+    assert b.dtype == np.float64 and b.tobytes() == np.zeros(3).tobytes()
+
+
+def test_matrix_market_takes_tabs_and_blank_and_comment_lines_between_entries():
+    text = _MM + "% size next\n3 3 3\n1\t1\t2.5\n\n   \n% a comment\n 3  2 -1e-3 \n\t2 2\t4\n"
+    t = read_matrix_market(text)
+    assert (t.rows.tolist(), t.cols.tolist(), t.vals.tolist()) == ([0, 2, 1], [0, 1, 1],
+                                                                   [2.5, -1e-3, 4.0])
+
+
+@pytest.mark.parametrize("line,token", [
+    ("1.0 1 2.0", "1.0"),                    # an index written as a float
+    ("1 1 2.0 % c", None),                   # no comment after an entry
+    ("1 1 2.0 # c", None),
+    ("9223372036854775808 1 2.0", "9223372036854775808"),  # past int64
+    ("1 1", None),
+    ("1 1 abc", "abc"),
+], ids=["float-index", "percent-comment", "hash-comment", "index-past-int64", "two-tokens",
+        "bad-value"])
+def test_matrix_market_rejects_a_malformed_entry_line(line, token):
+    with pytest.raises(ValueError, match="^malformed entry line: ") as exc:
+        read_matrix_market(_MM + "2 2 2\n2 2 1.0\n" + line + "\n")
+    assert token is None or f"'{token}'" in str(exc.value)
+
+
+@pytest.mark.parametrize("lines,message", [
+    # a parse fault is found before a range fault on an earlier line
+    (["3 1 1.0", "1 1 x"], "malformed entry line: "),
+    # range and non-finite faults are found in file order
+    (["1 1 nan", "3 1 1.0"], "non-finite value in line '1 1 nan'"),
+    (["3 1 nan", "1 1 inf"], "index out of range in line '3 1 nan'"),
+], ids=["parse-before-range", "non-finite-first", "range-first"])
+def test_matrix_market_fault_order(lines, message):
+    with pytest.raises(ValueError, match="^" + message):
+        read_matrix_market(_MM + "2 2 2\n" + "\n".join(lines) + "\n")
+
+
+@st.composite
+def coordinate_entries(draw):
+    """(n, rows, cols, vals, symmetric): distinct coordinates, in the lower
+    triangle when symmetric, and finite values of every magnitude and sign."""
+    n, symmetric = draw(st.integers(1, 8)), draw(st.booleans())
+    cells = [(i, j) for i in range(n) for j in range(i + 1 if symmetric else n)]
+    picked = draw(st.lists(st.sampled_from(cells), unique=True))
+    vals = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=len(picked), max_size=len(picked)))
+    rows, cols = (np.array([cell[k] for cell in picked], dtype=np.int64) for k in (0, 1))
+    return n, rows, cols, np.array(vals, dtype=float), symmetric
+
+
+def _by_entry(rows, cols, vals):
+    return list(zip(rows.tolist(), cols.tolist(), vals.view(np.int64).tolist()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(coordinate_entries())
+def test_files_written_by_scipy_read_back_bitwise(case):
+    n, rows, cols, vals, symmetric = case
+    buf = io.BytesIO()
+    scipy.io.mmwrite(buf, scipy.sparse.coo_array((vals, (rows, cols)), shape=(n, n)),
+                     precision=17, symmetry="symmetric" if symmetric else "general")
+    text = buf.getvalue().decode()
+    assert text.splitlines()[1] == "%"
+    want = []  # each entry, then its mirror when the file is symmetric
+    for i, j, v in _by_entry(rows, cols, vals):
+        want += [(i, j, v)] + ([(j, i, v)] if symmetric and i != j else [])
+    t = read_matrix_market(text)
+    assert _by_entry(t.rows, t.cols, t.vals) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(coordinate_entries())
+def test_scipy_reads_our_files_exactly(case):
+    n, rows, cols, vals, symmetric = case
+    t = Triplets(n, rows, cols, vals)
+    m = scipy.io.mmread(io.StringIO(write_matrix_market(t, symmetric=symmetric)))
+    c = t.coalesced()  # what the writer lists: each value as 0.0 + v, so -0.0 as 0.0
+    want = _by_entry(c.rows, c.cols, c.vals)
+    want += [(j, i, v) for i, j, v in want if symmetric and i != j]
+    assert m.shape == (n, n)
+    assert sorted(_by_entry(m.row, m.col, m.data)) == sorted(want)
+    b = vals[:n] if vals.size >= n else np.resize(vals, n) if vals.size else np.zeros(n)
+    v = scipy.io.mmread(io.StringIO(write_vector_market(b)))
+    assert v.shape == (n, 1) and _by_entry(v.row, v.col, v.data) == _by_entry(
+        np.arange(n), np.zeros(n, dtype=np.int64), b)
 
 
 class _MatvecOnly:
