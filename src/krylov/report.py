@@ -98,6 +98,7 @@ class _Run:
                  transpose=None, sweeps=1, callback=None, extras=None):
         if max_iter is not None and max_iter < 0:
             raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
+        residual_threshold(tol, tol_kind, 1.0, 1.0)  # a bad tol or tol_kind, before any work
         a_apply, at_apply, n = operator(a)
         if transpose and at_apply is None:
             raise ValueError(f"{transpose} needs the transpose action of the operator")

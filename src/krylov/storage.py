@@ -58,8 +58,6 @@ class Triplets:
 
     def coalesced(self):
         """Duplicate-summed copy, sorted by (row, col)."""
-        if self.rows.size == 0:
-            return Triplets(self.n, [], [], [])
         key = self.rows * self.n + self.cols
         if np.all(key[1:] > key[:-1]):  # sorted and unique: the sum of one term, 0.0 + v
             return Triplets(self.n, self.rows.copy(), self.cols.copy(), self.vals + 0.0)
@@ -504,8 +502,10 @@ def _parse_coordinate(text: str):
         raise ValueError(f"expected {nnz} entries, found {len(body) - 1}")
     fields = [("i", np.int64), ("j", np.int64), ("v", float)]
     try:  # no comments left to strip; loadtxt warns when given no lines
-        e = np.loadtxt(body[1:], fields, comments=None, ndmin=1) if nnz else np.empty(0, fields)
-    except ValueError as exc:
+        with warnings.catch_warnings():  # numpy < 2 only warns on an index written "1.0"
+            warnings.simplefilter("error", DeprecationWarning)
+            e = np.loadtxt(body[1:], fields, comments=None, ndmin=1) if nnz else np.empty(0, fields)
+    except (ValueError, DeprecationWarning) as exc:
         raise ValueError(f"malformed entry line: {exc}") from exc
     rows, cols, vals = e["i"] - 1, e["j"] - 1, e["v"]
     out = (rows < 0) | (rows >= nrows) | (cols < 0) | (cols >= ncols)
@@ -526,9 +526,8 @@ def read_matrix_market(text: str) -> Triplets:
     if nrows != ncols:
         raise ValueError("only square matrices are supported")
     if symmetric:
-        count = 1 + (rows != cols)
-        take = np.repeat(np.arange(rows.size), count)
-        mirror = np.cumsum(count)[count == 2] - 1
+        take = np.repeat(np.arange(rows.size), 1 + (rows != cols))
+        mirror = np.flatnonzero(take[1:] == take[:-1]) + 1  # the second of each pair
         rows, cols, vals = rows[take], cols[take], vals[take]
         rows[mirror], cols[mirror] = cols[mirror], rows[mirror]
     return Triplets(nrows, rows, cols, vals)

@@ -137,6 +137,32 @@ def test_negative_or_nan_tolerance_is_rejected(name, tol):
         KW_SOLVERS[name](inst.a, inst.b, tol=tol, max_iter=5)
 
 
+@pytest.mark.parametrize("kw", [{"tol": -1e-8}, {"tol": np.nan}, {"tol_kind": "rel"},
+                                {"max_iter": -1}], ids=["negative", "nan", "kind", "cap"])
+@pytest.mark.parametrize("solve", [gmres, bicg, bicgstab], ids=["gmres", "bicg", "bicgstab"])
+def test_a_bad_setting_is_rejected_before_any_work(solve, kw):
+    calls = []
+
+    class Counting:
+        n = 4
+
+        def matvec(self, x):
+            calls.append("matvec")
+            return 2.0 * x
+
+        def rmatvec(self, x):
+            calls.append("rmatvec")
+            return 2.0 * x
+
+    def c_apply(v):
+        calls.append("c_apply")
+        return v
+
+    with pytest.raises(ValueError):
+        solve(Counting(), np.ones(4), c_apply=c_apply, **kw)
+    assert calls == []
+
+
 @pytest.mark.parametrize("name", sorted(KW_SOLVERS))
 def test_zero_iteration_cap_takes_no_step(name):
     inst = poisson_test(4)

@@ -288,6 +288,15 @@ def test_matrix_market_rejects_a_malformed_entry_line(line, token):
     assert token is None or f"'{token}'" in str(exc.value)
 
 
+@pytest.mark.parametrize("index", ["1.0", "1.5"])
+def test_an_index_written_as_a_float_is_rejected_whatever_the_warning_filters(index):
+    # numpy < 2 only warns (DeprecationWarning) when it reads "1.0" as an int
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match="^malformed entry line: "):
+            read_matrix_market(_MM + f"2 2 1\n{index} 1 2.0\n")
+
+
 @pytest.mark.parametrize("lines,message", [
     # a parse fault is found before a range fault on an earlier line
     (["3 1 1.0", "1 1 x"], "malformed entry line: "),
