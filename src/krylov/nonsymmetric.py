@@ -468,7 +468,7 @@ def bicgstab(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
             return run.finish(x_half, i)
         t = a_apply(r_half)
         t_norm2, tr = float(t @ t), float(t @ r_half)
-        if _negligible(tr, math.sqrt(t_norm2) * half_norm):
+        if t_norm2 == 0.0 or _negligible(tr, math.sqrt(t_norm2) * half_norm):  # t't underflows
             return run.breakdown(x_half, i, "omega-zero")
         omega = tr / t_norm2
         x = x_half + omega * r_half

@@ -7,8 +7,7 @@ row, column, or diagonal (unused value slots are zero):
 * ``ColCompressed``  -- k x n value grid plus a k x n row-index grid;
 * ``DiagCompressed`` -- n x k value grid plus k signed diagonal offsets
   (offset = column - row, 0 for the main diagonal).  The grid is kept
-  column-major, so each stored diagonal is one contiguous run of memory
-  and a matvec streams it.
+  column-major, so each stored diagonal is one contiguous run of memory.
 
 These are dense k-wide panels with a uniform k, not general CSR/CSC with
 pointer arrays; matrices with one unusually full row pay for it in padding.
@@ -16,8 +15,19 @@ Index grids are padded by repeating the last used index of the row/column
 (or the row/column's own index when it is empty) so that padded slots read
 adjacent memory.  All indices are 0-based in memory; MatrixMarket files are
 1-based on disk.
+
+Three actions run scipy's compiled loops through the public ``scipy.sparse``
+arrays, bitwise equal to the numpy loops they replaced (same terms, added in
+the same order from zero): ``DiagCompressed.rmatvec`` (DIA, with A''s data
+``vals.T``, a view), ``DiagCompressed.matvec`` (DIA, on one (k, n) copy) and
+``RowCompressed.rmatvec`` (CSC).  Each is built on first use and again when
+a field it reads is reassigned: assign new arrays, never mutate them in
+place.  The other actions stay numpy, as CSR/CSC would change their sums:
+``ColCompressed.matvec`` adds slot-major, ``RowCompressed.matvec`` sums rows
+pairwise, and ``ColCompressed.rmatvec`` keeps -0.0 that 0.0 + -0.0 would not.
 """
 
+import bisect
 import functools
 import math
 import warnings
@@ -25,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse import csr_array, dia_array
 
 
 @dataclass
@@ -77,7 +88,11 @@ class Triplets:
 
 @dataclass
 class RowCompressed:
-    """Row-compressed padded storage (k = max nonzeros per row)."""
+    """Row-compressed padded storage (k = max nonzeros per row).
+
+    ``rmatvec`` runs scipy's CSC loop on the panels as a CSR array, padding
+    kept: it adds the products in the panels' C order, as a bincount does.
+    """
 
     n: int
     k: int
@@ -91,8 +106,9 @@ class RowCompressed:
 
     def rmatvec(self, x):
         x = _check_dim(x, self.n)
-        return np.bincount(self.cols.ravel(), weights=(self.vals * x[:, None]).ravel(),
-                           minlength=self.n)
+        return _kernel(self, "_at", (self.vals, self.cols), lambda: csr_array(
+            (self.vals.ravel(), self.cols.ravel(), np.arange(0, self.n * self.k + 1, self.k)),
+            shape=(self.n, self.n)).T) @ x
 
     def to_triplets(self):
         mask = self.vals != 0.0
@@ -134,14 +150,17 @@ class DiagCompressed:
 
     ``offsets[r]`` holds the signed index (column - row) of the diagonal
     stored in ``vals[:, r]``; ``vals[i, r]`` is the entry on row ``i`` of
-    that diagonal and must be 0 where ``i + offsets[r]`` leaves the grid.
-    Offsets are kept sorted ascending.
+    that diagonal.  A slot where ``i + offsets[r]`` leaves the grid is never
+    read (:func:`build` leaves it 0).  Offsets are kept sorted ascending.
 
     ``vals`` is stored column-major (Fortran order; an array given in any
     other layout is copied into it), so each diagonal ``vals[:, r]`` is
     contiguous, as in the DIA/CDS layouts of Saad (*Iterative Methods for
     Sparse Linear Systems*, 2nd ed., §3.4) and Barrett et al.
-    (*Templates*, §4.3.2).
+    (*Templates*, §4.3.2).  Read as (k, n), that grid is scipy's
+    column-indexed DIA data of A' (offsets ``-offsets``): ``rmatvec`` runs
+    on it as it is, ``matvec`` on scipy's transpose of it, a (k, n) copy.
+    Both add one diagonal at a time, in ascending offset order, from zero.
     """
 
     n: int
@@ -154,25 +173,16 @@ class DiagCompressed:
 
     def matvec(self, x):
         x = _check_dim(x, self.n, block=True)
-        y, term, vals = np.zeros(x.shape), np.empty(x.shape), _column(self.vals, x)
-        for r, (start, end, nu) in enumerate(self._spans()):
-            y[start:end] += np.multiply(vals[start:end, r], x[start + nu:end + nu],
-                                        out=term[:end - start])
-        return y
+        return _kernel(self, "_a", (self.vals, self.offsets), lambda: self._transpose().T) @ x
 
     def rmatvec(self, x):
         x = _check_dim(x, self.n)
-        y, term = np.zeros(self.n), np.empty(self.n)
-        for r, (start, end, nu) in enumerate(self._spans()):
-            y[start + nu:end + nu] += np.multiply(self.vals[start:end, r], x[start:end],
-                                                  out=term[:end - start])
-        return y
+        return self._transpose() @ x
 
-    def _spans(self):
-        """(start, end, offset) of each diagonal: rows start..end-1 lie on the grid."""
-        n = self.n
-        for nu in map(int, self.offsets):
-            yield max(0, -nu), min(n, n - nu), nu
+    def _transpose(self):
+        """A' as a scipy DIA array whose data is ``vals.T``, a view."""
+        return _kernel(self, "_at", (self.vals, self.offsets), lambda: dia_array(
+            (self.vals.T, -self.offsets), shape=(self.n, self.n)))
 
     def to_triplets(self):
         vals = np.ascontiguousarray(self.vals)  # entries come out row by row: gather row-major
@@ -180,6 +190,15 @@ class DiagCompressed:
         c = r + self.offsets
         mask = (vals != 0.0) & (c >= 0) & (c < self.n)  # slots off the grid are unused
         return Triplets(self.n, r[mask], c[mask], vals[mask])
+
+
+def _kernel(a, name, fields, make):
+    """The scipy array ``make()`` kept on storage ``a`` as ``name``, built
+    again once any of the ``fields`` arrays it was made from is replaced."""
+    held = a.__dict__.get(name)
+    if held is None or any(f is not g for f, g in zip(fields, held[0])):
+        held = a.__dict__[name] = fields, make()
+    return held[1]
 
 
 def _check_dim(x, n, block=False):
@@ -473,6 +492,18 @@ def operator(a):
 
 _MM_GENERAL = "%%MatrixMarket matrix coordinate real general"
 _MM_SYMMETRIC = "%%MatrixMarket matrix coordinate real symmetric"
+_FIELDS = [("i", np.int64), ("j", np.int64), ("v", float)]
+
+
+def _entries(lines):
+    """Entry lines as an (i, j, v) structured array, or the error loadtxt
+    raises on a line it cannot read as two int64 and a float."""
+    with warnings.catch_warnings():  # numpy < 2 only warns on an index written "1.0"
+        warnings.simplefilter("error", DeprecationWarning)
+        try:  # no comments left to strip
+            return np.loadtxt(lines, _FIELDS, comments=None, ndmin=1)
+        except (ValueError, DeprecationWarning) as exc:
+            return exc
 
 
 def _parse_coordinate(text: str):
@@ -481,9 +512,10 @@ def _parse_coordinate(text: str):
     Returns ``(symmetric, nrows, ncols, rows, cols, vals)``: the entries as
     0-based int64 ``rows``, ``cols`` and float ``vals`` arrays, in file order.
     Rejects an unknown header, a malformed size line, an entry count other
-    than the announced one, then malformed entry lines (numpy's reason names
-    the token, its row among the entry lines and its column), then the first
-    entry line with an index outside the announced size or a non-finite value.
+    than the announced one, then the first malformed entry line (named by
+    its line number in the file and its text, with numpy's reason), then
+    the first entry line with an index outside the announced size or a
+    non-finite value.
     """
     lines = text.splitlines()
     if not lines:
@@ -491,7 +523,9 @@ def _parse_coordinate(text: str):
     header = lines[0].rstrip()
     if header not in (_MM_GENERAL, _MM_SYMMETRIC):
         raise ValueError(f"unsupported MatrixMarket header: {header!r}")
-    body = [ln for ln in lines[1:] if ln.strip() and not ln.lstrip().startswith("%")]
+    # 0-based indices of the size and entry lines; the header starts with "%"
+    keep = [i for i, ln in enumerate(lines) if ln.strip() and not ln.lstrip().startswith("%")]
+    body = [lines[i] for i in keep]
     if not body:
         raise ValueError("missing size line")
     try:  # also a count of tokens other than three
@@ -500,13 +534,14 @@ def _parse_coordinate(text: str):
         raise ValueError(f"malformed size line: {body[0]!r}") from exc
     if len(body) - 1 != nnz:
         raise ValueError(f"expected {nnz} entries, found {len(body) - 1}")
-    fields = [("i", np.int64), ("j", np.int64), ("v", float)]
-    try:  # no comments left to strip; loadtxt warns when given no lines
-        with warnings.catch_warnings():  # numpy < 2 only warns on an index written "1.0"
-            warnings.simplefilter("error", DeprecationWarning)
-            e = np.loadtxt(body[1:], fields, comments=None, ndmin=1) if nnz else np.empty(0, fields)
-    except (ValueError, DeprecationWarning) as exc:
-        raise ValueError(f"malformed entry line: {exc}") from exc
+    entries = body[1:]
+    e = _entries(entries) if nnz else np.empty(0, _FIELDS)  # loadtxt warns on no lines
+    if isinstance(e, Exception):  # numpy counts entry lines: bisect for the first bad one
+        p = bisect.bisect(range(nnz), False,
+                          key=lambda m: isinstance(_entries(entries[:m + 1]), Exception))
+        exc = _entries(entries[p:p + 1])
+        raise ValueError(f"malformed entry line: line {keep[1 + p] + 1}: {entries[p]!r}: "
+                         f"{exc}") from exc
     rows, cols, vals = e["i"] - 1, e["j"] - 1, e["v"]
     out = (rows < 0) | (rows >= nrows) | (cols < 0) | (cols >= ncols)
     bad = np.flatnonzero(out | ~np.isfinite(vals))

@@ -10,10 +10,10 @@ from krylov.nonsymmetric import (BiLanczosState, arnoldi, bicg, bicgstab,
                                  bidiag_solve, bidiagonalize, cgs, gmres, qmr,
                                  qmr_alt)
 from krylov.precond import jacobi_preconditioner
-from krylov.problems import hilbert, random_sparse
+from krylov.problems import hilbert, poisson_test, random_sparse
 from krylov.report import _Run
 from krylov.symmetric import minres
-from krylov.storage import to_dense
+from krylov.storage import Triplets, to_dense, to_triplets
 
 
 def test_arnoldi_identity_stops_immediately(rng):
@@ -536,6 +536,17 @@ def test_each_breakdown_test_of_the_lanczos_descendants(case):
     rep = solver(op, b, tol=0.0, max_iter=max_iter)
     assert (rep.status, rep.reason, rep.iterations) == want
     assert op.matvecs == matvecs
+
+
+@pytest.mark.parametrize("inst", [poisson_test(4), random_sparse(50, 0.1, 3)],
+                         ids=["poisson4", "random50"])
+def test_bicgstab_ends_as_omega_zero_when_t_t_underflows(inst):
+    # at A * 2**-550, t = A r_half has t't = 0.0 while t'r_half is not negligible
+    t = to_triplets(inst.a)
+    tiny = Triplets(t.n, t.rows, t.cols, t.vals * 2.0**-550)
+    rep = bicgstab(tiny, np.ones(t.n))
+    assert (rep.status, rep.reason, rep.iterations) == ("breakdown", "omega-zero", 1)
+    assert np.all(np.isfinite(rep.x))
 
 
 def test_each_exit_of_bidiag_solve():

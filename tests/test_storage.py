@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import scipy.io
 import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from krylov.storage import (DiagCompressed, RowCompressed,
                             Triplets, build, operator, read_matrix_market, to_dense,
@@ -288,6 +290,18 @@ def test_matrix_market_rejects_a_malformed_entry_line(line, token):
     assert token is None or f"'{token}'" in str(exc.value)
 
 
+@pytest.mark.parametrize("bad,reason", [
+    ("2 1 abc", "could not convert string 'abc' to float64"),
+    ("2 1", "the dtype passed requires 3 columns but 2 were found"),
+], ids=["bad-token", "two-columns"])
+def test_a_malformed_entry_line_is_named_by_its_line_in_the_file(bad, reason):
+    # blank and comment lines before the bad one count, as in an editor
+    text = _MM + "% size next\n\n3 3 3\n1 1 2.0\n\n% a comment\n   \n" + bad + "\n3 3 1.0\n"
+    with pytest.raises(ValueError) as exc:
+        read_matrix_market(text)
+    assert str(exc.value).startswith(f"malformed entry line: line 9: '{bad}': {reason}")
+
+
 @pytest.mark.parametrize("index", ["1.0", "1.5"])
 def test_an_index_written_as_a_float_is_rejected_whatever_the_warning_filters(index):
     # numpy < 2 only warns (DeprecationWarning) when it reads "1.0" as an int
@@ -467,6 +481,111 @@ def test_diag_results_do_not_depend_on_layout(shape, seed, fill_off_grid):
     c_order.vals = vals  # bypass the conversion: results must not depend on layout
     assert c_order.vals.flags.c_contiguous
     assert _diag_outputs(a, x) == _diag_outputs(c_order, x)
+
+
+def _by_diagonal(a, x, transpose=False):
+    """Reference for the DIA kernels, the numpy loop they replaced: y = 0,
+    then the products of each stored diagonal added in turn, in offset
+    order; A x (x an (n,) vector or an (n, m) block), or A' x."""
+    y, vals = np.zeros(x.shape), a.vals if x.ndim == 1 else a.vals[..., None]
+    for r, nu in enumerate(a.offsets.tolist()):
+        rows = slice(max(0, -nu), min(a.n, a.n - nu))  # the rows on the grid
+        cols = slice(rows.start + nu, rows.stop + nu)
+        if transpose:
+            y[cols] += vals[rows, r] * x[rows]
+        else:
+            y[rows] += vals[rows, r] * x[cols]
+    return y
+
+
+def _bits(y):
+    """dtype, shape and bytes of y, every NaN written as one quiet NaN: IEEE
+    754 leaves open which operand's NaN a sum of two NaNs carries, and numpy's
+    loops and scipy's pick differently (a NaN of x against 0 * inf's)."""
+    return y.dtype, y.shape, np.where(np.isnan(y), np.nan, y).tobytes()
+
+
+def _kernel_and_reference(kernel, reference):
+    """Bits of the kernel's result, run with every floating-point fault
+    raising, and of the reference's, run with them silenced."""
+    with np.errstate(all="raise"):
+        got = kernel()
+    with np.errstate(all="ignore"):
+        return _bits(got), _bits(reference())
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def diag_operands(draw):
+    """(a, x, block): a diag-format matrix holding finite values of every
+    magnitude and sign, its off-grid slots 0 or 7.5; x an (n,) vector and
+    block an (n, m) block, m from 0 to 3, holding any floats."""
+    n, offsets = draw(diag_shapes())
+    vals = draw(hnp.arrays(float, (n, len(offsets)), elements=_FINITE))
+    col = np.arange(n)[:, None] + offsets
+    vals = np.where((col >= 0) & (col < n), vals, draw(st.sampled_from([0.0, 7.5])))
+    x = draw(hnp.arrays(float, n, elements=st.floats()))
+    block = draw(hnp.arrays(float, (n, draw(st.integers(0, 3))), elements=st.floats()))
+    return DiagCompressed(n, len(offsets), vals, np.array(offsets)), x, block
+
+
+_SPECIALS = np.array([1.0, -0.0, np.inf, np.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(diag_operands(), st.booleans())
+@example(case=(DiagCompressed(1, 1, [[-0.0]], np.array([0])), _SPECIALS[1:2],
+               _SPECIALS[None, :]), c_order=False)
+@example(case=(build(Triplets(4, [], [], []), "diag"), _SPECIALS, np.ones((4, 2))),
+         c_order=True)  # no entries: the one-slot empty build
+@example(case=(poisson_test(3).a, np.resize(_SPECIALS, 9), np.resize(_SPECIALS, (9, 2))),
+         c_order=True)
+def test_diag_kernels_are_the_diagonal_loops_bit_for_bit(case, c_order):
+    a, x, block = case
+    for _ in range(2):  # the second round runs on vals reassigned after the first
+        for kernel, ref in [(lambda: a.matvec(x), lambda: _by_diagonal(a, x)),
+                            (lambda: a.matvec(block), lambda: _by_diagonal(a, block)),
+                            (lambda: a.rmatvec(x), lambda: _by_diagonal(a, x, True))]:
+            got, want = _kernel_and_reference(kernel, ref)
+            assert got == want
+        # new values, in C order when c_order: the kernels must follow the new array
+        a.vals = (np.ascontiguousarray if c_order else np.asfortranarray)(a.vals[::-1] * -0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1),
+       hnp.arrays(float, 12, elements=st.floats()))
+@example(n=1, density=0.0, seed=0, x=np.resize(_SPECIALS, 12))
+def test_row_rmatvec_is_the_bincount_bit_for_bit(n, density, seed, x):
+    rng = np.random.default_rng(seed)
+    t, _ = random_triplets(n, density, rng)
+    t.vals[rng.random(t.vals.size) < 0.3] = -0.0
+    a, x = build(t, "row"), x[:n]
+    for _ in range(2):  # the second round runs on vals reassigned after the first
+        got, want = _kernel_and_reference(lambda: a.rmatvec(x), lambda: np.bincount(
+            a.cols.ravel(), weights=(a.vals * x[:, None]).ravel(), minlength=n))
+        assert got == want
+        a.vals = a.vals * -0.5
+
+
+def _retained(step):
+    """Bytes that numpy and Python hold after ``step()`` beyond before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        step()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_diag_kernels_keep_one_copy_of_the_diagonals_at_most():
+    mat, rmat = poisson_test(316).a, poisson_test(316).a
+    n, k, x = mat.n, mat.k, np.ones(mat.n)
+    assert _retained(lambda: mat.matvec(x)) <= 8 * k * n + 8 * n  # the column-shifted copy
+    assert _retained(lambda: rmat.rmatvec(x)) <= 8 * n  # A' runs on vals itself
 
 
 def _coalesced_by_unique(t):
