@@ -129,19 +129,19 @@ def cg(a, b, x0=None, tol=1e-10, tol_kind="abs", max_iter=None,
     Per iteration: eta_i = r_i' r_i, step length lambda_i = eta_{i-1} / d_i
     with d_i = p_i' A p_i, and direction update p_{i+1} = r_i + mu_i p_i
     with mu_i = eta_i / eta_{i-1}.  This is :func:`~krylov.precond.pcg`
-    with C = I and runs the same iteration.
+    with C = I, bit for bit, plus the coefficient records.
 
-    The history records true residual norms ||b - A x_i|| (recomputed with
-    an extra matvec each iteration, affordable at desk scale, so that
-    finite-arithmetic drift of the recurrence is observable); stopping uses
-    the recurrence residual.  ``extras`` carries the coefficient sequences
-    needed to rebuild the tridiagonal eigenvalue-estimation matrix:
-    ``lambda_hat``, ``mu``, ``d_hat``, ``recurrence_residuals``.
+    The history records the recurrence residual norms ||r_i||, which
+    stopping reads; one matvec per iteration.  The true norms
+    ||b - A x_i|| come from the callback's ``x`` (see
+    :class:`~krylov.report.SolveReport`).  ``extras`` carries the
+    coefficient sequences needed to rebuild the tridiagonal
+    eigenvalue-estimation matrix: ``lambda_hat``, ``mu``, ``d_hat``,
+    ``recurrence_residuals``.
     """
     run = _Run(a, b, x0, tol, tol_kind, max_iter, callback=callback, extras={
         "lambda_hat": [], "mu": [], "d_hat": [], "recurrence_residuals": []})
-    return _pcg(run, run.a_apply, run.r, None, "recurrence_residuals", ("r", "p"),
-                true_residual=True)
+    return _pcg(run, run.a_apply, run.r, None, "recurrence_residuals", ("r", "p"))
 
 
 def assemble_tbar(report: SolveReport, steps=None) -> TridiagSym:

@@ -76,23 +76,21 @@ def semi_iterative(base: Splitting, b, alpha, beta, tol=1e-6,
                   - (g_{k-1}/g_{k+1}) x_{k-1},
 
     where the inner solve is carried out in residual form
-    z_k = x_k + inv(M)(b - A x_k).  The history records true residual
-    2-norms.  If the residual grows for many consecutive steps the spectral
-    interval is deemed wrong and the run stops with a breakdown report
-    ("interval-mismatch").
+    z_k = x_k + inv(M)(b - A x_k), whose residual is the one the history
+    records (true 2-norms): one matvec per iterate.  If the residual grows
+    for many consecutive steps the spectral interval is deemed wrong and
+    the run stops with a breakdown report ("interval-mismatch").
     """
     _check_interval(alpha, beta)
     run = _Run(base.a_apply, b, x0, tol, tol_kind, max_iter, sweeps=100)
     b, x_prev = run.b, run.x
     mu1 = 1.0 + 2.0 * (1.0 - beta) / (beta - alpha)
 
-    def baseline_step(x):
-        return x + base.m_solve(b - base.a_apply(x))
-
     if run.stop(run.r_norm) or run.max_iter == 0:
         return run.finish(x_prev, 0)
-    x = baseline_step(x_prev)
-    run.record(float(np.linalg.norm(b - base.a_apply(x))))
+    x = x_prev + base.m_solve(run.r)
+    r = b - base.a_apply(x)
+    run.record(float(np.linalg.norm(r)))
     g_prev, g = 1.0, mu1
     rising = 0
     span = beta - alpha
@@ -100,13 +98,14 @@ def semi_iterative(base: Splitting, b, alpha, beta, tol=1e-6,
         if run.stop(run.history[-1]):
             return run.finish(x, k)
         g_next = 2.0 * mu1 * g - g_prev
-        z = baseline_step(x)
+        z = x + base.m_solve(r)
         x_next = (g / g_next) * (4.0 / span) * z \
             - (g / g_next) * (2.0 * (alpha + beta) / span) * x \
             - (g_prev / g_next) * x_prev
         x_prev, x = x, x_next
         g_prev, g = g, g_next
-        run.record(float(np.linalg.norm(b - base.a_apply(x))))
+        r = b - base.a_apply(x)
+        run.record(float(np.linalg.norm(r)))
         rising = rising + 1 if run.history[-1] > run.history[-2] else 0
         if rising >= _DIVERGENCE_RUN:
             return run.breakdown(x, k + 1, "interval-mismatch")

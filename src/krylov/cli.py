@@ -7,7 +7,9 @@ numbers carry 17 significant digits so identical arguments and seed yield
 byte-identical files.  Of the methods only gmres takes an option
 (``gmres,restart=k``), and ``--precond ic|mic`` reads its band offset from
 the matrix: the offset of its outermost entry.  ``--precond`` reaches cg
-and the nonsymmetric Krylov methods, ``poly:m`` cg alone.  Exit codes: 0
+and the nonsymmetric Krylov methods, ``poly:m`` cg alone.  The solve CSV of
+cg, minres and the qmrs has the true residual ||C b - C A x_i|| (from the
+callback), the stdout summary the norm the stop test read.  Exit codes: 0
 converged/ok, 2 usage error or bad input, 3 not converged, 4 breakdown (a
 breakdown report or an incomplete factorization meeting a nonpositive
 pivot).
@@ -33,6 +35,8 @@ _EXIT_BREAKDOWN = 4
 
 # CLI spellings of the stationary methods; the library's names use "_" for "-"
 _STATIONARY = ("jacobi", "gauss-seidel", "sor", "ssor", "block-jacobi", "block-gs")
+# the quasi-minimal methods: their CSV gives the true residual beside the history
+_QUASI = ("minres", "qmr", "qmr-alt")
 # the nonsymmetric Krylov solvers: they and cg apply --precond, cg alone poly:m
 _KRYLOV = {
     "gmres": nonsym.gmres,
@@ -46,13 +50,7 @@ _KRYLOV = {
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
-def _config_line(pairs) -> str:
-    return "# " + " ".join(f"{k}={_fmt(v)}" for k, v in pairs)
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
 def _write_text(path, text):
@@ -61,9 +59,8 @@ def _write_text(path, text):
 
 
 def _write_csv(path, config_pairs, header, rows):
-    lines = [_config_line(config_pairs), header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = ["# " + " ".join(f"{k}={_fmt(v)}" for k, v in config_pairs), header]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
     text = "\n".join(lines) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -161,14 +158,17 @@ def cmd_solve(args, parser):
         raise ValueError(f"method {method} does not apply --precond {spec}")
     try:
         c_apply, poly_m = _build_preconditioner(spec, inst, args.block_size, parser)
+        true_norms = [] if method in _QUASI or (method, spec) == ("cg", "none") else None
+        callback = _true_residuals(inst, c_apply, true_norms)
         t0 = time.perf_counter()
-        report = _dispatch_solve(method, restart, inst, args, parser, c_apply, poly_m)
+        report = _dispatch_solve(method, restart, inst, args, parser, c_apply, poly_m,
+                                 callback)
     except pcmod.IcBreakdownError as exc:  # other ValueErrors exit 2 from main
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_BREAKDOWN
     wall_ms = (time.perf_counter() - t0) * 1e3
 
-    rows, header = _history_rows(report)
+    rows, header = _history_rows(report, true_norms, method in _QUASI)
     pairs = [("command", "solve"), ("problem", inst.label), ("method", args.method),
              ("precond", spec), ("tol", args.tol), ("tol_kind", args.tol_kind)]
     _write_csv(args.out, pairs, header, rows)
@@ -180,7 +180,17 @@ def cmd_solve(args, parser):
     return _EXIT_BREAKDOWN if report.status == BREAKDOWN else _EXIT_NOT_CONVERGED
 
 
-def _dispatch_solve(method, restart, inst, args, parser, c_apply, poly_m):
+def _true_residuals(inst, c_apply, norms):
+    """None without ``norms``, else a callback appending to them ||C b - C A x||
+    (C = I without ``c_apply``) of each event's ``x``, bitwise as _Run forms it."""
+    if norms is None:
+        return None
+    a_apply, c_apply = storage.operator(inst.a)[0], c_apply or (lambda v: v)
+    cb = c_apply(np.asarray(inst.b, dtype=float))
+    return lambda event: norms.append(float(np.linalg.norm(cb - c_apply(a_apply(event["x"])))))
+
+
+def _dispatch_solve(method, restart, inst, args, parser, c_apply, poly_m, callback):
     a, b = inst.a, inst.b
     kw = dict(tol=args.tol, tol_kind=args.tol_kind, max_iter=args.max_iter)
     if method in _STATIONARY:
@@ -193,6 +203,7 @@ def _dispatch_solve(method, restart, inst, args, parser, c_apply, poly_m):
         base = stationary.split(a, args.base.replace("-", "_"),
                                 omega=args.omega, block_size=args.block_size)
         return semi_iterative(base, b, args.alpha, args.beta, **kw)
+    kw["callback"] = callback
     if method == "cg-basic":
         return cg_basic(a, b, **kw)
     if method == "cg":
@@ -220,27 +231,17 @@ def _solve_cg(inst, c_apply, poly_m, **kw):
     return cg(a, b, **kw)
 
 
-def _history_rows(report):
-    true_norms = report.extras.get("true_residual_norms")
-    tags = report.extras.get("history_tags")
-    if tags is not None:  # bicgstab: interleaved half/full steps
-        rows = []
-        k = 0
-        for tag, h in zip(tags, report.history):
-            if tag == "half":
-                rows.append((k + 0.5, h, 1))
-            elif tag == "full":
-                k += 1
-                rows.append((float(k), h, 0))
-            else:
-                rows.append((0.0, h, 0))
-        return rows, "iter,residual_norm,half_step"
-    if true_norms is not None:  # minres/qmr family: true norm + quasi residual
-        rows = [(float(i), t, q)
-                for i, (t, q) in enumerate(zip(true_norms, report.history))]
-        return rows, "iter,residual_norm,quasi_residual"
-    rows = [(float(i), h) for i, h in enumerate(report.history)]
-    return rows, "iter,residual_norm"
+def _history_rows(report, true_norms, quasi):
+    """CSV rows and header: the history, with the true norms (``true_norms``
+    after ||r_0||, when given) in its place or, when ``quasi``, beside it."""
+    h = report.history
+    if "history_tags" in report.extras:  # bicgstab: after r_0, alternately half and full steps
+        return [(j / 2, v, j % 2) for j, v in enumerate(h)], "iter,residual_norm,half_step"
+    true = h if true_norms is None else [h[0], *true_norms]
+    if quasi:  # minres/qmr family: true norm + quasi residual
+        return [(float(i), t, q) for i, (t, q) in enumerate(zip(true, h))], \
+            "iter,residual_norm,quasi_residual"
+    return [(float(i), t) for i, t in enumerate(true)], "iter,residual_norm"
 
 
 def cmd_spectrum(args, parser):

@@ -105,9 +105,8 @@ def gmres(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     if restart is not None and restart < 1:
         raise ValueError("restart must be at least 1")
     cycle = restart if restart is not None else run.max_iter
-    total = 0
+    total, r0 = 0, run.r  # a restart forms its own residual
     while True:
-        r0 = run.b - a_apply(x)
         beta = float(np.linalg.norm(r0))
         if run.stop(beta):
             return run.finish(x, total, res=beta)
@@ -152,6 +151,7 @@ def gmres(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
             return run.breakdown(x, total, breakdown)
         if run.stop(abs(g), exact) or total >= run.max_iter:
             return run.finish(x, total, res=abs(g), exact=exact)
+        r0 = run.b - a_apply(x)
 
 
 class BiLanczosState:
@@ -282,10 +282,10 @@ def qmr(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     """Quasi-minimal residual method on the two-sided Lanczos factorization.
 
     Minimizes the reduced least-squares surrogate; |g_i| (the history
-    entries) is the quasi-residual, an upper proxy for the true residual up
-    to the conditioning of the nonorthogonal basis.  True residual norms
-    are recorded in ``extras["true_residual_norms"]``.  On symmetric A with
-    the default shadow start the method coincides with MINRES.
+    entries, which stopping reads) is the quasi-residual, an upper proxy
+    for the true residual up to the conditioning of the nonorthogonal
+    basis.  On symmetric A with the default shadow start the method
+    coincides with MINRES.
     """
     run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply, transpose="qmr",
                callback=callback)

@@ -48,7 +48,7 @@ def pcg(a, b, c_apply=None, x0=None, tol=1e-10, tol_kind="abs", max_iter=None,
     return _pcg(run, run.a_apply, run.r, c_apply, "c_norms", ("r", "s", "p"))
 
 
-def _pcg(run, op, r, c_apply, norm_key, keys, true_residual=False, stop_on_true=False):
+def _pcg(run, op, r, c_apply, norm_key, keys, true_residual=False):
     """The PCG iteration behind :func:`pcg`, :func:`cg` and :func:`solve_poly_pcg`.
 
     Iterates on the operator ``op`` from ``run.x`` with residual ``r``
@@ -56,11 +56,10 @@ def _pcg(run, op, r, c_apply, norm_key, keys, true_residual=False, stop_on_true=
     ``c_apply`` or the identity, and records into ``run``:
     ``run.extras[norm_key]`` gets sqrt(eta_i), and extras holding
     ``"d_hat"`` also get the coefficients ``lambda_hat``, ``mu`` and
-    ``d_hat``.  History records ||r_i||, or with ``true_residual`` the norm
-    of ``run.b - A x_i`` of the original system (one more matvec).
-    Stopping uses ||r_i||, or that true norm with ``stop_on_true``; eta_i
-    <= 1e-28 eta_0 counts as an exact solve.  Callback events carry ``x``
-    and the vectors named in ``keys``.
+    ``d_hat``.  History records, and stopping reads, ||r_i||, or with
+    ``true_residual`` the norm of ``run.b - A x_i`` of the original system
+    (one more matvec); eta_i <= 1e-28 eta_0 counts as an exact solve.
+    Callback events carry ``x`` and the vectors named in ``keys``.
 
     ``x``, ``r`` and ``p`` are updated in place through one scratch vector.
     The loop writes only into arrays it allocated (copies of ``run.x`` and
@@ -102,12 +101,12 @@ def _pcg(run, op, r, c_apply, norm_key, keys, true_residual=False, stop_on_true=
             extras["mu"].append(mu)
             extras["d_hat"].append(d)
         extras[norm_key].append(math.sqrt(eta))
-        # With C = I, sqrt(eta) is ||r|| without a second reduction.
-        res = math.sqrt(eta) if c_apply is None else float(np.linalg.norm(r))
+        if true_residual:
+            res = float(np.linalg.norm(np.subtract(run.b, run.a_apply(x), out=w)))
+        else:  # with C = I, sqrt(eta) is ||r|| without a second reduction
+            res = math.sqrt(eta) if c_apply is None else float(np.linalg.norm(r))
         vecs = {"r": r, "s": s, "p": p}
-        run.record(float(np.linalg.norm(np.subtract(run.b, run.a_apply(x), out=w)))
-                   if true_residual else res, i, x=x, **{k: vecs[k] for k in keys})
-        res = run.history[-1] if stop_on_true else res
+        run.record(res, i, x=x, **{k: vecs[k] for k in keys})
     return run.finish(x, run.max_iter, res)
 
 
@@ -414,5 +413,4 @@ def solve_poly_pcg(a, b, m, lmin, lmax, x0=None, tol=1e-10, tol_kind="abs",
                extras={"transformed_residuals": [], "eps_m": p.eps})
     pm = lambda v: poly_apply_pmA(p, run.a_apply, v)
     r_t = poly_apply_Cb(p, run.a_apply, run.b) - pm(run.x)
-    return _pcg(run, pm, r_t, None, "transformed_residuals", (),
-                true_residual=True, stop_on_true=True)
+    return _pcg(run, pm, r_t, None, "transformed_residuals", (), true_residual=True)

@@ -25,10 +25,9 @@ class SolveReport:
         Number of iterations actually performed.
     history : list of float
         Residual-norm history, one entry per recorded step (the entry at
-        index 0 is the initial residual).  Which norm is recorded depends
-        on the solver and is stated in its docstring; solvers that track a
-        cheap recurrence estimate expose the recomputed true norms through
-        ``extras``.
+        index 0 is the initial residual).  It holds the norm the solver's
+        stop test reads, named in its docstring; no solver spends a matvec
+        on a norm it only records.
     status : str
         One of ``"converged"``, ``"max_iter"``, ``"breakdown"``.
         ``"converged"`` implies a finite final residual norm.
@@ -41,7 +40,12 @@ class SolveReport:
 
     A solver's ``callback`` receives one event per iteration: a dict with
     the iteration number ``i`` and copies of the solver's vectors, so the
-    callback cannot change the run.
+    callback cannot change the run.  The events carry ``x`` (GMRES's
+    excepted), so a caller computes the true residual norms there::
+
+        true = []
+        rep = cg(a, b, callback=lambda e: true.append(np.linalg.norm(b - a @ e["x"])))
+        true.insert(0, rep.history[0])
     """
 
     x: np.ndarray

@@ -512,10 +512,10 @@ def _parse_coordinate(text: str):
     Returns ``(symmetric, nrows, ncols, rows, cols, vals)``: the entries as
     0-based int64 ``rows``, ``cols`` and float ``vals`` arrays, in file order.
     Rejects an unknown header, a malformed size line, an entry count other
-    than the announced one, then the first malformed entry line (named by
-    its line number in the file and its text, with numpy's reason), then
-    the first entry line with an index outside the announced size or a
-    non-finite value.
+    than the announced one, then the first malformed entry line (with
+    numpy's reason), then the first entry line with an index outside the
+    announced size or a non-finite value; each entry line is named by its
+    line number in the file and its text.
     """
     lines = text.splitlines()
     if not lines:
@@ -547,7 +547,7 @@ def _parse_coordinate(text: str):
     bad = np.flatnonzero(out | ~np.isfinite(vals))
     if bad.size:
         kind = "index out of range" if out[bad[0]] else "non-finite value"
-        raise ValueError(f"{kind} in line {body[1 + bad[0]]!r}")
+        raise ValueError(f"{kind}: line {keep[1 + bad[0]] + 1}: {entries[bad[0]]!r}")
     return header == _MM_SYMMETRIC, nrows, ncols, rows, cols, vals
 
 

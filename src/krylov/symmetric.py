@@ -85,12 +85,11 @@ def _quasi_minimal(run, process, operand):
     one zeroing beta_i reduce the column to R; the direction
     p_i = (u_i - r_{i-2,i} p_{i-2} - r_{i-1,i} p_{i-1}) / r_ii then advances
     x by xi_i p_i.  |g|, the rotated right-hand side, is the
-    (quasi-)residual norm that the history records; the true residual norms
-    go to ``extras["true_residual_norms"]``.  An invariant step above the
-    threshold is exact if |g| is negligible next to ||r_0||, else a breakdown.
+    (quasi-)residual norm that the history records and stopping reads.  An
+    invariant step above the threshold is exact if |g| is negligible next
+    to ||r_0||, else a breakdown.
     """
     x, g = run.x, run.r_norm
-    true_norms = run.extras["true_residual_norms"] = [g]
     if run.stop(g):
         return run.finish(x, 0)
     lz = process(operand, run.r)
@@ -115,7 +114,6 @@ def _quasi_minimal(run, process, operand):
         xi, g = rot.apply(g, 0.0)
         rots, ps = rots[-1:] + [rot], [ps[1], p]
         x = x + xi * p
-        true_norms.append(float(np.linalg.norm(run.b - run.a_apply(x))))
         run.record(abs(g), i, x=x, g=g)
         exact = invariant and _negligible(g, run.r_norm)
         if run.stop(abs(g), exact):
@@ -133,12 +131,12 @@ def minres(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     """MINRES for symmetric A: minimize ||b - A x|| over the Krylov variety.
 
     History records |g_i|, the residual norm delivered for free by the
-    rotation cascade; the recomputed true residual norms are in
-    ``extras["true_residual_norms"]`` so drift between the two is
-    observable.  The basis comes from :class:`LanczosState`; an invariant
-    subspace ends the run with an exact iterate, or, when |g| is not
-    negligible next to ||r_0|| (A singular, b outside its range), with an
-    "invariant_subspace" breakdown.  A vanishing diagonal entry of the
+    rotation cascade, which stopping reads; one matvec per iteration.  The
+    true norms ||b - A x_i|| come from the callback's ``x``, so drift
+    between the two is observable at the caller's cost.  The basis comes
+    from :class:`LanczosState`; an invariant subspace ends the run with an
+    exact iterate, or, when |g| is not negligible next to ||r_0|| (A
+    singular, b outside its range), with an "invariant_subspace" breakdown.  A vanishing diagonal entry of the
     triangular factor cannot occur while beta stays nonzero and is flagged
     defensively as a breakdown.
     """

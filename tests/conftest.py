@@ -30,6 +30,15 @@ def poisson_dense(N):
     return np.kron(t, np.eye(N)) + np.kron(np.eye(N), t)
 
 
+def with_true_residuals(solver, a, b, **kw):
+    """``solver``'s report on dense ``a`` and its true residual norms
+    ||b - A x_i||: history[0], then one per callback iterate."""
+    norms = []
+    rep = solver(a, b, callback=lambda e: norms.append(float(np.linalg.norm(b - a @ e["x"]))),
+                 **kw)
+    return rep, [rep.history[0], *norms]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

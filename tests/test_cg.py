@@ -8,6 +8,7 @@ from conftest import make_spd
 from krylov.cg import (assemble_tbar, cg, cg_basic, convergence_bound,
                        estimate_extremes_by_cg, factorize_aut, stopping_check)
 from krylov.core import TridiagSym, sturm_extreme_eigs
+from krylov.precond import pcg
 from krylov.problems import hilbert, poisson_test
 from krylov.report import residual_threshold
 from krylov.storage import to_dense
@@ -114,6 +115,21 @@ def test_cg_matches_cg_basic_per_iterate(rng):
         cg(a, b, tol=0.0, max_iter=n, callback=lambda d: xs2.append(d["x"]))
         for u, v in zip(xs1, xs2):
             assert np.abs(u - v).max() <= 1e-11 * max(1.0, np.abs(u).max())
+
+
+def test_cg_is_pcg_without_a_preconditioner_bit_for_bit(rng):
+    for _ in range(20):
+        n = int(rng.integers(1, 30))
+        a, b = make_spd(n, rng, lo=0.1, hi=10.0), rng.standard_normal(n)
+        events = [], []
+        rep_cg = cg(a, b, tol=1e-12, max_iter=2 * n, callback=events[0].append)
+        rep_pcg = pcg(a, b, None, tol=1e-12, max_iter=2 * n, callback=events[1].append)
+        assert rep_cg.x.tobytes() == rep_pcg.x.tobytes()
+        assert np.array(rep_cg.history).tobytes() == np.array(rep_pcg.history).tobytes()
+        assert (rep_cg.iterations, rep_cg.status) == (rep_pcg.iterations, rep_pcg.status)
+        assert rep_cg.extras["recurrence_residuals"] == rep_pcg.extras["c_norms"]
+        assert [(e["i"], e["x"].tobytes()) for e in events[0]] == \
+            [(e["i"], e["x"].tobytes()) for e in events[1]]
 
 
 def test_cg_hilbert_shifted_fast():

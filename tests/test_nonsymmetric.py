@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
-from conftest import make_general, make_spd, make_symmetric_indefinite
+from conftest import (make_general, make_spd, make_symmetric_indefinite, poisson_dense,
+                      with_true_residuals)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krylov.cg import cg
+from krylov.chebyshev import semi_iterative
 from krylov.core import _negligible, make_givens
 from krylov.nonsymmetric import (BiLanczosState, arnoldi, bicg, bicgstab,
                                  bidiag_solve, bidiagonalize, cgs, gmres, qmr,
                                  qmr_alt)
-from krylov.precond import jacobi_preconditioner
+from krylov.precond import jacobi_preconditioner, pcg
 from krylov.problems import hilbert, poisson_test, random_sparse
 from krylov.report import _Run
+from krylov.stationary import Splitting, split
 from krylov.symmetric import minres
 from krylov.storage import Triplets, to_dense, to_triplets
 
@@ -183,8 +186,7 @@ def test_qmr_equals_minres_on_symmetric(rng):
 def test_qmr_quasi_residual_bounds_and_smoothness(rng):
     a = make_general(20, rng, contraction=0.9)
     b = rng.standard_normal(20)
-    rep_q = qmr(a, b, tol=1e-10, tol_kind="rel_to_b", max_iter=20)
-    true = rep_q.extras["true_residual_norms"]
+    rep_q, true = with_true_residuals(qmr, a, b, tol=1e-10, tol_kind="rel_to_b", max_iter=20)
     for i, (g, t) in enumerate(zip(rep_q.history, true)):
         assert g >= t / np.sqrt(i + 1.0) - 1e-12 * true[0]
     rep_b = bicg(a, b, tol=1e-10, tol_kind="rel_to_b", max_iter=20)
@@ -245,7 +247,6 @@ def _qmr_alt_reference(a, b, tol=1e-8, tol_kind="rel_to_b", max_iter=None, callb
     run = _Run(a, b, None, tol, tol_kind, max_iter, transpose="qmr_alt", callback=callback)
     a_apply, at_apply, x = run.a_apply, run.at_apply, run.x
     beta0 = run.r_norm
-    true_norms = run.extras["true_residual_norms"] = [beta0]
     if run.stop(beta0):
         return run.finish(x, 0)
     u = run.r / beta0
@@ -271,7 +272,6 @@ def _qmr_alt_reference(a, b, tol=1e-8, tol_kind="rel_to_b", max_iter=None, callb
         p /= r_ii
         xi, g = rot.apply(g, 0.0)
         x = x + xi * p
-        true_norms.append(float(np.linalg.norm(run.b - a_apply(x))))
         run.record(abs(g), i, x=x, g=g)
         invariant = _negligible(alpha, float(np.linalg.norm(q_hat)))
         exact = invariant and _negligible(g, beta0)
@@ -293,13 +293,13 @@ def _qmr_alt_reference(a, b, tol=1e-8, tol_kind="rel_to_b", max_iter=None, callb
 
 
 def _report_bits(solver, a, b, **kw):
-    """Every bit of a run: the report, its true residual norms and the
-    callback's iterates.  Overflow is part of the run, not an error."""
+    """Every bit of a run: the report and the callback's iterates.
+    Overflow is part of the run, not an error."""
     events = []
     with np.errstate(all="ignore"):
         rep = solver(a, b, callback=events.append, **kw)
     return (rep.x.tobytes(), np.array(rep.history).tobytes(), rep.status, rep.reason,
-            rep.iterations, np.array(rep.extras["true_residual_norms"]).tobytes(),
+            rep.iterations, rep.extras,
             [(e["i"], e["x"].tobytes(), np.float64(e["g"]).tobytes()) for e in events])
 
 
@@ -496,17 +496,20 @@ def test_solvers_report_converged_only_when_residual_small(rng):
 
 
 class Counted:
-    """A dense operand that counts its matvecs: the count tells which test of
-    an iteration fired, one before its first matvec or one after it."""
+    """A dense operand that counts its matvecs and rmatvecs: the count tells
+    which test of an iteration fired, one before its first matvec or one
+    after it."""
 
     def __init__(self, a):
-        self.a, self.n, self.matvecs = np.asarray(a, dtype=float), len(a), 0
+        self.a, self.n = np.asarray(a, dtype=float), len(a)
+        self.matvecs = self.rmatvecs = 0
 
     def matvec(self, x):
         self.matvecs += 1
         return self.a @ x
 
     def rmatvec(self, x):
+        self.rmatvecs += 1
         return self.a.T @ x
 
 
@@ -536,6 +539,31 @@ def test_each_breakdown_test_of_the_lanczos_descendants(case):
     rep = solver(op, b, tol=0.0, max_iter=max_iter)
     assert (rep.status, rep.reason, rep.iterations) == want
     assert op.matvecs == matvecs
+
+
+ONE_MATVEC = {  # solver -> (run on a Counted operand and a right-hand side, A symmetric)
+    "cg": (cg, True),
+    "pcg": (lambda op, b: pcg(op, b, jacobi_preconditioner(op.a)), True),
+    "minres": (minres, True),
+    "semi_iterative": (lambda op, b: semi_iterative(
+        Splitting(split(op.a, "jacobi").m_solve, op.matvec), b, -0.81, 0.81), True),
+    "gmres": (gmres, False),
+    "qmr": (qmr, False),
+    "qmr_alt": (qmr_alt, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_MATVEC))
+def test_a_solver_applies_a_once_for_r0_and_once_per_iteration(name):
+    # no residual b - A x_i is formed only to be recorded; Jacobi's radius
+    # on Poisson N=4 is cos(pi/5) = 0.809, inside semi_iterative's interval
+    solve, spd = ONE_MATVEC[name]
+    op = Counted(poisson_dense(4) if spd else make_general(16, np.random.default_rng(17)))
+    rep = solve(op, np.arange(1.0, 17.0))
+    assert rep.converged and rep.iterations > 1
+    assert op.matvecs == 1 + rep.iterations
+    if name.startswith("qmr"):  # A' in each iteration but the one that stopped
+        assert op.rmatvecs == rep.iterations - 1
 
 
 @pytest.mark.parametrize("inst", [poisson_test(4), random_sparse(50, 0.1, 3)],

@@ -314,10 +314,12 @@ def test_an_index_written_as_a_float_is_rejected_whatever_the_warning_filters(in
 @pytest.mark.parametrize("lines,message", [
     # a parse fault is found before a range fault on an earlier line
     (["3 1 1.0", "1 1 x"], "malformed entry line: "),
-    # range and non-finite faults are found in file order
-    (["1 1 nan", "3 1 1.0"], "non-finite value in line '1 1 nan'"),
-    (["3 1 nan", "1 1 inf"], "index out of range in line '3 1 nan'"),
-], ids=["parse-before-range", "non-finite-first", "range-first"])
+    # range and non-finite faults are found in file order, named by file line
+    (["1 1 nan", "3 1 1.0"], "non-finite value: line 3: '1 1 nan'"),
+    (["3 1 nan", "1 1 inf"], "index out of range: line 3: '3 1 nan'"),
+    # blank and comment lines before the bad entry count, as in an editor
+    (["1 1 1.0", "", "% a comment", "1 0 1.0"], "index out of range: line 6: '1 0 1.0'"),
+], ids=["parse-before-range", "non-finite-first", "range-first", "range-after-blank-and-comment"])
 def test_matrix_market_fault_order(lines, message):
     with pytest.raises(ValueError, match="^" + message):
         read_matrix_market(_MM + "2 2 2\n" + "\n".join(lines) + "\n")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import make_symmetric_indefinite
+from conftest import make_symmetric_indefinite, with_true_residuals
 
 from krylov.core import sturm_extreme_eigs
 from krylov.problems import indefinite_kron
@@ -77,8 +77,7 @@ def test_minres_residual_identity(rng):
         n = int(rng.integers(6, 20))
         a = make_symmetric_indefinite(n, rng)
         b = rng.standard_normal(n)
-        rep = minres(a, b, tol=1e-9, tol_kind="rel_to_b", max_iter=n)
-        true = rep.extras["true_residual_norms"]
+        rep, true = with_true_residuals(minres, a, b, tol=1e-9, tol_kind="rel_to_b", max_iter=n)
         r0 = rep.history[0]
         for g, t in zip(rep.history, true):
             assert abs(g - t) <= 1e-8 * r0
