@@ -36,13 +36,16 @@ def _mgs_step(a_apply, us):
     Returns ``(v, col, hnext, scale)``: v = A u_i orthogonalized against
     ``us``, col its projections with hnext = ||v|| appended (column i of
     the Hessenberg matrix), and scale = ||A u_i|| for the breakdown test.
+    Each projection v - col[j] u is written into one array of the step's own,
+    never into A u_i, which may be the operator's buffer.
     """
     v = a_apply(us[-1])
     scale = float(np.linalg.norm(v))
     col = np.zeros(len(us) + 1)
+    out, term = np.empty_like(us[-1]), np.empty_like(us[-1])
     for j, u in enumerate(us):
         col[j] = float(u @ v)
-        v = v - col[j] * u
+        v = np.subtract(v, np.multiply(col[j], u, out=term), out=out)
     hnext = float(np.linalg.norm(v))
     col[-1] = hnext
     return v, col, hnext, scale

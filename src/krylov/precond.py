@@ -189,7 +189,8 @@ def _ic_factor(a, band, modified):
 
     Row i reads row i-1 through b_i, then row i-band through c_i; pivots
     and sweeps run on the levels of that triangle without its zero entries
-    (the 2N-1 anti-diagonals of the five-point grid).  Pivots stay bitwise
+    (the 2N-1 anti-diagonals of the five-point grid), the backward sweep
+    on the same levels last to first.  Pivots stay bitwise
     the same (each starts from a positive a_i); in a sweep 0.0 * y_j could
     only flip a zero's sign or spread a non-finite y_j.  The first
     nonpositive pivot in row order is the loop's: rows read earlier rows.
@@ -212,7 +213,8 @@ def _ic_factor(a, band, modified):
     bad = np.flatnonzero(dt <= 0.0)
     if bad.size:
         raise IcBreakdownError(f"ic-pivot: nonpositive pivot {dt[bad[0]]:g} at row {bad[0]}")
-    return IcFactors(n, band, diag, b, c, dt, lower, _Sweep(n, cols, rows, vals, lower=False))
+    upper = _Sweep(n, cols, rows, vals, lower=False, level=lower.level.max() - lower.level)
+    return IcFactors(n, band, diag, b, c, dt, lower, upper)
 
 
 def apply_ic_solve(f: IcFactors, r):

@@ -16,15 +16,19 @@ Index grids are padded by repeating the last used index of the row/column
 adjacent memory.  All indices are 0-based in memory; MatrixMarket files are
 1-based on disk.
 
-Three actions run scipy's compiled loops through the public ``scipy.sparse``
+Four actions run scipy's compiled loops through the public ``scipy.sparse``
 arrays, bitwise equal to the numpy loops they replaced (same terms, added in
 the same order from zero): ``DiagCompressed.rmatvec`` (DIA, with A''s data
-``vals.T``, a view), ``DiagCompressed.matvec`` (DIA, on one (k, n) copy) and
-``RowCompressed.rmatvec`` (CSC).  Each is built on first use and again when
-a field it reads is reassigned: assign new arrays, never mutate them in
-place.  The other actions stay numpy, as CSR/CSC would change their sums:
-``ColCompressed.matvec`` adds slot-major, ``RowCompressed.matvec`` sums rows
-pairwise, and ``ColCompressed.rmatvec`` keeps -0.0 that 0.0 + -0.0 would not.
+``vals.T``, a view), ``DiagCompressed.matvec`` (DIA, on one (k, n) copy),
+``RowCompressed.rmatvec`` (CSC) and ``RowCompressed.matvec`` for k < 8 (CSR;
+the two share one CSR array on views of the panels).  Each is built on first
+use and again when a field it reads is reassigned: assign new arrays, never
+mutate them in place.  The other actions stay numpy, as CSR/CSC would change
+their sums: ``ColCompressed.matvec`` adds slot-major,
+``RowCompressed.matvec`` for k >= 8 sums each row pairwise (numpy's reduce
+adds fewer than 8 terms in turn from 0.0, as CSR does, but 8 or more in 8
+accumulators), and ``ColCompressed.rmatvec`` keeps -0.0 that 0.0 + -0.0
+would not.
 """
 
 import bisect
@@ -90,8 +94,12 @@ class Triplets:
 class RowCompressed:
     """Row-compressed padded storage (k = max nonzeros per row).
 
-    ``rmatvec`` runs scipy's CSC loop on the panels as a CSR array, padding
-    kept: it adds the products in the panels' C order, as a bincount does.
+    The panels, padding kept, are read as one scipy CSR array on views of
+    them.  ``rmatvec`` runs scipy's CSC loop on its transpose, adding the
+    products in the panels' C order, as a bincount does.  For k < 8
+    ``matvec`` runs the CSR loop, adding each row's products in turn from
+    0.0, as numpy's reduce over fewer than 8 terms does; from 8 slots on,
+    where that reduce sums pairwise with 8 accumulators, it stays the reduce.
     """
 
     n: int
@@ -101,14 +109,20 @@ class RowCompressed:
 
     def matvec(self, x):
         x = _check_dim(x, self.n, block=True)
+        if self.k < 8:
+            return self._csr() @ x
         # each row's products, per column of a block, summed as one contiguous run
         return (self.vals * x.T.take(self.cols, axis=-1)).sum(axis=-1).T
 
     def rmatvec(self, x):
         x = _check_dim(x, self.n)
-        return _kernel(self, "_at", (self.vals, self.cols), lambda: csr_array(
+        return _kernel(self, "_at", (self.vals, self.cols), lambda: self._csr().T) @ x
+
+    def _csr(self):
+        """A as a scipy CSR array on views of the panels."""
+        return _kernel(self, "_a", (self.vals, self.cols), lambda: csr_array(
             (self.vals.ravel(), self.cols.ravel(), np.arange(0, self.n * self.k + 1, self.k)),
-            shape=(self.n, self.n)).T) @ x
+            shape=(self.n, self.n)))
 
     def to_triplets(self):
         mask = self.vals != 0.0
@@ -303,20 +317,24 @@ class _Sweep(_Panels):
     T is the strict lower (or upper) triangle of the entries given as int64
     (rows, cols) and values, each row's entries in the order a row-by-row
     loop subtracts them.  The groups are levels: a row's level is one more
-    than the highest level of the rows it reads.  :meth:`solve` is the
-    panel sweep with a division by D as its finish: a level takes a few
-    numpy calls in the loop's operation order, so results are bitwise the
-    loop's.  An (n, k) block runs the same calls on its k columns at once,
-    each bitwise its vector sweep."""
+    than the highest level of the rows it reads, unless ``level`` gives
+    another schedule in which every row comes after the rows it reads (the
+    levels of the transposed sweep, last to first, are one).  :meth:`solve`
+    is the panel sweep with a division by D as its finish: a level takes a
+    few numpy calls in the loop's operation order, so results are bitwise
+    the loop's, on any schedule.  An (n, k) block runs the same calls on its
+    k columns at once, each bitwise its vector sweep."""
 
-    def __init__(self, n, rows, cols, vals, lower):
+    def __init__(self, n, rows, cols, vals, lower, level=None):
         keep = cols < rows if lower else cols > rows
         rows, cols, vals = rows[keep], cols[keep], np.asarray(vals, dtype=float)[keep]
-        seq = np.argsort(rows if lower else -rows, kind="stable")
-        level = [0] * n
-        for i, j in zip(rows[seq].tolist(), cols[seq].tolist()):
-            level[i] = max(level[i], level[j] + 1)
-        super().__init__(n, rows, cols, vals, np.array(level, dtype=np.int64))
+        if level is None:
+            seq = np.argsort(rows if lower else -rows, kind="stable")
+            level = [0] * n
+            for i, j in zip(rows[seq].tolist(), cols[seq].tolist()):
+                level[i] = max(level[i], level[j] + 1)
+        self.level = np.asarray(level, dtype=np.int64)
+        super().__init__(n, rows, cols, vals, self.level)
 
     def solve(self, diag, rhs):
         """u with (D + T) u = rhs, D = diag(diag), for an (n,) vector or an

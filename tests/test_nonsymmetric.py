@@ -67,6 +67,21 @@ def test_gmres_monotone_and_exact_on_random_sparse():
     assert np.linalg.norm(inst.b - inst.a.matvec(rep.x)) <= 1e-9 * np.linalg.norm(inst.b)
 
 
+def test_gmres_and_arnoldi_leave_the_operators_result_as_it_is(rng):
+    a, b = rng.standard_normal((12, 12)) + 12.0 * np.eye(12), rng.standard_normal(12)
+
+    def read_only(x):  # an operator may hand back a buffer of its own
+        y = a @ x
+        y.flags.writeable = False
+        return y
+
+    for restart in (None, 4):
+        got, want = gmres(read_only, b, restart=restart), gmres(a, b, restart=restart)
+        assert got.x.tobytes() == want.x.tobytes() and got.history == want.history
+    got, want = arnoldi(read_only, b / np.linalg.norm(b), 6), arnoldi(a, b / np.linalg.norm(b), 6)
+    assert got.h.tobytes() == want.h.tobytes()
+
+
 def test_gmres_residual_identity_at_checkpoints():
     inst = random_sparse(60, 0.08, seed=4)
     for i in (3, 7, 12):

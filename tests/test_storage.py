@@ -507,10 +507,11 @@ def _bits(y):
     return y.dtype, y.shape, np.where(np.isnan(y), np.nan, y).tobytes()
 
 
-def _kernel_and_reference(kernel, reference):
+def _kernel_and_reference(kernel, reference, faults="raise"):
     """Bits of the kernel's result, run with every floating-point fault
-    raising, and of the reference's, run with them silenced."""
-    with np.errstate(all="raise"):
+    raising (``faults="ignore"`` for a kernel that is numpy code), and of
+    the reference's, run with them silenced."""
+    with np.errstate(all=faults):
         got = kernel()
     with np.errstate(all="ignore"):
         return _bits(got), _bits(reference())
@@ -572,6 +573,58 @@ def test_row_rmatvec_is_the_bincount_bit_for_bit(n, density, seed, x):
         a.vals = a.vals * -0.5
 
 
+def _by_row_reduce(a, x):
+    """Reference for the row-format A x, the numpy expression that ran it
+    before CSR: each row's products, per column of a block, summed by one
+    reduce over the row's k slots (in turn from 0.0 for k < 8, pairwise from
+    8 on); x an (n,) vector or an (n, m) block."""
+    return (a.vals * x.T.take(a.cols, axis=-1)).sum(axis=-1).T
+
+
+@st.composite
+def row_operands(draw):
+    """(a, x, block): a row-format matrix of k = 1 to 12 slots holding finite
+    values of every magnitude and sign at any columns; x an (n,) vector and
+    block an (n, m) block, m from 0 to 3, in C or F order or a strided
+    slice, holding any floats."""
+    n, k = draw(st.integers(1, 10)), draw(st.integers(1, 12))
+    vals = draw(hnp.arrays(float, (n, k), elements=_FINITE))
+    cols = draw(hnp.arrays(np.int64, (n, k), elements=st.integers(0, n - 1)))
+    x = draw(hnp.arrays(float, n, elements=st.floats()))
+    block = draw(hnp.arrays(float, (n, draw(st.integers(0, 3))), elements=st.floats()))
+    layout = draw(st.sampled_from(["C", "F", "sliced"]))
+    if layout == "F":
+        block = np.asfortranarray(block)
+    elif layout == "sliced":
+        wide = np.full((n, 2 * block.shape[1]), 7.5)
+        wide[:, ::2] = block
+        block = wide[:, ::2]
+    return RowCompressed(n, k, vals, cols), x, block
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_operands())
+@example(case=(RowCompressed(1, 1, np.array([[-0.0]]), np.zeros((1, 1), np.int64)),
+               _SPECIALS[1:2], _SPECIALS[None, :]))
+@example(case=(build(to_triplets(poisson_test(3).a), "row"), np.resize(_SPECIALS, 9),
+               np.resize(_SPECIALS, (9, 2))))
+@example(case=(RowCompressed(4, 8, np.resize([1e308, -0.0, 1e308, -1.0], (4, 8)),
+                             np.resize(np.arange(4), (4, 8))),
+               _SPECIALS, np.asfortranarray(np.ones((4, 3)))))  # row sums overflow
+def test_row_matvec_is_the_reduce_bit_for_bit(case):
+    a, x, block = case
+    for _ in range(2):  # the second round runs on vals and cols reassigned after the first
+        faults = "raise" if a.k < 8 else "ignore"  # from 8 slots A x is numpy's reduce itself
+        for v in (x, block):
+            got, want = _kernel_and_reference(lambda: a.matvec(v), lambda: _by_row_reduce(a, v),
+                                              faults)
+            assert got == want
+        got, want = _kernel_and_reference(lambda: a.rmatvec(x), lambda: np.bincount(
+            a.cols.ravel(), weights=(a.vals * x[:, None]).ravel(), minlength=a.n))
+        assert got == want
+        a.vals, a.cols = a.vals[::-1] * -0.5, (a.cols[::-1] + 1) % a.n
+
+
 def _retained(step):
     """Bytes that numpy and Python hold after ``step()`` beyond before it."""
     tracemalloc.start()
@@ -588,6 +641,14 @@ def test_diag_kernels_keep_one_copy_of_the_diagonals_at_most():
     n, k, x = mat.n, mat.k, np.ones(mat.n)
     assert _retained(lambda: mat.matvec(x)) <= 8 * k * n + 8 * n  # the column-shifted copy
     assert _retained(lambda: rmat.rmatvec(x)) <= 8 * n  # A' runs on vals itself
+
+
+def test_row_kernels_keep_the_index_pointer_at_most():
+    build(to_triplets(poisson_test(2).a), "row").matvec(np.ones(4))  # scipy's first-use caches
+    a = build(to_triplets(poisson_test(316).a), "row")
+    n, x = a.n, np.ones(a.n)
+    # one CSR array on views of the panels, and its CSC transpose on the same three arrays
+    assert _retained(lambda: (a.matvec(x), a.rmatvec(x))) <= 8 * (n + 1) + 4096
 
 
 def _coalesced_by_unique(t):

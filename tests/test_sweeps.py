@@ -189,6 +189,37 @@ def test_apply_ic_solve_matches_row_loop(case, modified, seed):
     assert np.array_equal(apply_ic_solve(f, r), ref_ic_apply(f, r))
 
 
+def _cut_poisson(N):
+    """Poisson N with every third east-west coupling dropped: its backward
+    sweep's own levels differ from its forward levels reversed."""
+    t = to_triplets(poisson_test(N).a)
+    cut = (abs(t.rows - t.cols) == 1) & (np.minimum(t.rows, t.cols) % 3 == 0)
+    return Triplets(t.n, t.rows, t.cols, np.where(cut, 0.0, t.vals))
+
+
+@pytest.mark.parametrize("modified", [False, True], ids=["ic", "mic"])
+@pytest.mark.parametrize("kind,N", IC_CASES + [("poisson", 17), ("cut", 6), ("cut", 11)])
+def test_ic_backward_sweep_on_reversed_levels_is_its_own_levels_bit_for_bit(kind, N, modified):
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append((args, kwargs))
+        return _Sweep(*args, **kwargs)
+    a = _cut_poisson(N) if kind == "cut" else _ic_problem(kind, N)
+    with mock.patch("krylov.precond._Sweep", recording):
+        f = (mic_pentadiagonal if modified else ic0_pentadiagonal)(a, N)
+    (args, _), = [call for call in built if "level" in call[1]]
+    own = _Sweep(*args, lower=False)  # the backward sweep on levels of its own
+    assert f.upper.level.tolist() == (f.lower.level.max() - f.lower.level).tolist()
+    assert (f.upper.level.tolist() != own.level.tolist()) == (kind == "cut")
+    rng = np.random.default_rng(N)
+    r, block = rng.uniform(-1e3, 1e3, f.n), rng.uniform(-1e3, 1e3, (f.n, 3))
+    r[::4], block[::5] = -0.0, np.nan
+    for rhs in (r, block):
+        assert np.array_equal(bits(f.upper.solve(f.dt, rhs)), bits(own.solve(f.dt, rhs)))
+        assert np.array_equal(bits(f.upper.accumulate(rhs, rhs)), bits(own.accumulate(rhs, rhs)))
+
+
 @SETTINGS
 @given(st.integers(2, 9), st.data(), st.booleans())
 def test_ic_breakdown_row_and_message_match_row_loop(N, data, modified):
