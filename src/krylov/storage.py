@@ -21,14 +21,17 @@ arrays, bitwise equal to the numpy loops they replaced (same terms, added in
 the same order from zero): ``DiagCompressed.rmatvec`` (DIA, with A''s data
 ``vals.T``, a view), ``DiagCompressed.matvec`` (DIA, on one (k, n) copy),
 ``RowCompressed.rmatvec`` (CSC) and ``RowCompressed.matvec`` for k < 8 (CSR;
-the two share one CSR array on views of the panels).  Each is built on first
-use and again when a field it reads is reassigned: assign new arrays, never
-mutate them in place.  The other actions stay numpy, as CSR/CSC would change
-their sums: ``ColCompressed.matvec`` adds slot-major,
-``RowCompressed.matvec`` for k >= 8 sums each row pairwise (numpy's reduce
-adds fewer than 8 terms in turn from 0.0, as CSR does, but 8 or more in 8
-accumulators), and ``ColCompressed.rmatvec`` keeps -0.0 that 0.0 + -0.0
-would not.
+the two share one CSR array on views of the panels).  From 8 slots on,
+``RowCompressed.matvec`` replays numpy's reduce, which sums a row of 8 or
+more terms pairwise with 8 accumulators (fewer it adds in turn from 0.0, as
+CSR does): on one slot-major (k, n) copy of the panels, each step of numpy's
+``pairwise_sum`` is one elementwise call over all rows.  Its bits depend on
+numpy keeping that order; ``tests/test_storage.py`` pins them against the
+reduce.  Each scipy array or copy is built on first use and again when a
+field it reads is reassigned: assign new arrays, never mutate them in
+place.  ``ColCompressed`` stays numpy: its A x adds slot-major (a
+bincount), which CSC would not, and its A' x is numpy's reduce over the
+slots.
 """
 
 import bisect
@@ -98,8 +101,11 @@ class RowCompressed:
     them.  ``rmatvec`` runs scipy's CSC loop on its transpose, adding the
     products in the panels' C order, as a bincount does.  For k < 8
     ``matvec`` runs the CSR loop, adding each row's products in turn from
-    0.0, as numpy's reduce over fewer than 8 terms does; from 8 slots on,
-    where that reduce sums pairwise with 8 accumulators, it stays the reduce.
+    0.0, as numpy's reduce over fewer than 8 terms does.  From 8 slots on,
+    where that reduce sums pairwise with 8 accumulators, ``matvec`` replays
+    the reduce's order on slot-major copies ``(vals.T, cols.T)`` of the
+    panels, one (k, n) pair built on first use: the products are one gather
+    and one multiply, and :func:`_pairwise_rows` adds their slot rows.
     """
 
     n: int
@@ -111,8 +117,13 @@ class RowCompressed:
         x = _check_dim(x, self.n, block=True)
         if self.k < 8:
             return self._csr() @ x
-        # each row's products, per column of a block, summed as one contiguous run
-        return (self.vals * x.T.take(self.cols, axis=-1)).sum(axis=-1).T
+        vt, ct = _kernel(self, "_t", (self.vals, self.cols), lambda: (
+            np.ascontiguousarray(self.vals.T), np.ascontiguousarray(self.cols.T)))
+        terms = x.T.take(ct, axis=-1)  # (k, n) products; (m, k, n) for an (n, m) block
+        terms *= vt
+        y = _pairwise_rows(terms.swapaxes(0, -2))  # slots first
+        y += 0.0  # the reduce adds the sum to its identity: a -0.0 row reads 0.0
+        return y.T
 
     def rmatvec(self, x):
         x = _check_dim(x, self.n)
@@ -141,7 +152,7 @@ class ColCompressed:
 
     def matvec(self, x):
         x = _check_dim(x, self.n, block=True)
-        products = (_column(self.vals, x) * x).reshape((-1,) + x.shape[1:])
+        products = (_column(self.vals, x) * x).reshape((self.rows.size,) + x.shape[1:])
         if x.ndim == 1:  # bincount adds the entries in turn from 0, as np.add.at does
             return np.bincount(self.rows.ravel(), weights=products, minlength=self.n)
         y = np.zeros(x.shape)
@@ -207,12 +218,31 @@ class DiagCompressed:
 
 
 def _kernel(a, name, fields, make):
-    """The scipy array ``make()`` kept on storage ``a`` as ``name``, built
-    again once any of the ``fields`` arrays it was made from is replaced."""
+    """The array (or arrays) ``make()`` kept on storage ``a`` as ``name``,
+    built again once any of the ``fields`` arrays it was made from is replaced."""
     held = a.__dict__.get(name)
     if held is None or any(f is not g for f, g in zip(fields, held[0])):
         held = a.__dict__[name] = fields, make()
     return held[1]
+
+
+def _pairwise_rows(t):
+    """The sum over axis 0 of t's k >= 8 rows, in the order of numpy's
+    ``pairwise_sum`` (which ``add.reduce`` runs over each contiguous run of
+    k terms), one elementwise operation at a time; overwrites t."""
+    k = len(t)
+    if k > 128:  # numpy's block size: split at a multiple of 8 and recurse
+        h = k // 2 - k // 2 % 8
+        return _pairwise_rows(t[:h]) + _pairwise_rows(t[h:])
+    r, tail = t[:8], k - k % 8  # 8 accumulators, seeded with the first 8 rows
+    for i in range(8, tail, 8):
+        r += t[i:i + 8]
+    s = r[0::2] + r[1::2]  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    s = s[0::2] + s[1::2]
+    s = s[0] + s[1]
+    for term in t[tail:]:  # the last k % 8 rows, in turn
+        s += term
+    return s
 
 
 def _check_dim(x, n, block=False):

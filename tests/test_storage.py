@@ -10,11 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from krylov.storage import (DiagCompressed, RowCompressed,
+from krylov.storage import (ColCompressed, DiagCompressed, RowCompressed,
                             Triplets, build, operator, read_matrix_market, to_dense,
                             to_triplets, write_matrix_market)
 from krylov.storage import read_vector_market, write_vector_market
-from krylov.problems import poisson_test
+from krylov.problems import poisson_test, random_sparse
 
 
 def random_triplets(n, density, rng):
@@ -575,20 +575,32 @@ def test_row_rmatvec_is_the_bincount_bit_for_bit(n, density, seed, x):
 
 def _by_row_reduce(a, x):
     """Reference for the row-format A x, the numpy expression that ran it
-    before CSR: each row's products, per column of a block, summed by one
-    reduce over the row's k slots (in turn from 0.0 for k < 8, pairwise from
-    8 on); x an (n,) vector or an (n, m) block."""
+    before CSR and the pairwise replay: each row's products, per column of
+    a block, summed by one reduce over the row's k slots (in turn from 0.0
+    for k < 8, pairwise from 8 on); x an (n,) vector or an (n, m) block."""
     return (a.vals * x.T.take(a.cols, axis=-1)).sum(axis=-1).T
+
+
+# Panel widths past numpy's pairwise block of 128 terms: 136 and 260 split
+# at a multiple of 8 below k // 2, 127 to 129 sit at the block's edge.
+_WIDE = [127, 128, 129, 136, 260]
 
 
 @st.composite
 def row_operands(draw):
-    """(a, x, block): a row-format matrix of k = 1 to 12 slots holding finite
-    values of every magnitude and sign at any columns; x an (n,) vector and
-    block an (n, m) block, m from 0 to 3, in C or F order or a strided
-    slice, holding any floats."""
-    n, k = draw(st.integers(1, 10)), draw(st.integers(1, 12))
-    vals = draw(hnp.arrays(float, (n, k), elements=_FINITE))
+    """(a, x, block): a row-format matrix of k = 1 to 40 slots, or of one of
+    the ``_WIDE`` widths, holding finite values of every magnitude and sign
+    at any columns (at the wide widths, from a seeded generator: 2^-60 to
+    2^60 of either sign, a fifth of them -0.0); x an (n,) vector and block
+    an (n, m) block, m from 0 to 3, in C or F order or a strided slice,
+    holding any floats."""
+    n, k = draw(st.integers(1, 10)), draw(st.one_of(st.integers(1, 40), st.sampled_from(_WIDE)))
+    if k <= 40:
+        vals = draw(hnp.arrays(float, (n, k), elements=_FINITE))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        vals = rng.standard_normal((n, k)) * 2.0 ** rng.integers(-60, 61, (n, k))
+        vals[rng.random((n, k)) < 0.2] = -0.0
     cols = draw(hnp.arrays(np.int64, (n, k), elements=st.integers(0, n - 1)))
     x = draw(hnp.arrays(float, n, elements=st.floats()))
     block = draw(hnp.arrays(float, (n, draw(st.integers(0, 3))), elements=st.floats()))
@@ -602,6 +614,9 @@ def row_operands(draw):
     return RowCompressed(n, k, vals, cols), x, block
 
 
+_CLASHES = np.array([np.inf, np.nan, -np.inf, -0.0, 1.0])
+
+
 @settings(max_examples=300, deadline=None)
 @given(row_operands())
 @example(case=(RowCompressed(1, 1, np.array([[-0.0]]), np.zeros((1, 1), np.int64)),
@@ -611,10 +626,21 @@ def row_operands(draw):
 @example(case=(RowCompressed(4, 8, np.resize([1e308, -0.0, 1e308, -1.0], (4, 8)),
                              np.resize(np.arange(4), (4, 8))),
                _SPECIALS, np.asfortranarray(np.ones((4, 3)))))  # row sums overflow
+@example(case=(RowCompressed(2, 17, np.full((2, 17), -0.0), np.zeros((2, 17), np.int64)),
+               np.array([2.0, -1.0]), np.array([[1.0, -0.0], [3.0, 4.0]])))  # -0.0 rows
+@example(case=(RowCompressed(3, 12, np.resize([1e300, -1e300, 3.0], (3, 12)),
+                             np.resize(np.arange(3), (3, 12))),
+               np.array([1e10, 1e300, -1e300]), np.full((3, 2), 1e200)))  # products overflow
+@example(case=(RowCompressed(5, 9, np.resize([1.0, -2.0, 0.5], (5, 9)),
+                             np.resize(np.arange(5), (5, 9))),
+               _CLASHES, np.stack([_CLASHES, _CLASHES[::-1]], axis=1)))  # inf and NaN in x
+@example(case=(RowCompressed(1, 136, 1.0 / np.arange(1.0, 137.0)[None, :],
+                             np.zeros((1, 136), np.int64)),
+               np.ones(1), np.ones((1, 2))))  # split at 64, not at 136 // 2 = 68
 def test_row_matvec_is_the_reduce_bit_for_bit(case):
     a, x, block = case
     for _ in range(2):  # the second round runs on vals and cols reassigned after the first
-        faults = "raise" if a.k < 8 else "ignore"  # from 8 slots A x is numpy's reduce itself
+        faults = "raise" if a.k < 8 else "ignore"  # from 8 slots A x is numpy code, too
         for v in (x, block):
             got, want = _kernel_and_reference(lambda: a.matvec(v), lambda: _by_row_reduce(a, v),
                                               faults)
@@ -623,6 +649,50 @@ def test_row_matvec_is_the_reduce_bit_for_bit(case):
             a.cols.ravel(), weights=(a.vals * x[:, None]).ravel(), minlength=a.n))
         assert got == want
         a.vals, a.cols = a.vals[::-1] * -0.5, (a.cols[::-1] + 1) % a.n
+
+
+def test_row_matvec_on_the_benchmarked_random_matrix_is_the_reduce_bit_for_bit():
+    a = random_sparse(2000, 0.003, 1).a
+    assert a.k == 13  # the pairwise path: one block of 8 and a tail of 5
+    rng = np.random.default_rng(5)
+    for v in (rng.standard_normal(a.n), rng.standard_normal((a.n, 3))):
+        assert _bits(a.matvec(v)) == _bits(_by_row_reduce(a, v))
+
+
+def _by_slot_scatter(a, x):
+    """Reference for the col-format A x: each stored product added to its
+    row in turn from 0.0, slot by slot, by ``np.bincount`` for an (n,)
+    vector and by ``np.add.at`` for an (n, m) block."""
+    if x.ndim == 1:
+        return np.bincount(a.rows.ravel(), weights=(a.vals * x).ravel(), minlength=a.n)
+    y = np.zeros(x.shape)
+    np.add.at(y, a.rows.ravel(), (a.vals[..., None] * x).reshape(a.rows.size, x.shape[1]))
+    return y
+
+
+def _by_slot_reduce(a, x):
+    """Reference for the col-format A' x, numpy's reduce over the k slots:
+    from 0.0, each slot's products added in turn when n > 1 (so a column of
+    -0.0 products reads 0.0), but pairwise from 8 slots on when n = 1, as the
+    one column is then a contiguous run."""
+    return (a.vals * x[a.rows]).sum(axis=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_operands())
+@example(case=(RowCompressed(2, 3, np.full((2, 3), -0.0), np.zeros((2, 3), np.int64)),
+               np.array([2.0, -0.0]), np.ones((2, 2))))  # -0.0 columns
+@example(case=(RowCompressed(5, 9, np.resize([1e300, -2.0, 1e300], (5, 9)),
+                             np.resize(np.arange(5), (5, 9))),
+               _CLASHES, np.stack([_CLASHES, _CLASHES[::-1]], axis=1)))
+def test_col_kernels_are_the_slot_scatter_and_reduce_bit_for_bit(case):
+    row, x, block = case
+    a = ColCompressed(row.n, row.k, row.vals.T.copy(), row.cols.T.copy())
+    for kernel, ref in [(lambda: a.matvec(x), lambda: _by_slot_scatter(a, x)),
+                        (lambda: a.matvec(block), lambda: _by_slot_scatter(a, block)),
+                        (lambda: a.rmatvec(x), lambda: _by_slot_reduce(a, x))]:
+        got, want = _kernel_and_reference(kernel, ref, "ignore")  # both are numpy code
+        assert got == want
 
 
 def _retained(step):
@@ -649,6 +719,14 @@ def test_row_kernels_keep_the_index_pointer_at_most():
     n, x = a.n, np.ones(a.n)
     # one CSR array on views of the panels, and its CSC transpose on the same three arrays
     assert _retained(lambda: (a.matvec(x), a.rmatvec(x))) <= 8 * (n + 1) + 4096
+
+
+def test_row_matvec_from_8_slots_keeps_the_slot_major_panels_at_most():
+    a = random_sparse(2000, 0.003, 1).a
+    n, k, x = a.n, a.k, np.ones(a.n)
+    assert k >= 8
+    # (vals.T, cols.T), C-ordered, and nothing else
+    assert _retained(lambda: a.matvec(x)) <= 16 * n * k + 4096
 
 
 def _coalesced_by_unique(t):
