@@ -96,7 +96,7 @@ def _load_problem(args, parser):
 def cmd_generate(args, parser):
     inst = _load_problem(args, parser)
     t = storage.to_triplets(inst.a).coalesced()
-    diags = stationary.diagnostics(inst.a)
+    diags = stationary.diagnostics(t)
     if isinstance(inst.a, np.ndarray):
         print("warning: matrix is dense; MatrixMarket output stores every entry",
               file=sys.stderr)

@@ -209,21 +209,16 @@ def diagnostics(a) -> dict:
     diagonal, at least one is strictly below), which admits the discrete
     Laplacian family.  The sign-pattern flag (positive diagonal,
     nonpositive off-diagonals) is a necessary condition for an M-matrix,
-    not a proof.  With no n x n array, the sums of |A| are the dense
-    formulas' (rows summed densely a block of rows at a time, columns in
-    row order), so rounding ties resolve alike.
+    not a proof.  Row and column sums of |A| are each one `bincount` over
+    the coalesced entries: a row adds its |a_ij| in turn from 0.0 in
+    column order, a column in row order.  The cost is O(nnz), and a tie
+    is decided by those float sums.
     """
     t = to_triplets(a).coalesced()
     n, mag = t.n, np.abs(t.vals)
     diag = _point_parts(t)[0]
     absd = np.abs(diag)
-    row_sum, step = np.empty(n), max(1, (1 << 20) // n)
-    for i in range(0, n, step):
-        lo, hi = np.searchsorted(t.rows, (i, i + step))
-        block = np.zeros((min(step, n - i), n))
-        block[t.rows[lo:hi] - i, t.cols[lo:hi]] = mag[lo:hi]
-        row_sum[i:i + step] = np.sum(block, axis=1)
-    row_off = row_sum - absd
+    row_off = np.bincount(t.rows, weights=mag, minlength=n) - absd
     col_off = np.bincount(t.cols, weights=mag, minlength=n) - absd
     return {
         "diag_dominant_rows": bool(np.all(absd >= row_off) and np.any(absd > row_off)),

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from krylov.storage import Triplets
+
 
 def make_spd(n, rng, lo=1.0, hi=2.0):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -28,6 +30,13 @@ def poisson_dense(N):
     t = np.diag(np.full(N, 2.0)) + np.diag(np.full(N - 1, -1.0), 1) \
         + np.diag(np.full(N - 1, -1.0), -1)
     return np.kron(t, np.eye(N)) + np.kron(np.eye(N), t)
+
+
+def laplacian_1d(n):
+    """The n x n tridiag(-1, 2, -1) as triplets."""
+    i = np.arange(n)
+    return Triplets(n, np.r_[i, i[1:], i[:-1]], np.r_[i, i[:-1], i[1:]],
+                    np.r_[np.full(n, 2.0), np.full(2 * n - 2, -1.0)])
 
 
 def with_true_residuals(solver, a, b, **kw):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import laplacian_1d
 from krylov import (cavity_laplace, poisson_test, random_sparse, spectral_radius_estimate,
                     stationary)
 from krylov.stationary import iteration_matrix_applier, split
@@ -265,16 +266,10 @@ def test_dense_applier_rejects_a_vector_of_the_wrong_length(method, omega):
         g(np.ones(17))
 
 
-def _laplacian_1d(n):
-    i = np.arange(n)
-    return Triplets(n, np.r_[i, i[1:], i[:-1]], np.r_[i, i[:-1], i[1:]],
-                    np.r_[np.full(n, 2.0), np.full(2 * n - 2, -1.0)])
-
-
 def test_dense_bound_is_two_megabytes():
-    assert isinstance(iteration_matrix_applier(_laplacian_1d(512), "jacobi"),
+    assert isinstance(iteration_matrix_applier(laplacian_1d(512), "jacobi"),
                       stationary._DenseOnFirstCall)
-    assert not isinstance(iteration_matrix_applier(_laplacian_1d(513), "jacobi"),
+    assert not isinstance(iteration_matrix_applier(laplacian_1d(513), "jacobi"),
                           stationary._DenseOnFirstCall)
 
 

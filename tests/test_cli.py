@@ -37,6 +37,12 @@ def test_generate_cavity_symmetric_kind(tmp_path):
     assert header == "%%MatrixMarket matrix coordinate real symmetric"
 
 
+def test_generate_cavity_prints_dominant_rows(tmp_path, capsys):
+    assert run(["generate", "--problem", "cavity", "--n", "20", "--delta", "0.3",
+                "--out", str(tmp_path / "C.mtx")]) == 0
+    assert "diag_dominant_rows=True" in capsys.readouterr().out.splitlines()
+
+
 def test_generate_hilbert_warns_dense(tmp_path, capsys):
     out = tmp_path / "H.mtx"
     assert run(["generate", "--problem", "hilbert", "--n", "10",

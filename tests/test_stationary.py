@@ -1,10 +1,15 @@
 import math
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import laplacian_1d
 from krylov import storage
 from krylov.chebyshev import semi_iterative
 from krylov.core import spectral_radius_estimate
@@ -412,3 +417,73 @@ def _nonsymmetric():
 def test_diagnostics_match_dense_formulas(make):
     a = make()
     assert diagnostics(a) == _dense_diagnostics(to_dense(a))
+
+
+def _exact_diagnostics(a):
+    """diagnostics()'s four definitions in exact arithmetic on A's stored
+    values (duplicates summed, explicit zeros absent)."""
+    t = to_triplets(a)
+    entry = {}
+    for i, j, v in zip(t.rows.tolist(), t.cols.tolist(), t.vals.tolist()):
+        entry[i, j] = entry.get((i, j), 0) + Fraction(v)
+    entry = {ij: v for ij, v in entry.items() if v != 0}
+    diag = [entry.get((i, i), 0) for i in range(t.n)]
+    row_off, col_off = [0] * t.n, [0] * t.n
+    for (i, j), v in entry.items():
+        if i != j:
+            row_off[i] += abs(v)
+            col_off[j] += abs(v)
+
+    def dominant(off):
+        return (all(abs(d) >= o for d, o in zip(diag, off))
+                and any(abs(d) > o for d, o in zip(diag, off)))
+
+    return {
+        "diag_dominant_rows": dominant(row_off),
+        "diag_dominant_cols": dominant(col_off),
+        "m_matrix_sign_pattern": (all(d > 0 for d in diag)
+                                  and all(v <= 0 for (i, j), v in entry.items() if i != j)),
+        "symmetric": all(entry.get((j, i)) == v for (i, j), v in entry.items()),
+    }
+
+
+@pytest.mark.parametrize("N", [20, 28])
+def test_cavity_rows_are_dominant_as_exact_sums_say(N):
+    # the Neumann wall rows tie exactly; the flag must not round them past the tie
+    a = cavity_laplace(N, 0.3).a
+    exact = _exact_diagnostics(a)["diag_dominant_rows"]
+    assert exact
+    assert diagnostics(a)["diag_dominant_rows"] == exact
+
+
+def test_diagnostics_allocates_no_dense_rows():
+    a = laplacian_1d(20_000)
+    diagnostics(a)  # warm-up
+    tracemalloc.start()
+    try:
+        diagnostics(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
+
+
+@st.composite
+def exactly_summable(draw):
+    """Triplets, n from 1 to 12, whose values are integers in [-8, 8] times
+    one power of two: every order of summing them is exact.  Each row has an
+    optional diagonal entry, and entries anywhere may repeat or be 0."""
+    n = draw(st.integers(1, 12))
+    scale = 2.0 ** draw(st.integers(-20, 20))
+    idx, val = st.integers(0, n - 1), st.integers(-8, 8)
+    diag = draw(st.lists(st.one_of(st.none(), val), min_size=n, max_size=n))
+    rest = draw(st.lists(st.tuples(idx, idx, val), max_size=4 * n))
+    entries = [(i, i, v) for i, v in enumerate(diag) if v is not None] + rest
+    e = np.array(entries, dtype=float).reshape(-1, 3)
+    return Triplets(n, e[:, 0].astype(np.intp), e[:, 1].astype(np.intp), e[:, 2] * scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exactly_summable())
+def test_diagnostics_are_exact_on_exactly_summable_values(t):
+    assert diagnostics(t) == _exact_diagnostics(t)
