@@ -149,7 +149,8 @@ def cmd_solve(args, parser):
     inst = _load_problem(args, parser)
     method, restart = _parse_method(args.method)
     symmetric_methods = ("cg", "cg-basic", "minres", "chebyshev")
-    if method in symmetric_methods and not stationary._is_symmetric(inst.a):
+    if method in symmetric_methods and not stationary._is_symmetric(
+            storage.to_triplets(inst.a).coalesced()):
         print(f"warning: method {method} assumes a symmetric matrix", file=sys.stderr)
 
     spec = args.precond

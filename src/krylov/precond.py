@@ -18,12 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .core import _ZERO, _negligible
 from .report import SolveReport, _Run
 from .stationary import split
-from .storage import _Blocks, _Sweep, operator, to_triplets
+from .storage import _Blocks, _lu_solve, _Sweep, operator, to_triplets
 
 
 class IcBreakdownError(RuntimeError):
@@ -194,6 +193,14 @@ def _ic_factor(a, band, modified):
     the same (each starts from a positive a_i); in a sweep 0.0 * y_j could
     only flip a zero's sign or spread a non-finite y_j.  The first
     nonpositive pivot in row order is the loop's: rows read earlier rows.
+
+    The levels are the longest paths :class:`_Sweep`'s entry loop would find,
+    from the band recurrence level_i = max([b_i != 0] (level_{i-1} + 1),
+    [c_i != 0] (level_{i-band} + 1), 0) scanned a block of ``band`` rows at a
+    time (all rows at once without c links): along each run of rows joined
+    by b links, level_i - i is a running maximum, one ``np.maximum.accumulate``
+    a block.  For 2 <= band <~ 10, which no workload uses, its numpy calls
+    take longer than the loop, but it stays exact.
     """
     diag, b, c = _pentadiagonal_bands(a, band)
     n = diag.size
@@ -207,13 +214,24 @@ def _ic_factor(a, band, modified):
     vals, nums = np.concatenate((b, c)), np.concatenate((b * (b + b_comp), c * (c + c_comp)))
     keep = vals != 0.0  # b_0 and c_i, i < band, are zero: kept columns are in range
     rows, cols, vals, nums = rows[keep], cols[keep], vals[keep], nums[keep]
-    lower = _Sweep(n, rows, cols, vals, lower=True)
+    linked_b, linked_c = b != 0.0, c != 0.0
+    step = band if linked_c.any() else n
+    # level_i - i lies in (-n, 0]: lifted by n, each run stays above the runs before it
+    off = n * np.cumsum(~linked_b) - np.arange(n)
+    level = np.zeros(band + n, dtype=np.int64)  # row i at band + i, after band zeros
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        top = np.where(linked_c[s:e], level[s:e] + 1, 0)
+        top[0] = max(top[0], linked_b[s] * (level[band + s - 1] + 1))  # the wrap link
+        level[band + s:band + e] = np.maximum.accumulate(top + off[s:e]) - off[s:e]
+    level = level[band:]
+    lower = _Sweep(n, rows, cols, vals, lower=True, level=level)
     with np.errstate(divide="ignore", invalid="ignore"):
         dt = lower.pivots(diag, nums)
     bad = np.flatnonzero(dt <= 0.0)
     if bad.size:
         raise IcBreakdownError(f"ic-pivot: nonpositive pivot {dt[bad[0]]:g} at row {bad[0]}")
-    upper = _Sweep(n, cols, rows, vals, lower=False, level=lower.level.max() - lower.level)
+    upper = _Sweep(n, cols, rows, vals, lower=False, level=level.max() - level)
     return IcFactors(n, band, diag, b, c, dt, lower, upper)
 
 
@@ -278,7 +296,7 @@ def block_precond(a, block_size, sigma_rule="tridiagonal") -> BlockFactors:
             factors.append(blocks.factor(d_i, i))
         except ValueError as exc:
             raise IcBreakdownError(f"block pivot failure at block {i}") from exc
-        sigma = scipy.linalg.lu_solve(factors[-1], np.eye(bs))
+        sigma = _lu_solve(factors[-1], np.eye(bs))
         if sigma_rule == "tridiagonal":
             sigma = np.triu(np.tril(sigma, 1), -1)
     return BlockFactors(blocks, d_blocks, factors)

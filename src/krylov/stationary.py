@@ -80,7 +80,7 @@ def split(a, method, omega=None, block_size=None) -> Splitting:
     if method in ("sor", "ssor") and (omega is None or not (0.0 < omega < 2.0)):
         raise ValueError(f"{method} requires omega in (0, 2)")
     if method in POINT_METHODS:
-        d, rows, cols, vals = _point_parts(a)
+        d, rows, cols, vals = _point_parts(to_triplets(a).coalesced())
         if np.any(d == 0.0):
             raise ValueError("matrix has a zero diagonal entry")
         if method == "jacobi":
@@ -216,22 +216,21 @@ def diagnostics(a) -> dict:
     """
     t = to_triplets(a).coalesced()
     n, mag = t.n, np.abs(t.vals)
-    diag = _point_parts(t)[0]
+    diag, _, _, off = _point_parts(t)
     absd = np.abs(diag)
     row_off = np.bincount(t.rows, weights=mag, minlength=n) - absd
     col_off = np.bincount(t.cols, weights=mag, minlength=n) - absd
     return {
         "diag_dominant_rows": bool(np.all(absd >= row_off) and np.any(absd > row_off)),
         "diag_dominant_cols": bool(np.all(absd >= col_off) and np.any(absd > col_off)),
-        "m_matrix_sign_pattern": bool(np.all(diag > 0)
-                                      and np.all(t.vals[t.rows != t.cols] <= 0)),
+        "m_matrix_sign_pattern": bool(np.all(diag > 0) and np.all(off <= 0)),
         "symmetric": _is_symmetric(t),
     }
 
 
-def _is_symmetric(a) -> bool:
-    """Whether A = A' entry for entry (explicit zeros count as absent)."""
-    t = to_triplets(a).coalesced()
+def _is_symmetric(t) -> bool:
+    """Whether coalesced triplets hold A = A' entry for entry (explicit zeros
+    count as absent)."""
     nz = t.vals != 0.0
     rows, cols, vals = t.rows[nz], t.cols[nz], t.vals[nz]
     tr = np.lexsort((rows, cols))  # the transpose's entries, by row

@@ -41,7 +41,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.sparse import csr_array, dia_array
 
 
@@ -267,9 +267,9 @@ def _with_sink(x, fill):
     return np.concatenate((x, np.full((1,) + x.shape[1:], fill)))
 
 
-def _point_parts(a):
-    """Diagonal of a matrix and its off-diagonal entries (rows, cols, vals), by row."""
-    t = to_triplets(a).coalesced()
+def _point_parts(t):
+    """Diagonal of coalesced triplets and their off-diagonal entries (rows,
+    cols, vals), by row."""
     on = t.rows == t.cols
     diag = np.zeros(t.n)
     diag[t.rows[on]] = t.vals[on]
@@ -426,20 +426,17 @@ class _Blocks:
 
     @staticmethod
     def factor(block, i):
-        """LU factors of diagonal block ``i``; ValueError on a zero or
-        non-finite pivot (LAPACK's singularity warning is not passed on)."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu = scipy.linalg.lu_factor(block, check_finite=False)
-        if not np.all(np.isfinite(lu[0])) or np.any(np.diagonal(lu[0]) == 0.0):
+        """LU factors (lu, piv) of diagonal block ``i`` by LAPACK's getrf, as
+        ``lu_factor`` gives them; ValueError on a zero or non-finite pivot."""
+        lu, piv, _ = dgetrf(block)
+        if not np.all(np.isfinite(lu)) or np.any(np.diagonal(lu) == 0.0):
             raise ValueError(f"singular diagonal block {i}")
-        return lu
+        return lu, piv
 
     @staticmethod
     def _lu(factors):
         """The finish of a block sweep: group k's sum solved with ``factors[k]``."""
-        return lambda k, rows, s, out: np.copyto(
-            out, scipy.linalg.lu_solve(factors[k], s, check_finite=False))
+        return lambda k, rows, s, out: np.copyto(out, _lu_solve(factors[k], s))
 
     def multiply(self, x, lower):
         """M x for M the block diagonal of A, plus its block-lower part if
@@ -450,8 +447,7 @@ class _Blocks:
     def solve(self, factors, rhs):
         """u_i = D_i^-1 rhs_i for each block i: :meth:`forward` without the sum."""
         parts = np.split(_check_dim(rhs, self.n, block=True), self.nb)
-        return np.concatenate([scipy.linalg.lu_solve(lu, r_i, check_finite=False)
-                               for lu, r_i in zip(factors, parts)])
+        return np.concatenate([_lu_solve(lu, r_i) for lu, r_i in zip(factors, parts)])
 
     def forward(self, factors, rhs):
         """u_i = D_i^-1 (rhs_i - sum_{j<i} A_ij u_j) for i = 0, 1, ..., D_i
@@ -464,6 +460,12 @@ class _Blocks:
         """u_i = D_i^-1 (rhs_i - sum_{j>i} A_ji' u_j) for i = nb-1, ..., 0;
         rhs as for :meth:`forward`."""
         return self._upper.sweep(rhs, self._lu(factors[::-1]))
+
+
+def _lu_solve(factors, rhs):
+    """inv(A) rhs for A's LU ``factors``, rhs (m,) or (m, k): LAPACK's getrs
+    as ``lu_solve`` calls it (same bits), without that wrapper's cost."""
+    return dgetrs(*factors, rhs)[0]
 
 
 def build(triplets: Triplets, target: str):

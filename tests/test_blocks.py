@@ -14,11 +14,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from conftest import laplacian_1d
 from krylov import (cavity_laplace, poisson_test, random_sparse, spectral_radius_estimate,
-                    stationary)
+                    stationary, storage)
 from krylov.stationary import iteration_matrix_applier, split
 from krylov.storage import Triplets, _Blocks, _Panels, _Sweep, build
 
@@ -92,15 +91,15 @@ def test_sweep_and_accumulate_of_a_block_are_those_of_each_column(n, density, se
             one_group.accumulate(x, x)
 
 
-_lu_solve = scipy.linalg.lu_solve
+_lu_solve = storage._lu_solve
 
 
-def _lu_solve_by_columns(lu, b, **kw):
-    """lu_solve one column at a time: the vector path's LAPACK call."""
+def _lu_solve_by_columns(factors, b):
+    """The blocks' LU solve one column at a time: the vector path's LAPACK call."""
     b = np.asarray(b)
     if b.ndim == 1:
-        return _lu_solve(lu, b, **kw)
-    return by_columns(lambda v: _lu_solve(lu, v, **kw), b)
+        return _lu_solve(factors, b)
+    return by_columns(lambda v: _lu_solve(factors, v), b)
 
 
 @pytest.mark.parametrize("N,bs", [(3, 1), (3, 3), (4, 2), (10, 10), (12, 6)])
@@ -123,7 +122,7 @@ def test_block_sweeps_of_a_block_are_those_of_each_column(N, bs):
                 assert np.array_equal(bits(got), bits(want))
             else:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
-            with mock.patch.object(scipy.linalg, "lu_solve", _lu_solve_by_columns):
+            with mock.patch.object(storage, "_lu_solve", _lu_solve_by_columns):
                 assert_columnwise(sweep, x)
     for x in inputs_of_wrong_shape(n):
         for sweep in sweeps:
@@ -163,7 +162,7 @@ def test_splitting_acts_on_a_block_column_by_column(method):
     x = np.random.default_rng(5).standard_normal((25, 25))
     assert_columnwise(sp.a_apply, x)
     if method.startswith("block"):
-        with mock.patch.object(scipy.linalg, "lu_solve", _lu_solve_by_columns):
+        with mock.patch.object(storage, "_lu_solve", _lu_solve_by_columns):
             assert_columnwise(sp.m_solve, x)
     else:
         assert_columnwise(sp.m_solve, x)

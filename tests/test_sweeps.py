@@ -197,18 +197,24 @@ def _cut_poisson(N):
     return Triplets(t.n, t.rows, t.cols, np.where(cut, 0.0, t.vals))
 
 
-@pytest.mark.parametrize("modified", [False, True], ids=["ic", "mic"])
-@pytest.mark.parametrize("kind,N", IC_CASES + [("poisson", 17), ("cut", 6), ("cut", 11)])
-def test_ic_backward_sweep_on_reversed_levels_is_its_own_levels_bit_for_bit(kind, N, modified):
+def _factor_recording_sweeps(a, band, modified):
+    """The IC/MIC factors of a, and the (args, kwargs) of each _Sweep built."""
     built = []
 
     def recording(*args, **kwargs):
         built.append((args, kwargs))
         return _Sweep(*args, **kwargs)
-    a = _cut_poisson(N) if kind == "cut" else _ic_problem(kind, N)
     with mock.patch("krylov.precond._Sweep", recording):
-        f = (mic_pentadiagonal if modified else ic0_pentadiagonal)(a, N)
-    (args, _), = [call for call in built if "level" in call[1]]
+        f = (mic_pentadiagonal if modified else ic0_pentadiagonal)(a, band)
+    return f, built
+
+
+@pytest.mark.parametrize("modified", [False, True], ids=["ic", "mic"])
+@pytest.mark.parametrize("kind,N", IC_CASES + [("poisson", 17), ("cut", 6), ("cut", 11)])
+def test_ic_backward_sweep_on_reversed_levels_is_its_own_levels_bit_for_bit(kind, N, modified):
+    a = _cut_poisson(N) if kind == "cut" else _ic_problem(kind, N)
+    f, built = _factor_recording_sweeps(a, N, modified)
+    (args, _), = [call for call in built if call[1]["lower"] is False]
     own = _Sweep(*args, lower=False)  # the backward sweep on levels of its own
     assert f.upper.level.tolist() == (f.lower.level.max() - f.lower.level).tolist()
     assert (f.upper.level.tolist() != own.level.tolist()) == (kind == "cut")
@@ -218,6 +224,48 @@ def test_ic_backward_sweep_on_reversed_levels_is_its_own_levels_bit_for_bit(kind
     for rhs in (r, block):
         assert np.array_equal(bits(f.upper.solve(f.dt, rhs)), bits(own.solve(f.dt, rhs)))
         assert np.array_equal(bits(f.upper.accumulate(rhs, rhs)), bits(own.accumulate(rhs, rhs)))
+
+
+@pytest.mark.parametrize("modified", [False, True], ids=["ic", "mic"])
+@pytest.mark.parametrize("kind,N", IC_CASES + [("cut", 6)])
+def test_ic_sweeps_are_given_their_levels(kind, N, modified):
+    """Structural: both IC/MIC sweeps get a schedule, so neither runs
+    _Sweep's per-entry level loop (which runs only when ``level`` is None)."""
+    a = _cut_poisson(N) if kind == "cut" else _ic_problem(kind, N)
+    _, built = _factor_recording_sweeps(a, N, modified)
+    assert sorted(kwargs["lower"] for _, kwargs in built) == [False, True]
+    assert all(kwargs.get("level") is not None for _, kwargs in built)
+
+
+link = st.one_of(st.just(0.0), st.floats(-1.0, -1.0 / 64))
+
+
+@st.composite
+def band_matrices(draw):
+    """A diagonally dominant pentadiagonal Stieltjes matrix at band 1-12 with
+    zero patterns in b and c drawn at random, b at line starts included
+    (links that wrap from one grid line to the next), as (triplets, band)."""
+    band = draw(st.integers(1, 12))
+    n = band * draw(st.integers(1, 8)) + draw(st.integers(0, band - 1))
+    b = draw(st.lists(link, min_size=n, max_size=n))
+    c = draw(st.lists(link, min_size=n, max_size=n))
+    diag = draw(st.lists(st.floats(4.5, 8.0), min_size=n, max_size=n))
+    links = [(i, i - 1, b[i]) for i in range(1, n)]
+    links += [(i, i - band, c[i]) for i in range(band, n)] if band > 1 else []
+    lo, hi, v = (list(x) for x in zip(*links)) if links else ([], [], [])
+    return Triplets(n, [*range(n), *lo, *hi], [*range(n), *hi, *lo], diag + v + v), band
+
+
+@SETTINGS
+@given(band_matrices(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_band_scan_levels_pivots_and_solve_match_the_loops(case, modified, seed):
+    a, band = case
+    f, built = _factor_recording_sweeps(a, band, modified)
+    (args, _), = [call for call in built if call[1]["lower"] is True]
+    assert f.lower.level.tolist() == _Sweep(*args, lower=True).level.tolist()
+    assert np.array_equal(bits(f.dt), bits(ref_ic_pivots(a, band, modified)))
+    r = np.random.default_rng(seed).uniform(-1e3, 1e3, f.n)
+    assert np.array_equal(bits(apply_ic_solve(f, r)), bits(ref_ic_apply(f, r)))
 
 
 @SETTINGS
