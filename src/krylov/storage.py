@@ -16,12 +16,14 @@ Index grids are padded by repeating the last used index of the row/column
 adjacent memory.  All indices are 0-based in memory; MatrixMarket files are
 1-based on disk.
 
-Four actions run scipy's compiled loops through the public ``scipy.sparse``
+Five actions run scipy's compiled loops through the public ``scipy.sparse``
 arrays, bitwise equal to the numpy loops they replaced (same terms, added in
 the same order from zero): ``DiagCompressed.rmatvec`` (DIA, with A''s data
 ``vals.T``, a view), ``DiagCompressed.matvec`` (DIA, on one (k, n) copy),
-``RowCompressed.rmatvec`` (CSC) and ``RowCompressed.matvec`` for k < 8 (CSR;
-the two share one CSR array on views of the panels).  From 8 slots on,
+``RowCompressed.rmatvec`` (CSC), ``RowCompressed.matvec`` for k < 8 (CSR;
+the two share one CSR array on views of the panels) and
+``ColCompressed.rmatvec`` for n > 1 (CSR on copies of the column panels;
+for n = 1 numpy's reduce sums the one column pairwise).  From 8 slots on,
 ``RowCompressed.matvec`` replays numpy's reduce, which sums a row of 8 or
 more terms pairwise with 8 accumulators (fewer it adds in turn from 0.0, as
 CSR does): on one slot-major (k, n) copy of the panels, each step of numpy's
@@ -29,9 +31,8 @@ CSR does): on one slot-major (k, n) copy of the panels, each step of numpy's
 numpy keeping that order; ``tests/test_storage.py`` pins them against the
 reduce.  Each scipy array or copy is built on first use and again when a
 field it reads is reassigned: assign new arrays, never mutate them in
-place.  ``ColCompressed`` stays numpy: its A x adds slot-major (a
-bincount), which CSC would not, and its A' x is numpy's reduce over the
-slots.
+place.  ``ColCompressed.matvec`` stays numpy: it adds slot-major (a
+bincount), which CSC would not.
 """
 
 import bisect
@@ -161,7 +162,11 @@ class ColCompressed:
 
     def rmatvec(self, x):
         x = _check_dim(x, self.n)
-        return (self.vals * x[self.rows]).sum(axis=0)
+        if self.n == 1:  # the reduce sums one contiguous column pairwise
+            return (self.vals * x[self.rows]).sum(axis=0)
+        return _kernel(self, "_at", (self.vals, self.rows), lambda: csr_array(
+            (self.vals.T.ravel(), self.rows.T.ravel(), np.arange(0, self.n * self.k + 1, self.k)),
+            shape=(self.n, self.n))) @ x
 
     def to_triplets(self):
         mask = self.vals != 0.0
@@ -261,12 +266,6 @@ def _column(a, x):
     return a if x.ndim == 1 else a[..., None]
 
 
-def _with_sink(x, fill):
-    """x with one more row, at position n, holding ``fill``: the sink that
-    padded panel slots read."""
-    return np.concatenate((x, np.full((1,) + x.shape[1:], fill)))
-
-
 def _point_parts(t):
     """Diagonal of coalesced triplets and their off-diagonal entries (rows,
     cols, vals), by row."""
@@ -280,10 +279,12 @@ class _Panels:
     """Entries (rows, cols, vals) of an n x n matrix, rows grouped and padded:
     rows renumbered group by group (row ``perm[p]`` at position p, row i at
     ``pos[i]``), each group a slice of positions with (width, size) panels of
-    entry positions and values, slot k of a row holding its k-th entry;
-    slots past a row's end hold 0.0 and read a sink at position n.  Every
-    triangular solve is :meth:`sweep`: its groups are levels of rows that do
-    not couple (:class:`_Sweep`) or diagonal blocks (:class:`_Blocks`)."""
+    the positions its slots read and their values.  Slot 0 of position p is
+    its start, 1.0 reading position n + 1 + p; slot k > 0 holds the row's
+    k-th entry; padding holds 0.0 and reads a sink, 1.0, at position n.
+    Every action is :meth:`sweep`, four numpy calls and a view per group; in
+    a triangular solve the groups are levels of rows that do not couple
+    (:class:`_Sweep`) or diagonal blocks (:class:`_Blocks`)."""
 
     def __init__(self, n, rows, cols, vals, group):
         self.n, self.perm = n, np.argsort(group, kind="stable")
@@ -292,52 +293,64 @@ class _Panels:
         key = self.pos[rows][order]
         size = np.bincount(group, minlength=1)
         width = np.zeros(size.size, dtype=np.int64)
-        np.maximum.at(width, group, np.bincount(rows, minlength=n))
+        np.maximum.at(width, group, 1 + np.bincount(rows, minlength=n))
         start, flat = (np.concatenate(([0], np.cumsum(v))) for v in (size, size * width))
-        g, slot = group[self.perm[key]], np.arange(key.size) - np.searchsorted(key, key)
-        self._slots = np.empty(key.size, dtype=np.int64)  # flat panel index of each entry
-        self._slots[order] = flat[g] + slot * size[g] + key - start[g]
+        at = group[self.perm]  # the group of each position
+        self._first = flat[at] + np.arange(n) - start[at]  # flat panel index of each start
+        slot = np.arange(1, key.size + 1) - np.searchsorted(key, key)
+        self._slots = np.empty(key.size, dtype=np.int64)  # and of each entry
+        self._slots[order] = self._first[key] + slot * size[at[key]]
         self._shapes = list(zip(flat.tolist(), width.tolist(), size.tolist()))
         self.groups = list(zip(map(slice, start.tolist(), start[1:].tolist()),
-                               self.panels(self.pos[cols], fill=n), self.panels(vals)))
+                               self.panels(np.arange(n + 1, 2 * n + 1), self.pos[cols], fill=n)))
+        self.vals = self.panels(1.0, np.asarray(vals, dtype=float))
+        index = np.min_scalar_type(flat[-1])  # kept for later panels in the smallest type
+        self._first, self._slots = self._first.astype(index), self._slots.astype(index)
 
-    def panels(self, entry_vals, fill=0.0):
-        """Per-group panels of per-entry values, padded with ``fill``."""
+    def panels(self, starts, entries, fill=0.0):
+        """Per-group panels of start (by position) and entry values, padded with ``fill``."""
         f, w, m = self._shapes[-1]
-        flat = np.full(f + w * m, fill, dtype=np.asarray(entry_vals).dtype)
-        flat[self._slots] = entry_vals
+        flat = np.full(f + w * m, fill, dtype=np.asarray(entries).dtype)
+        flat[self._first] = starts
+        flat[self._slots] = entries
         return [flat[f:f + w * m].reshape(w, m) for f, w, m in self._shapes]
 
-    def _levels(self, x):
-        """The groups, with values shaped to broadcast along the rows of x."""
-        if x.ndim == 1:
-            return self.groups
-        return [(rows, cols, vals[..., None]) for rows, cols, vals in self.groups]
+    def sweep(self, rhs, finish=None, vals=None, head=None, op=np.multiply):
+        """Per group in order, each row's slot terms op(vals, w[cols]) (vals by
+        default the entries') folded by subtraction from slot 0 on, as a
+        row-by-row loop subtracts (subtraction has no identity; padding
+        subtracts 0.0, keeping any value, -0.0 and NaN too), then, with
+        ``finish`` = (f, args), f(o, args[k], out=o) on group k's part o.  Work
+        rows w: ``head`` (unset when None), the sink, then the starts, rhs.
+        Results land on the head rows, which later groups read, or on the
+        starts when a head is given.  rhs is (n,) or (n, k), columns alike."""
+        rhs, n = _check_dim(rhs, self.n, block=True), self.n
+        work = np.empty((2 * n + 1,) + rhs.shape[1:])
+        work[n] = 1.0
+        np.take(rhs, self.perm, axis=0, out=work[n + 1:])
+        out = work[:n]
+        if head is not None:
+            np.take(head, self.perm, axis=0, out=out)
+            out = work[n + 1:]
+        f, args = finish or (None, [None] * len(self.groups))
+        vals = self.vals if vals is None else vals
+        gather = work.__getitem__  # fancy indexing: the cheaper gather for a vector
+        if work.ndim > 1:  # take for a block, whose values broadcast along its rows
+            gather, vals = functools.partial(work.take, axis=0), [v[..., None] for v in vals]
+        for (rows, cols), v, arg in zip(self.groups, vals, args):
+            terms = gather(cols)
+            op(v, terms, out=terms)
+            o = out[rows]
+            np.subtract.reduce(terms, 0, None, o)  # over axis 0, into o
+            if f is not None:
+                f(o, arg, out=o)
+        return out.take(self.pos, axis=0)
 
     def accumulate(self, base, x):
         """base + (the entries) @ x, each row adding its terms in slot order;
-        x (and base) an (n,) vector or an (n, k) block."""
-        xs = _with_sink(_check_dim(x, self.n, block=True)[self.perm], -0.0)  # y + 0.0 * -0.0 == y
-        y = np.asarray(base, dtype=float)[self.perm]
-        for rows, cols, vals in self._levels(xs):
-            for term in xs.take(cols, axis=0) * vals:
-                y[rows] += term
-        return y[self.pos]
-
-    def sweep(self, rhs, finish):
-        """u from rhs, group by group in order: s = rhs[rows] minus each
-        slot's term in turn (padding subtracts 0.0 * 1.0, the sink holding
-        1.0), then ``finish(k, rows, s, out)`` writes group k's part of u into
-        ``out``.  Entries read earlier groups only.  rhs is an (n,) vector or
-        an (n, k) block, whose columns run alike."""
-        r = _check_dim(rhs, self.n, block=True)[self.perm]
-        u = _with_sink(np.empty(r.shape), 1.0)
-        for k, (rows, cols, vals) in enumerate(self._levels(r)):
-            s = r[rows]
-            for term in u.take(cols, axis=0) * vals:
-                s = s - term
-            finish(k, rows, s, u[rows])
-        return u[self.pos]
+        x (and base) an (n,) vector or an (n, k) block.  The head holds -x:
+        subtracting v (-x) adds v x, bit for bit."""
+        return self.sweep(base, head=-_check_dim(x, self.n, block=True))
 
 
 class _Sweep(_Panels):
@@ -350,10 +363,10 @@ class _Sweep(_Panels):
     than the highest level of the rows it reads, unless ``level`` gives
     another schedule in which every row comes after the rows it reads (the
     levels of the transposed sweep, last to first, are one).  :meth:`solve`
-    is the panel sweep with a division by D as its finish: a level takes a
-    few numpy calls in the loop's operation order, so results are bitwise
-    the loop's, on any schedule.  An (n, k) block runs the same calls on its
-    k columns at once, each bitwise its vector sweep."""
+    is the panel sweep with a division by D as its finish: four numpy calls
+    and a view a level, whatever its width, in the loop's operation order,
+    so results are bitwise the loop's, on any schedule.  An (n, k) block runs
+    the same calls on its k columns at once, each bitwise its vector sweep."""
 
     def __init__(self, n, rows, cols, vals, lower, level=None):
         keep = cols < rows if lower else cols > rows
@@ -368,21 +381,18 @@ class _Sweep(_Panels):
 
     def solve(self, diag, rhs):
         """u with (D + T) u = rhs, D = diag(diag), for an (n,) vector or an
-        (n, k) block rhs."""
-        d = _column(np.asarray(diag, dtype=float)[self.perm], np.asarray(rhs))
-        return self.sweep(rhs, lambda k, rows, s, out: np.divide(s, d[rows], out=out))
+        (n, k) block rhs.  The levels' parts of D are kept for the ``diag``
+        array they came from: pass a new array, never change one in place."""
+        d = _kernel(self, "_d", (diag,), lambda: np.split(
+            np.asarray(diag, dtype=float)[self.perm], [rows.stop for rows, _ in self.groups]))
+        return self.sweep(rhs, (np.divide, d if np.ndim(rhs) == 1 else [v[:, None] for v in d]))
 
     def pivots(self, diag, nums):
         """u with u_i = diag_i - sum_k nums_k / u_(col k) over row i's entries
-        in order: the incomplete-Cholesky pivot recurrence."""
-        u = np.append(np.empty(self.n), 1.0)
-        d = np.asarray(diag, dtype=float)[self.perm]
-        for (rows, cols, _), nums_k in zip(self.groups, self.panels(nums)):
-            s = d[rows]
-            for term in nums_k / u.take(cols):
-                s = s - term
-            u[rows] = s
-        return u[self.pos]
+        in order: the incomplete-Cholesky pivot recurrence.  Start slots hold
+        diag_i and read starts of 1.0, so each fold begins at diag_i / 1.0."""
+        nums = self.panels(np.asarray(diag, dtype=float)[self.perm], nums)
+        return self.sweep(np.ones(self.n), vals=nums, op=np.divide)
 
 
 class _Blocks:
@@ -436,7 +446,7 @@ class _Blocks:
     @staticmethod
     def _lu(factors):
         """The finish of a block sweep: group k's sum solved with ``factors[k]``."""
-        return lambda k, rows, s, out: np.copyto(out, _lu_solve(factors[k], s))
+        return (lambda s, lu, out: np.copyto(out, _lu_solve(lu, s))), factors
 
     def multiply(self, x, lower):
         """M x for M the block diagonal of A, plus its block-lower part if
