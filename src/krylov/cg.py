@@ -181,27 +181,28 @@ def stopping_check(r, tol, kind, b_norm=None, r0_norm=None, lambda_min_est=None)
 
     ``kind`` is "error_bound" or any ``tol_kind`` the solvers take ("abs",
     "rel_to_b", "rel_to_r0").  "error_bound" uses ||e|| <= ||r|| / lambda_min
-    and stops when that bound drops below ``tol``; it requires a positive
-    smallest-eigenvalue estimate.  Returns ``(stop, error_bound)`` where the
+    and stops when that bound drops below ``tol``; it requires a positive,
+    finite smallest-eigenvalue estimate.  Returns ``(stop, error_bound)`` where the
     bound is None unless an estimate was supplied.
     """
     r_norm = float(np.linalg.norm(r)) if np.ndim(r) else float(abs(r))
     bound = None
     if lambda_min_est is not None:
-        if lambda_min_est <= 0.0:
-            raise ValueError("lambda_min estimate must be positive")
+        if not 0.0 < lambda_min_est < math.inf:  # NaN too
+            raise ValueError("lambda_min estimate must be positive and finite, "
+                             f"got {lambda_min_est}")
         bound = r_norm / lambda_min_est
     if kind == "error_bound":
         if bound is None:
             raise ValueError("error_bound stopping needs lambda_min_est")
-        return bound <= tol, bound
+        return bound <= residual_threshold(tol, "abs", None, None), bound  # checks tol
     return r_norm <= residual_threshold(tol, kind, b_norm, r0_norm), bound
 
 
 def convergence_bound(kappa: float, i: int) -> float:
     """Energy-norm reduction bound 4 ((sqrt(k)-1)/(sqrt(k)+1))**(2i)."""
-    if kappa < 1.0:
-        raise ValueError("condition number must be at least 1")
+    if not 1.0 <= kappa < math.inf:  # NaN too
+        raise ValueError(f"condition number must be finite and at least 1, got {kappa}")
     ratio = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
     return 4.0 * ratio ** (2 * i)
 

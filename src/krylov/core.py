@@ -166,8 +166,8 @@ def sturm_extreme_eigs(tri, tol=1e-12):
     Sturm count then pins the smallest and largest eigenvalues to within
     ``tol`` (absolute).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:  # NaN too
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     d = tri.diag
     e = tri.offdiag
     n = d.size

@@ -67,15 +67,20 @@ class SolveReport:
 def residual_threshold(tol, tol_kind, b_norm, r0_norm):
     """Absolute residual threshold for a relative/absolute stopping rule.
 
-    ``tol_kind`` is one of ``"abs"``, ``"rel_to_b"`` or ``"rel_to_r0"``.
+    ``tol_kind`` is one of ``"abs"``, ``"rel_to_b"`` or ``"rel_to_r0"``; a
+    relative kind needs its norm (``b_norm`` or ``r0_norm``) given.
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
     if tol_kind == "abs":
         return tol
     if tol_kind == "rel_to_b":
+        if b_norm is None:
+            raise ValueError("rel_to_b stopping needs b_norm")
         return tol * b_norm
     if tol_kind == "rel_to_r0":
+        if r0_norm is None:
+            raise ValueError("rel_to_r0 stopping needs r0_norm")
         return tol * r0_norm
     raise ValueError(f"unknown tol_kind {tol_kind!r}")
 

@@ -16,23 +16,12 @@ Index grids are padded by repeating the last used index of the row/column
 adjacent memory.  All indices are 0-based in memory; MatrixMarket files are
 1-based on disk.
 
-Five actions run scipy's compiled loops through the public ``scipy.sparse``
-arrays, bitwise equal to the numpy loops they replaced (same terms, added in
-the same order from zero): ``DiagCompressed.rmatvec`` (DIA, with A''s data
-``vals.T``, a view), ``DiagCompressed.matvec`` (DIA, on one (k, n) copy),
-``RowCompressed.rmatvec`` (CSC), ``RowCompressed.matvec`` for k < 8 (CSR;
-the two share one CSR array on views of the panels) and
-``ColCompressed.rmatvec`` for n > 1 (CSR on copies of the column panels;
-for n = 1 numpy's reduce sums the one column pairwise).  From 8 slots on,
-``RowCompressed.matvec`` replays numpy's reduce, which sums a row of 8 or
-more terms pairwise with 8 accumulators (fewer it adds in turn from 0.0, as
-CSR does): on one slot-major (k, n) copy of the panels, each step of numpy's
-``pairwise_sum`` is one elementwise call over all rows.  Its bits depend on
-numpy keeping that order; ``tests/test_storage.py`` pins them against the
-reduce.  Each scipy array or copy is built on first use and again when a
-field it reads is reassigned: assign new arrays, never mutate them in
-place.  ``ColCompressed.matvec`` stays numpy: it adds slot-major (a
-bincount), which CSC would not.
+Each action adds the same terms in the same order from zero as the numpy
+loop it replaced (``tests/test_storage.py`` keeps those loops), so its bits
+are that loop's.  All but the row format's A x from 8 slots on and the col
+format's A' x for n = 1 run scipy's compiled loops on ``scipy.sparse``
+arrays.  What a kernel keeps is built on first use and again once a field
+it reads is reassigned: assign new arrays, never mutate them in place.
 """
 
 import bisect
@@ -144,7 +133,15 @@ class RowCompressed:
 
 @dataclass
 class ColCompressed:
-    """Column-compressed padded storage (k = max nonzeros per column)."""
+    """Column-compressed padded storage (k = max nonzeros per column).
+
+    Both actions run scipy's CSR loop, each sum adding its products in turn
+    from 0.0, slot by slot.  ``matvec`` reads the panels' entries, padding
+    kept, sorted by row and within a row in C order, as a bincount adds
+    them; ``rmatvec`` reads copies ``(vals.T, rows.T)``, as numpy's reduce
+    over axis 0 adds them, but for n = 1 runs that reduce, which sums the
+    one contiguous column pairwise.
+    """
 
     n: int
     k: int
@@ -153,12 +150,14 @@ class ColCompressed:
 
     def matvec(self, x):
         x = _check_dim(x, self.n, block=True)
-        products = (_column(self.vals, x) * x).reshape((self.rows.size,) + x.shape[1:])
-        if x.ndim == 1:  # bincount adds the entries in turn from 0, as np.add.at does
-            return np.bincount(self.rows.ravel(), weights=products, minlength=self.n)
-        y = np.zeros(x.shape)
-        np.add.at(y, self.rows.ravel(), products)
-        return y
+        return _kernel(self, "_a", (self.vals, self.rows), self._by_rows) @ x
+
+    def _by_rows(self):
+        """A as a scipy CSR array: the entries by row, then in flat (C) order."""
+        r = self.rows.ravel().astype(np.int64, copy=False)
+        at = np.argsort(r * r.size + np.arange(r.size))  # unique keys: any sort gives one order
+        return csr_array((self.vals.ravel()[at], at % self.n,
+                          np.searchsorted(r[at], np.arange(self.n + 1))), shape=(self.n, self.n))
 
     def rmatvec(self, x):
         x = _check_dim(x, self.n)

@@ -257,6 +257,28 @@ def test_stopping_check_rejects_unknown_kind_like_the_solvers():
         stopping_check(np.ones(2), 1e-6, "bogus")
 
 
+@pytest.mark.parametrize("kind, missing, given", [("rel_to_b", "b_norm", "r0_norm"),
+                                                  ("rel_to_r0", "r0_norm", "b_norm")])
+def test_stopping_check_names_the_missing_norm(kind, missing, given):
+    with pytest.raises(ValueError, match=f"{kind} stopping needs {missing}"):
+        stopping_check(np.ones(2), 1e-6, kind)
+    with pytest.raises(ValueError, match=f"{kind} stopping needs {missing}"):
+        stopping_check(np.ones(2), 1e-6, kind, **{given: 1.0})
+
+
+@pytest.mark.parametrize("kind", ["abs", "error_bound"])
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_stopping_check_rejects_an_eigenvalue_estimate_that_is_not_finite(kind, lam):
+    with pytest.raises(ValueError, match="lambda_min estimate must be positive and finite"):
+        stopping_check(np.ones(2), 1e-6, kind, lambda_min_est=lam)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1e-6])
+def test_error_bound_stopping_checks_tol_like_the_solvers(tol):
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        stopping_check(np.ones(2), tol, "error_bound", lambda_min_est=1.0)
+
+
 def test_stopping_error_bound_explains_hilbert_gap():
     inst = hilbert(10)
     rep = cg(inst.a, inst.b, tol=1e-10, tol_kind="abs", max_iter=40)
@@ -273,6 +295,12 @@ def test_convergence_bound_values():
     assert convergence_bound(2.8, 6) <= 1e-6
     with pytest.raises(ValueError):
         convergence_bound(0.5, 1)
+
+
+@pytest.mark.parametrize("kappa", [np.nan, np.inf])
+def test_convergence_bound_rejects_a_kappa_that_is_not_finite(kappa):
+    with pytest.raises(ValueError, match="condition number must be finite and at least 1"):
+        convergence_bound(kappa, 3)
 
 
 def test_energy_error_below_convergence_bound(rng):

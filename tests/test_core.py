@@ -68,6 +68,12 @@ def test_sturm_two_by_two():
     assert hi == pytest.approx(3.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-12])
+def test_sturm_rejects_a_tol_that_is_not_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        sturm_extreme_eigs(TridiagSym([2.0, 2.0], [-1.0]), tol=tol)
+
+
 def test_sturm_discrete_laplacian_analytic():
     t = TridiagSym(np.full(9, 2.0), np.full(8, -1.0))
     lo, hi = sturm_extreme_eigs(t, tol=1e-12)
