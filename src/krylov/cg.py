@@ -5,8 +5,8 @@ B-orthogonal columns, plain CG in both its direct and its efficient
 two-coefficient formulation, the tridiagonal matrix assembled from the CG
 coefficients whose extreme eigenvalues approximate those of A, residual
 stopping rules, and the classical energy-norm convergence bound.  The
-efficient form is preconditioned CG with C = I: :func:`cg` runs the PCG
-iteration of :mod:`krylov.precond`.
+efficient form is preconditioned CG with C = I: :func:`cg` returns
+:func:`krylov.precond.pcg` without a preconditioner.
 """
 
 import math
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TridiagSym, _negligible, sturm_extreme_eigs
-from .precond import _pcg
+from .precond import pcg
 from .report import SolveReport, _Run, residual_threshold
 from .storage import operator
 
@@ -124,55 +124,50 @@ def cg_basic(a, b, x0=None, tol=1e-10, tol_kind="abs", max_iter=None,
 
 def cg(a, b, x0=None, tol=1e-10, tol_kind="abs", max_iter=None,
        callback=None) -> SolveReport:
-    """Conjugate gradients, efficient two-coefficient form.
+    """Conjugate gradients, efficient two-coefficient form: ``pcg(a, b, None)``.
 
     Per iteration: eta_i = r_i' r_i, step length lambda_i = eta_{i-1} / d_i
     with d_i = p_i' A p_i, and direction update p_{i+1} = r_i + mu_i p_i
-    with mu_i = eta_i / eta_{i-1}.  This is :func:`~krylov.precond.pcg`
-    with C = I, bit for bit, plus the coefficient records.
-
-    The history records the recurrence residual norms ||r_i||, which
-    stopping reads; one matvec per iteration.  The true norms
-    ||b - A x_i|| come from the callback's ``x`` (see
-    :class:`~krylov.report.SolveReport`).  ``extras`` carries the
-    coefficient sequences needed to rebuild the tridiagonal
-    eigenvalue-estimation matrix: ``lambda_hat``, ``mu``, ``d_hat``,
-    ``recurrence_residuals``.
+    with mu_i = eta_i / eta_{i-1}.  History, extras and events are those of
+    :func:`~krylov.precond.pcg` with C = I: the history (stopping reads it)
+    and ``extras["c_norms"]`` both hold the recurrence residual norms
+    ||r_i||, one matvec per iteration.  The true norms ||b - A x_i|| come
+    from the callback's ``x`` (see :class:`~krylov.report.SolveReport`).
     """
-    run = _Run(a, b, x0, tol, tol_kind, max_iter, callback=callback, extras={
-        "lambda_hat": [], "mu": [], "d_hat": [], "recurrence_residuals": []})
-    return _pcg(run, run.a_apply, run.r, None, "recurrence_residuals", ("r", "p"))
+    return pcg(a, b, None, x0, tol, tol_kind, max_iter, callback)
 
 
 def assemble_tbar(report: SolveReport, steps=None) -> TridiagSym:
-    """Tridiagonal matrix, similar to a section of A, from CG coefficients.
+    """Lanczos tridiagonal matrix of a CG, PCG or polynomial PCG run.
 
-    With d_i = p_i' A p_i, mu_i and the recurrence residual norms ||r_i||
-    recorded by :func:`cg`, the symmetric tridiagonal matrix
+    With d_i = p_i' A p_i, mu_i and c_i = sqrt(r_i' C r_i) from the report's
+    ``d_hat``, ``mu`` and ``c_norms``, the symmetric tridiagonal matrix
 
-        diag:     a_1 = d_1/||r_0||**2,
-                  a_{i+1} = (d_{i+1} + d_i mu_i**2)/||r_i||**2
-        offdiag:  -b_i = -d_i mu_i/(||r_{i-1}|| ||r_i||)
+        diag:     a_1 = d_1/c_0**2,
+                  a_{i+1} = (d_{i+1} + d_i mu_i**2)/c_i**2
+        offdiag:  -b_i = -d_i mu_i/(c_{i-1} c_i)
 
-    has eigenvalues interlacing those of A; its extremes converge quickly
-    to the extreme eigenvalues of A as the iteration proceeds.  If the run
-    hit a zero residual the matrix is truncated at the convergence point.
+    is the Lanczos matrix of C^{1/2} A C^{1/2} (of p_m(A) for polynomial
+    PCG; Saad, *Iterative Methods*, 2nd ed., sections 6.7.3 and 9.2).  Its
+    eigenvalues interlace that operator's, and its extremes converge quickly
+    to the operator's extremes.  If the run hit a zero residual the matrix
+    is truncated at the convergence point.
     """
     d_hat = report.extras["d_hat"]
     mu = report.extras["mu"]
-    rec = report.extras["recurrence_residuals"]
+    c = report.extras["c_norms"]
     m = len(d_hat) if steps is None else min(steps, len(d_hat))
     # Usable size limited by nonzero residual norms.
-    while m > 1 and rec[m - 1] == 0.0:
+    while m > 1 and c[m - 1] == 0.0:
         m -= 1
     if m < 1:
         raise ValueError("need at least one recorded CG iteration")
     diag = np.empty(m)
     off = np.empty(max(m - 1, 0))
-    diag[0] = d_hat[0] / rec[0] ** 2
+    diag[0] = d_hat[0] / c[0] ** 2
     for i in range(1, m):
-        diag[i] = (d_hat[i] + d_hat[i - 1] * mu[i - 1] ** 2) / rec[i] ** 2
-        off[i - 1] = -d_hat[i - 1] * mu[i - 1] / (rec[i - 1] * rec[i])
+        diag[i] = (d_hat[i] + d_hat[i - 1] * mu[i - 1] ** 2) / c[i] ** 2
+        off[i - 1] = -d_hat[i - 1] * mu[i - 1] / (c[i - 1] * c[i])
     return TridiagSym(diag, off)
 
 
@@ -182,9 +177,13 @@ def stopping_check(r, tol, kind, b_norm=None, r0_norm=None, lambda_min_est=None)
     ``kind`` is "error_bound" or any ``tol_kind`` the solvers take ("abs",
     "rel_to_b", "rel_to_r0").  "error_bound" uses ||e|| <= ||r|| / lambda_min
     and stops when that bound drops below ``tol``; it requires a positive,
-    finite smallest-eigenvalue estimate.  Returns ``(stop, error_bound)`` where the
-    bound is None unless an estimate was supplied.
+    finite smallest-eigenvalue estimate.  A given ``b_norm`` or ``r0_norm``
+    must be nonnegative (inf allowed).  Returns ``(stop, error_bound)``
+    where the bound is None unless an estimate was supplied.
     """
+    for name, norm in (("b_norm", b_norm), ("r0_norm", r0_norm)):
+        if norm is not None and not norm >= 0.0:  # NaN too
+            raise ValueError(f"{name} must be nonnegative, got {norm}")
     r_norm = float(np.linalg.norm(r)) if np.ndim(r) else float(abs(r))
     bound = None
     if lambda_min_est is not None:
@@ -203,6 +202,8 @@ def convergence_bound(kappa: float, i: int) -> float:
     """Energy-norm reduction bound 4 ((sqrt(k)-1)/(sqrt(k)+1))**(2i)."""
     if not 1.0 <= kappa < math.inf:  # NaN too
         raise ValueError(f"condition number must be finite and at least 1, got {kappa}")
+    if i < 0:
+        raise ValueError(f"iteration count must be nonnegative, got {i}")
     ratio = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
     return 4.0 * ratio ** (2 * i)
 

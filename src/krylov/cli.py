@@ -25,7 +25,7 @@ import numpy as np
 from . import nonsymmetric as nonsym
 from . import precond as pcmod
 from . import problems, stationary, storage, symmetric
-from .cg import cg, cg_basic, estimate_extremes_by_cg
+from .cg import cg_basic, estimate_extremes_by_cg
 from .chebyshev import semi_iterative
 from .core import spectral_radius_estimate
 from .report import BREAKDOWN, CONVERGED
@@ -222,14 +222,12 @@ def _dispatch_solve(method, restart, inst, args, parser, c_apply, poly_m, callba
 
 
 def _solve_cg(inst, c_apply, poly_m, **kw):
-    """CG, PCG with ``c_apply``, or polynomial PCG of degree ``poly_m``."""
+    """PCG with ``c_apply`` (CG when None), or polynomial PCG of degree ``poly_m``."""
     a, b = inst.a, inst.b
     if poly_m is not None:
         lmin, lmax = estimate_extremes_by_cg(a, b, iters=min(25, inst.n))
         return pcmod.solve_poly_pcg(a, b, poly_m, lmin, lmax, **kw)
-    if c_apply is not None:
-        return pcmod.pcg(a, b, c_apply, **kw)
-    return cg(a, b, **kw)
+    return pcmod.pcg(a, b, c_apply, **kw)
 
 
 def _history_rows(report, true_norms, quasi):

@@ -34,31 +34,30 @@ def pcg(a, b, c_apply=None, x0=None, tol=1e-10, tol_kind="abs", max_iter=None,
     """Preconditioned conjugate gradients.
 
     ``c_apply`` maps a residual to the preconditioned residual s = C r (the
-    identity when omitted, which reproduces plain CG).  Per iteration:
-    eta_i = r_i' s_i, step length eta_{i-1} / (p_i' A p_i), direction
-    p_{i+1} = s_i + mu_i p_i.  A negative eta signals a non-spd
-    preconditioner and stops the run as a breakdown.
+    identity when omitted: plain CG, :func:`krylov.cg.cg`).  Per iteration:
+    eta_i = r_i' s_i, step length lambda_i = eta_{i-1} / d_i with
+    d_i = p_i' A p_i, direction p_{i+1} = s_i + mu_i p_i.  A negative eta
+    signals a non-spd preconditioner and stops the run as a breakdown.
 
     History records the Euclidean norms ||r_i|| of the recurrence residual
-    (stopping uses these); ``extras["c_norms"]`` records sqrt(eta_i), the
-    C-norm of the residual.
+    (stopping uses these).  ``extras`` holds ``c_norms``, sqrt(eta_i) (the
+    C-norm of r_i), and ``lambda_hat``, ``mu`` and ``d_hat``, from which
+    :func:`krylov.cg.assemble_tbar` builds a Lanczos matrix.  Events carry
+    ``x``, ``r``, ``p``, and ``s`` when C r is not ``r`` itself.
     """
-    run = _Run(a, b, x0, tol, tol_kind, max_iter, callback=callback, extras={"c_norms": []})
-    return _pcg(run, run.a_apply, run.r, c_apply, "c_norms", ("r", "s", "p"))
+    run = _Run(a, b, x0, tol, tol_kind, max_iter, callback=callback)
+    return _pcg(run, run.a_apply, run.r, c_apply)
 
 
-def _pcg(run, op, r, c_apply, norm_key, keys, true_residual=False):
-    """The PCG iteration behind :func:`pcg`, :func:`cg` and :func:`solve_poly_pcg`.
+def _pcg(run, op, r, c_apply, true_residual=False):
+    """The PCG iteration behind :func:`pcg` and :func:`solve_poly_pcg`.
 
     Iterates on the operator ``op`` from ``run.x`` with residual ``r``
     (``op`` may be a transformed operator, ``r`` its residual), with C =
-    ``c_apply`` or the identity, and records into ``run``:
-    ``run.extras[norm_key]`` gets sqrt(eta_i), and extras holding
-    ``"d_hat"`` also get the coefficients ``lambda_hat``, ``mu`` and
-    ``d_hat``.  History records, and stopping reads, ||r_i||, or with
-    ``true_residual`` the norm of ``run.b - A x_i`` of the original system
-    (one more matvec); eta_i <= 1e-28 eta_0 counts as an exact solve.
-    Callback events carry ``x`` and the vectors named in ``keys``.
+    ``c_apply`` or the identity, and records :func:`pcg`'s history, extras
+    and events into ``run``; with ``true_residual`` the history records,
+    and stopping reads, the norm of ``run.b - A x_i`` of the original
+    system (one more matvec).  eta_i <= 1e-28 eta_0 counts as an exact solve.
 
     ``x``, ``r`` and ``p`` are updated in place through one scratch vector.
     The loop writes only into arrays it allocated (copies of ``run.x`` and
@@ -67,9 +66,10 @@ def _pcg(run, op, r, c_apply, norm_key, keys, true_residual=False):
     and another may return a buffer it reuses.
     """
     x, r, extras = run.x.copy(), r.copy(), run.extras
+    extras.update(c_norms=[], lambda_hat=[], mu=[], d_hat=[])
     s = r if c_apply is None else c_apply(r)
     eta = float(r @ s)
-    extras[norm_key].append(math.sqrt(max(eta, 0.0)))
+    extras["c_norms"].append(math.sqrt(max(eta, 0.0)))
     if eta < 0.0:
         return run.breakdown(x, 0, "precond-not-spd")
     eta_scale = _ZERO * eta
@@ -95,17 +95,16 @@ def _pcg(run, op, r, c_apply, norm_key, keys, true_residual=False):
         p *= mu
         p += s
         eta = eta_new
-        if "d_hat" in extras:
-            extras["lambda_hat"].append(lam)
-            extras["mu"].append(mu)
-            extras["d_hat"].append(d)
-        extras[norm_key].append(math.sqrt(eta))
+        extras["lambda_hat"].append(lam)
+        extras["mu"].append(mu)
+        extras["d_hat"].append(d)
+        extras["c_norms"].append(math.sqrt(eta))
         if true_residual:
             res = float(np.linalg.norm(np.subtract(run.b, run.a_apply(x), out=w)))
         else:  # with C = I, sqrt(eta) is ||r|| without a second reduction
             res = math.sqrt(eta) if c_apply is None else float(np.linalg.norm(r))
-        vecs = {"r": r, "s": s, "p": p}
-        run.record(res, i, x=x, **{k: vecs[k] for k in keys})
+        s_event = {} if s is r else {"s": s}  # with C = I, s is r: r is copied once
+        run.record(res, i, x=x, r=r, p=p, **s_event)
     return run.finish(x, run.max_iter, res)
 
 
@@ -424,13 +423,14 @@ def solve_poly_pcg(a, b, m, lmin, lmax, x0=None, tol=1e-10, tol_kind="abs",
     application) and b <- C(A) b (computed once by Clenshaw); the solution
     of the original system is unchanged.  History and stopping use the true
     residual of the *original* system, one extra matvec per iteration, so
-    runs are comparable with other preconditioners.  If the supplied
-    [lmin, lmax] fails to enclose the spectrum the preconditioned operator
-    may be indefinite and the run can break down or diverge.
+    runs are comparable with other preconditioners.  ``extras`` holds
+    ``eps_m`` and :func:`pcg`'s record and events of the transformed system.
+    If the supplied [lmin, lmax] fails to enclose the spectrum the
+    preconditioned operator may be indefinite and the run can break down
+    or diverge.
     """
     p = poly_precond_build(m, lmin, lmax)
-    run = _Run(a, b, x0, tol, tol_kind, max_iter, callback=callback,
-               extras={"transformed_residuals": [], "eps_m": p.eps})
+    run = _Run(a, b, x0, tol, tol_kind, max_iter, callback=callback, extras={"eps_m": p.eps})
     pm = lambda v: poly_apply_pmA(p, run.a_apply, v)
     r_t = poly_apply_Cb(p, run.a_apply, run.b) - pm(run.x)
-    return _pcg(run, pm, r_t, None, "transformed_residuals", (), true_residual=True)
+    return _pcg(run, pm, r_t, None, true_residual=True)

@@ -35,8 +35,8 @@ class SolveReport:
         Breakdown kind when ``status == "breakdown"``; ``"non-finite"``
         when a residual norm came out inf or NaN, which stops every solver.
     extras : dict
-        Solver-specific recorded sequences (coefficients, alternative
-        residual histories, ...).
+        Solver-specific recorded sequences; ``cg``, ``pcg`` and
+        ``solve_poly_pcg`` share ``c_norms``, ``lambda_hat``, ``mu``, ``d_hat``.
 
     A solver's ``callback`` receives one event per iteration: a dict with
     the iteration number ``i`` and copies of the solver's vectors, so the

@@ -127,9 +127,14 @@ def test_cg_is_pcg_without_a_preconditioner_bit_for_bit(rng):
         assert rep_cg.x.tobytes() == rep_pcg.x.tobytes()
         assert np.array(rep_cg.history).tobytes() == np.array(rep_pcg.history).tobytes()
         assert (rep_cg.iterations, rep_cg.status) == (rep_pcg.iterations, rep_pcg.status)
-        assert rep_cg.extras["recurrence_residuals"] == rep_pcg.extras["c_norms"]
-        assert [(e["i"], e["x"].tobytes()) for e in events[0]] == \
-            [(e["i"], e["x"].tobytes()) for e in events[1]]
+        assert rep_cg.extras.keys() == rep_pcg.extras.keys() == {
+            "c_norms", "lambda_hat", "mu", "d_hat"}
+        for key, seq in rep_cg.extras.items():
+            assert np.array(seq).tobytes() == np.array(rep_pcg.extras[key]).tobytes()
+        assert rep_cg.extras["c_norms"] == rep_cg.history
+        assert [{k: np.asarray(v).tobytes() for k, v in e.items()} for e in events[0]] == \
+            [{k: np.asarray(v).tobytes() for k, v in e.items()} for e in events[1]]
+        assert all(e.keys() == {"i", "x", "r", "p"} for e in events[0])
 
 
 def test_cg_hilbert_shifted_fast():
@@ -266,6 +271,17 @@ def test_stopping_check_names_the_missing_norm(kind, missing, given):
         stopping_check(np.ones(2), 1e-6, kind, **{given: 1.0})
 
 
+@pytest.mark.parametrize("kind, name", [("rel_to_b", "b_norm"), ("rel_to_r0", "r0_norm")])
+@pytest.mark.parametrize("norm", [np.nan, -1.0])
+def test_stopping_check_rejects_a_norm_that_is_nan_or_negative(kind, name, norm):
+    with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+        stopping_check(np.ones(2), 1e-6, kind, **{name: norm})
+
+
+def test_stopping_check_takes_an_infinite_norm():
+    assert stopping_check(np.ones(2), 1e-6, "rel_to_b", b_norm=np.inf) == (True, None)
+
+
 @pytest.mark.parametrize("kind", ["abs", "error_bound"])
 @pytest.mark.parametrize("lam", [np.nan, np.inf])
 def test_stopping_check_rejects_an_eigenvalue_estimate_that_is_not_finite(kind, lam):
@@ -301,6 +317,12 @@ def test_convergence_bound_values():
 def test_convergence_bound_rejects_a_kappa_that_is_not_finite(kappa):
     with pytest.raises(ValueError, match="condition number must be finite and at least 1"):
         convergence_bound(kappa, 3)
+
+
+def test_convergence_bound_rejects_a_negative_iteration_count():
+    assert convergence_bound(4.0, 0) == 4.0
+    with pytest.raises(ValueError, match="iteration count must be nonnegative, got -1"):
+        convergence_bound(4.0, -1)
 
 
 def test_energy_error_below_convergence_bound(rng):

@@ -8,8 +8,9 @@ import pytest
 import scipy.linalg
 from conftest import make_spd
 
-from krylov.cg import cg, estimate_extremes_by_cg
+from krylov.cg import assemble_tbar, cg, estimate_extremes_by_cg
 from krylov.chebyshev import cheb_T
+from krylov.core import sturm_extreme_eigs
 from krylov.precond import (IcBreakdownError, apply_block_solve,
                             apply_ic_solve, block_precond, ic0_pentadiagonal,
                             ic_matrix_apply, jacobi_preconditioner,
@@ -59,6 +60,19 @@ def test_pcg_jacobi_biorthogonality():
                 continue
             scale = np.linalg.norm(ss[j]) * np.linalg.norm(rs[i])
             assert abs(ss[j] @ rs[i]) <= 1e-8 * max(scale, 1e-30)
+
+
+def test_tbar_of_jacobi_pcg_gives_the_extremes_of_the_scaled_matrix():
+    # assemble_tbar of a PCG report is the Lanczos matrix of C^(1/2) A C^(1/2)
+    inst = cavity_laplace(8, 0.3)
+    rep = pcg(inst.a, inst.b, jacobi_preconditioner(inst.a), tol=0.0, max_iter=40)
+    assert rep.iterations == 40
+    dense = to_dense(inst.a)
+    scale = 1.0 / np.sqrt(np.diag(dense))
+    eigs = np.linalg.eigvalsh(scale[:, None] * dense * scale[None, :])
+    lo, hi = sturm_extreme_eigs(assemble_tbar(rep), tol=1e-14)
+    assert lo == pytest.approx(eigs[0], abs=1e-13)
+    assert hi == pytest.approx(eigs[-1], abs=1e-13)
 
 
 def test_jacobi_preconditioner_divides_each_row_of_a_block(rng):
@@ -412,6 +426,16 @@ def test_poly_monomial_coeffs_match_binomial_expansion(m):
              for j in range(m + 1)]
         ref = np.array([float(-c / t[0]) for c in reversed(t[1:])] + [0.0])
         assert poly_monomial_coeffs(m, lmin, lmax).tobytes() == ref.tobytes()
+
+
+def test_tbar_of_poly_pcg_lies_in_the_eps_band():
+    inst = poisson_test(10)
+    eigs = np.linalg.eigvalsh(to_dense(inst.a))
+    rep = solve_poly_pcg(inst.a, inst.b, 5, eigs[0], eigs[-1])
+    assert rep.converged
+    eps = rep.extras["eps_m"]
+    lo, hi = sturm_extreme_eigs(assemble_tbar(rep), tol=1e-14)
+    assert 1.0 - eps <= lo <= hi <= 1.0 + eps
 
 
 def test_solve_poly_pcg_regression_counts():
