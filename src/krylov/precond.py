@@ -22,7 +22,8 @@ import numpy as np
 from .core import _ZERO, _negligible
 from .report import SolveReport, _Run
 from .stationary import split
-from .storage import _Blocks, _lu_solve, _Sweep, operator, to_triplets
+from .storage import (_Blocks, _check_dim, _column, _kernel, _lu_solve, _Sweep, operator,
+                      to_triplets)
 
 
 class IcBreakdownError(RuntimeError):
@@ -125,7 +126,8 @@ class IcFactors:
     Only the pivot vector ``dt`` is new storage: the factored form
     (L D)(inv(D))(L D)' reuses the matrix's own sub-band entries ``b``
     (first subdiagonal) and ``c`` (N-th subdiagonal) as the strict lower
-    triangle of (L D), kept as level-scheduled sweeps ``lower``/``upper``.
+    triangle of (L D), kept as level-scheduled sweeps ``lower``/``upper``:
+    the pattern shared by IC and MIC of one matrix (:func:`_ic_factor`).
     """
 
     n: int
@@ -181,17 +183,13 @@ def mic_pentadiagonal(a, band) -> IcFactors:
     return _ic_factor(a, band, modified=True)
 
 
-def _ic_factor(a, band, modified):
-    """Pivots of IC(0) or MIC: one recurrence, the MIC compensation terms
-    zero for IC (exact, as b*(b + 0.0) == b*b).
-
-    Row i reads row i-1 through b_i, then row i-band through c_i; pivots
-    and sweeps run on the levels of that triangle without its zero entries
-    (the 2N-1 anti-diagonals of the five-point grid), the backward sweep
-    on the same levels last to first.  Pivots stay bitwise
-    the same (each starts from a positive a_i); in a sweep 0.0 * y_j could
-    only flip a zero's sign or spread a non-finite y_j.  The first
-    nonpositive pivot in row order is the loop's: rows read earlier rows.
+def _ic_pattern(a, band):
+    """All of IC and MIC but the pivots: the bands, the kept (nonzero) links
+    and both sweeps, on the levels of the lower triangle without its zero
+    entries (the 2N-1 anti-diagonals of the five-point grid), the backward
+    sweep's last to first.  Pivots stay bitwise the same (each starts from a
+    positive a_i); in a sweep 0.0 * y_j could only flip a zero's sign or
+    spread a non-finite y_j.
 
     The levels are the longest paths :class:`_Sweep`'s entry loop would find,
     from the band recurrence level_i = max([b_i != 0] (level_{i-1} + 1),
@@ -203,16 +201,11 @@ def _ic_factor(a, band, modified):
     """
     diag, b, c = _pentadiagonal_bands(a, band)
     n = diag.size
-    b_comp = np.zeros(n)  # c_{i+band-1}, the fill dropped beside b_i
-    c_comp = np.zeros(n)  # b_{i-band+1}, the fill dropped beside c_i
-    if modified and n > band:
-        b_comp[1:n - band + 1] = c[band:]
-        c_comp[band:] = b[1:n - band + 1]
     rows = np.tile(np.arange(n), 2)
     cols = rows - np.repeat((1, band), n)
-    vals, nums = np.concatenate((b, c)), np.concatenate((b * (b + b_comp), c * (c + c_comp)))
+    vals = np.concatenate((b, c))
     keep = vals != 0.0  # b_0 and c_i, i < band, are zero: kept columns are in range
-    rows, cols, vals, nums = rows[keep], cols[keep], vals[keep], nums[keep]
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
     linked_b, linked_c = b != 0.0, c != 0.0
     step = band if linked_c.any() else n
     # level_i - i lies in (-n, 0]: lifted by n, each run stays above the runs before it
@@ -225,30 +218,52 @@ def _ic_factor(a, band, modified):
         level[band + s:band + e] = np.maximum.accumulate(top + off[s:e]) - off[s:e]
     level = level[band:]
     lower = _Sweep(n, rows, cols, vals, lower=True, level=level)
+    upper = _Sweep(n, cols, rows, vals, lower=False, level=level.max() - level)
+    return diag, b, c, keep, lower, upper
+
+
+def _ic_factor(a, band, modified):
+    """IC(0) or MIC pivots on the pattern of ``a``, kept per band on a storage
+    operand like its CSR copy (:func:`storage._kernel`): one recurrence, MIC's
+    compensation terms zero for IC (exact, as b*(b + 0.0) == b*b); the first
+    nonpositive pivot in row order is the loop's: rows read earlier rows."""
+    diag, b, c, keep, lower, upper = _kernel(a, f"_ic{band}", None, lambda: _ic_pattern(a, band))
+    n = diag.size
+    b_comp = np.zeros(n)  # c_{i+band-1}, the fill dropped beside b_i
+    c_comp = np.zeros(n)  # b_{i-band+1}, the fill dropped beside c_i
+    if modified and n > band:
+        b_comp[1:n - band + 1] = c[band:]
+        c_comp[band:] = b[1:n - band + 1]
+    nums = np.concatenate((b * (b + b_comp), c * (c + c_comp)))[keep]
     with np.errstate(divide="ignore", invalid="ignore"):
         dt = lower.pivots(diag, nums)
     bad = np.flatnonzero(dt <= 0.0)
     if bad.size:
         raise IcBreakdownError(f"ic-pivot: nonpositive pivot {dt[bad[0]]:g} at row {bad[0]}")
-    upper = _Sweep(n, cols, rows, vals, lower=False, level=level.max() - level)
     return IcFactors(n, band, diag, b, c, dt, lower, upper)
 
 
 def apply_ic_solve(f: IcFactors, r):
-    """Solve M s = r with M = (L D) inv(D) (L D)'.
+    """Solve M s = r with M = (L D) inv(D) (L D)', r an (n,) vector or an
+    (n, k) block, each column bitwise its vector solve.
 
     Forward sweep with (L D) (diagonal dt, strict lower = the b and c bands
-    of A), scaling by dt, then the transposed backward sweep.
+    of A), scaling each row by dt, then the transposed backward sweep on the
+    forward's levels, and parts of D, last to first.
     """
-    y = f.lower.solve(f.dt, r)
-    y *= f.dt  # w = D y
-    return f.upper.solve(f.dt, y)
+    d = _kernel(f, "_d", (f.dt, f.lower), lambda: f.lower.parts(f.dt))
+    y = f.lower.solve(d, r)
+    y *= _column(f.dt, y)  # w = D y
+    return f.upper.solve(d[::-1], y)
 
 
 def ic_matrix_apply(f: IcFactors, x):
-    """Multiply M x for the factored M (used to check identities like M @ 1)."""
-    u = f.upper.accumulate(f.dt * x, x) / f.dt
-    return f.lower.accumulate(f.dt * u, u)
+    """Multiply M x for the factored M (used to check identities like M @ 1),
+    x an (n,) vector or an (n, k) block, as for :func:`apply_ic_solve`."""
+    x = _check_dim(x, f.n, block=True)
+    dt = _column(f.dt, x)
+    u = f.upper.accumulate(dt * x, x) / dt
+    return f.lower.accumulate(dt * u, u)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +320,8 @@ def apply_block_solve(f: BlockFactors, r):
     """Solve M s = r with M = L inv(D) L': a forward block sweep with L
     (pivot blocks D_i, sub-diagonal blocks B_i), a multiply by each D_i,
     then a backward block sweep with L', whose off-diagonal blocks B_i' are
-    the transpose of the block-lower part of A."""
-    y = f.blocks.forward(f.factors, r).reshape(-1, f.blocks.bs, 1)
+    the transpose of the block-lower part of A; r is an (n,) vector."""
+    y = f.blocks.forward(f.factors, _check_dim(r, f.blocks.n)).reshape(-1, f.blocks.bs, 1)
     return f.blocks.backward(f.factors, (f.d_blocks @ y).ravel())
 
 

@@ -91,10 +91,11 @@ def split(a, method, omega=None, block_size=None) -> Splitting:
         elif method == "ssor":
             dw = d / omega
             lower, upper = (_Sweep(d.size, rows, cols, vals, side) for side in (True, False))
+            dl, du = lower.parts(dw), upper.parts(dw)
 
             def m_solve(r):
-                u = lower.solve(dw, r)
-                return u + upper.solve(dw, r - a_apply(u))
+                u = lower.solve(dl, r)
+                return u + upper.solve(du, r - a_apply(u))
 
             def m_apply(x):
                 y = upper.accumulate(_column(dw, x) * x, x) / _column(d, x)
@@ -102,7 +103,8 @@ def split(a, method, omega=None, block_size=None) -> Splitting:
         else:
             d = d / omega if method == "sor" else d
             lower = _Sweep(d.size, rows, cols, vals, lower=True)
-            m_solve = lambda r: lower.solve(d, r)
+            parts = lower.parts(d)
+            m_solve = lambda r: lower.solve(parts, r)
             m_apply = lambda x: lower.accumulate(_column(d, x) * x, x)
     elif method in BLOCK_METHODS:
         blocks = _Blocks(a, block_size)

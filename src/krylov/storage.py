@@ -20,15 +20,16 @@ Each action adds the same terms in the same order from zero as the numpy
 loop it replaced (``tests/test_storage.py`` keeps those loops), so its bits
 are that loop's.  All but the row format's A x from 8 slots on and the col
 format's A' x for n = 1 run scipy's compiled loops on ``scipy.sparse``
-arrays.  What a kernel keeps is built on first use and again once a field
-it reads is reassigned: assign new arrays, never mutate them in place.
+arrays.  What a kernel keeps (a CSR or DIA copy, or the IC/MIC pattern of
+:mod:`krylov.precond`) is built on first use and again once a field it
+reads is reassigned: assign new arrays, never mutate them in place.
 """
 
 import bisect
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -222,8 +223,13 @@ class DiagCompressed:
 
 
 def _kernel(a, name, fields, make):
-    """The array (or arrays) ``make()`` kept on storage ``a`` as ``name``,
-    built again once any of the ``fields`` arrays it was made from is replaced."""
+    """The array (or arrays) ``make()`` kept on ``a`` as ``name``, built again
+    once any of the ``fields`` arrays it was made from is replaced.  None means
+    all of ``a``'s fields: an ``a`` without any (a dense array) keeps nothing."""
+    if fields is None:
+        if not is_dataclass(a):
+            return make()
+        fields = tuple(getattr(a, f) for f in a.__dataclass_fields__)
     held = a.__dict__.get(name)
     if held is None or any(f is not g for f, g in zip(fields, held[0])):
         held = a.__dict__[name] = fields, make()
@@ -378,12 +384,16 @@ class _Sweep(_Panels):
         self.level = np.asarray(level, dtype=np.int64)
         super().__init__(n, rows, cols, vals, self.level)
 
+    def parts(self, diag):
+        """The levels' parts of D = diag(diag), as :meth:`solve` reads them."""
+        d = np.asarray(diag, dtype=float)[self.perm]
+        return [d[rows] for rows, _ in self.groups]
+
     def solve(self, diag, rhs):
-        """u with (D + T) u = rhs, D = diag(diag), for an (n,) vector or an
-        (n, k) block rhs.  The levels' parts of D are kept for the ``diag``
-        array they came from: pass a new array, never change one in place."""
-        d = _kernel(self, "_d", (diag,), lambda: np.split(
-            np.asarray(diag, dtype=float)[self.perm], [rows.stop for rows, _ in self.groups]))
+        """u with (D + T) u = rhs, for an (n,) vector or an (n, k) block rhs,
+        D = diag(diag) or, as a caller solving with one D many times keeps
+        it, its :meth:`parts`: the sweep keeps nothing of D."""
+        d = diag if isinstance(diag, list) else self.parts(diag)
         return self.sweep(rhs, (np.divide, d if np.ndim(rhs) == 1 else [v[:, None] for v in d]))
 
     def pivots(self, diag, nums):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -228,6 +230,94 @@ def test_apply_ic_round_trip_and_symmetry(rng):
     q = rng.standard_normal(25)
     r = rng.standard_normal(25)
     assert r @ apply_ic_solve(f, q) == pytest.approx(q @ apply_ic_solve(f, r), rel=1e-11)
+
+
+@pytest.mark.parametrize("modified", [False, True], ids=["ic", "mic"])
+@pytest.mark.parametrize("k", [1, 3, 16])
+def test_ic_solve_and_matrix_apply_act_on_each_column_of_a_block(k, modified):
+    """Rows are scaled by the pivots, not columns: each column of a block
+    result is bitwise its vector apply (k = n = 16 included)."""
+    for a in (poisson_test(4).a, cavity_laplace(4, 0.3).a):
+        f = (mic_pentadiagonal if modified else ic0_pentadiagonal)(a, 4)
+        x = np.random.default_rng(k).uniform(-1.0, 1.0, (16, k))
+        for apply in (apply_ic_solve, ic_matrix_apply):
+            want = np.column_stack([apply(f, x[:, j]) for j in range(k)])
+            assert apply(f, x).tobytes() == want.tobytes()
+
+
+def test_ic_matrix_apply_and_block_solve_name_a_wrong_shape():
+    f = ic0_pentadiagonal(poisson_test(4).a, 4)
+    with pytest.raises(ValueError, match=r"shape \(15,\), expected \(16,\) or \(16, k\)"):
+        ic_matrix_apply(f, np.ones(15))
+    g = block_precond(poisson_test(4).a, 4)
+    for shape in [(16, 1), (16, 3), (16, 16), (15,)]:
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}, expected (16,)") + "$"):
+            apply_block_solve(g, np.ones(shape))
+
+
+def _copy(a):
+    """The matrix ``a`` again, of its type, on copies of its arrays."""
+    return type(a)(*(np.copy(v) if isinstance(v, np.ndarray) else v
+                     for v in (getattr(a, f.name) for f in dataclasses.fields(a))))
+
+
+def test_ic_pattern_is_rebuilt_once_a_field_array_is_reassigned():
+    a = poisson_test(6).a
+    f = ic0_pentadiagonal(a, 6)
+    assert ic0_pentadiagonal(a, 6).lower is f.lower
+    a.vals = a.vals + 1.5 * (a.offsets == 0)  # a new array: the diagonal shifted
+    g, fresh = ic0_pentadiagonal(a, 6), ic0_pentadiagonal(_copy(a), 6)
+    assert g.lower is not f.lower and g.upper is not f.upper
+    assert g.dt.tobytes() == fresh.dt.tobytes()
+    r = np.linspace(-1.0, 1.0, a.n)
+    assert apply_ic_solve(g, r).tobytes() == apply_ic_solve(fresh, r).tobytes()
+    a.vals = a.vals - 10.0 * (a.offsets == 0)  # a negative diagonal
+    with pytest.raises(ValueError, match="expected positive diagonal"):
+        mic_pentadiagonal(a, 6)
+
+
+def test_ic_pattern_of_each_band_is_its_own():
+    """Entries at offsets 1 and 3: band 3 is valid, band 1 raises the named
+    ValueError each time; a tridiagonal matrix keeps one pattern per band."""
+    n = 9
+    rows = [*range(n), *range(1, n), *range(n - 1), *range(3, n), *range(n - 3)]
+    cols = [*range(n), *range(n - 1), *range(1, n), *range(n - 3), *range(3, n)]
+    a = Triplets(n, rows, cols, [4.0] * n + [-1.0] * (2 * n - 2) + [-0.5] * (2 * n - 6))
+    f = mic_pentadiagonal(a, 3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"entry \(0, 3\) off the pentadiagonal pattern"):
+            ic0_pentadiagonal(a, 1)
+    assert mic_pentadiagonal(a, 3).lower is f.lower
+    t = tridiag_stieltjes(n, np.random.default_rng(0))
+    f3, f20 = ic0_pentadiagonal(t, 3), ic0_pentadiagonal(t, 20)
+    assert f3.lower is not f20.lower and ic0_pentadiagonal(t, 3).lower is f3.lower
+    for g, band in ((f3, 3), (f20, 20)):
+        fresh = ic0_pentadiagonal(_copy(t), band)
+        assert g.band == band and g.dt.tobytes() == fresh.dt.tobytes()
+
+
+def test_ic_and_mic_of_one_matrix_share_their_sweeps_and_add_little_memory():
+    """At Poisson N=100, MIC built and applied after IC on the same matrix
+    reuses IC's sweeps; it adds its pivots and their level parts (about
+    0.2 MB), not a second pattern (about 2.3 MB).  No apply leaves pivot
+    state on a shared sweep."""
+    a = poisson_test(100).a
+    r = np.linspace(-1.0, 1.0, a.n)
+    ic = ic0_pentadiagonal(a, 100)
+    kept = [sorted(vars(s)) for s in (ic.lower, ic.upper)]
+    apply_ic_solve(ic, r)
+    tracemalloc.start()
+    try:
+        mic = mic_pentadiagonal(a, 100)
+        apply_ic_solve(mic, r)
+        added = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert mic.lower is ic.lower and mic.upper is ic.upper
+    assert added < 0.5e6
+    assert [sorted(vars(s)) for s in (ic.lower, ic.upper)] == kept
+    assert not any(isinstance(v, np.ndarray) and v.size == a.n and v.dtype == float
+                   for s in (ic.lower, ic.upper) for v in vars(s).values())
 
 
 def test_block_scalar_blocks_reduce_to_exact_ldl(rng):

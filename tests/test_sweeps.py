@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from krylov import cavity_laplace, poisson_test, stationary
 from krylov.precond import (IcBreakdownError, apply_ic_solve, ic0_pentadiagonal,
-                            mic_pentadiagonal)
+                            ic_matrix_apply, mic_pentadiagonal)
 from krylov.stationary import iteration_matrix_applier, split
 from krylov.storage import Triplets, _Panels, _Sweep, build, to_triplets
 
@@ -266,6 +266,47 @@ def test_band_scan_levels_pivots_and_solve_match_the_loops(case, modified, seed)
     assert np.array_equal(bits(f.dt), bits(ref_ic_pivots(a, band, modified)))
     r = np.random.default_rng(seed).uniform(-1e3, 1e3, f.n)
     assert np.array_equal(bits(apply_ic_solve(f, r)), bits(ref_ic_apply(f, r)))
+
+
+def _factor_or_message(modified, a, band):
+    try:
+        return (mic_pentadiagonal if modified else ic0_pentadiagonal)(a, band)
+    except IcBreakdownError as exc:
+        return str(exc)
+
+
+def _outcomes(factors, r, block):
+    """Per step, each factor in turn: its pivots, then its solve and M x of
+    r and of block, as bytes of their bits; a breakdown gives its message."""
+    steps = [lambda f: f.dt] + [lambda f, apply=apply, x=x: apply(f, x)
+                                for apply in (apply_ic_solve, ic_matrix_apply) for x in (r, block)]
+    return [f if isinstance(f, str) else bits(step(f)).tobytes() for step in steps for f in factors]
+
+
+@SETTINGS
+@given(band_matrices(), st.sampled_from([1.0, 0.3, 0.1]), st.booleans(),
+       st.sampled_from(["triplets", "row", "col", "diag", "dense"]), st.integers(0, 2**32 - 1))
+def test_ic_and_mic_on_one_matrix_are_those_built_alone(case, shrink, mic_first, kind, seed):
+    """IC and MIC share the pattern of one operand, in either build order:
+    pivots, breakdown messages and applies to a vector or a block are bitwise
+    those of factors built on separate copies, with IC and MIC applies
+    interleaved; the backward sweep's parts of D are the forward's reversed."""
+    t, band = case  # a smaller diagonal (shrink < 1) may break down
+    t = Triplets(t.n, t.rows, t.cols, np.where(t.rows == t.cols, shrink * t.vals, t.vals))
+    copy = {"triplets": lambda: Triplets(t.n, t.rows.copy(), t.cols.copy(), t.vals.copy()),
+            "dense": t.to_dense}.get(kind, lambda: build(t, kind))
+    rng = np.random.default_rng(seed)
+    r, block = rng.uniform(-1e3, 1e3, t.n), rng.uniform(-1e3, 1e3, (t.n, 3))
+    order = [True, False] if mic_first else [False, True]
+    a = copy()
+    with np.errstate(all="ignore"):
+        shared = [_factor_or_message(m, a, band) for m in order]
+        alone = [_outcomes([_factor_or_message(m, copy(), band)], r, block) for m in order]
+        assert _outcomes(shared, r, block) == [x for pair in zip(*alone) for x in pair]
+    for f in shared:
+        if not isinstance(f, str):
+            want = [p.tolist() for p in f.lower.parts(f.dt)[::-1]]
+            assert [p.tolist() for p in f.upper.parts(f.dt)] == want
 
 
 @SETTINGS
