@@ -103,10 +103,10 @@ def gmres(a, b, x0=None, tol=1e-8, tol_kind="rel_to_b", max_iter=None,
     holds no solution, which happens only for singular A, and the run stops
     as an "invariant_subspace" breakdown.
     """
-    run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply, callback=callback)
-    a_apply, x = run.a_apply, run.x
     if restart is not None and restart < 1:
         raise ValueError("restart must be at least 1")
+    run = _Run(a, b, x0, tol, tol_kind, max_iter, c_apply, callback=callback)
+    a_apply, x = run.a_apply, run.x
     cycle = restart if restart is not None else run.max_iter
     total, r0 = 0, run.r  # a restart forms its own residual
     while True:

@@ -189,16 +189,7 @@ def _ic_pattern(a, band):
     entries (the 2N-1 anti-diagonals of the five-point grid), the backward
     sweep's last to first.  Pivots stay bitwise the same (each starts from a
     positive a_i); in a sweep 0.0 * y_j could only flip a zero's sign or
-    spread a non-finite y_j.
-
-    The levels are the longest paths :class:`_Sweep`'s entry loop would find,
-    from the band recurrence level_i = max([b_i != 0] (level_{i-1} + 1),
-    [c_i != 0] (level_{i-band} + 1), 0) scanned a block of ``band`` rows at a
-    time (all rows at once without c links): along each run of rows joined
-    by b links, level_i - i is a running maximum, one ``np.maximum.accumulate``
-    a block.  For 2 <= band <~ 10, which no workload uses, its numpy calls
-    take longer than the loop, but it stays exact.
-    """
+    spread a non-finite y_j."""
     diag, b, c = _pentadiagonal_bands(a, band)
     n = diag.size
     rows = np.tile(np.arange(n), 2)
@@ -206,19 +197,8 @@ def _ic_pattern(a, band):
     vals = np.concatenate((b, c))
     keep = vals != 0.0  # b_0 and c_i, i < band, are zero: kept columns are in range
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    linked_b, linked_c = b != 0.0, c != 0.0
-    step = band if linked_c.any() else n
-    # level_i - i lies in (-n, 0]: lifted by n, each run stays above the runs before it
-    off = n * np.cumsum(~linked_b) - np.arange(n)
-    level = np.zeros(band + n, dtype=np.int64)  # row i at band + i, after band zeros
-    for s in range(0, n, step):
-        e = min(s + step, n)
-        top = np.where(linked_c[s:e], level[s:e] + 1, 0)
-        top[0] = max(top[0], linked_b[s] * (level[band + s - 1] + 1))  # the wrap link
-        level[band + s:band + e] = np.maximum.accumulate(top + off[s:e]) - off[s:e]
-    level = level[band:]
-    lower = _Sweep(n, rows, cols, vals, lower=True, level=level)
-    upper = _Sweep(n, cols, rows, vals, lower=False, level=level.max() - level)
+    lower = _Sweep(n, rows, cols, vals, lower=True)
+    upper = _Sweep(n, cols, rows, vals, lower=False, level=lower.level.max() - lower.level)
     return diag, b, c, keep, lower, upper
 
 

@@ -20,8 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .report import SolveReport, _Run
-from .storage import (_Blocks, _built, _check_dim, _column, _point_parts, _Sweep, operator,
-                      to_triplets)
+from .storage import (_Blocks, _built, _check_dim, _column, _kernel, _point_parts, _Sweep,
+                      operator, to_triplets)
 
 POINT_METHODS = ("jacobi", "gauss_seidel", "sor", "ssor")
 BLOCK_METHODS = ("block_jacobi", "block_gs")
@@ -73,8 +73,10 @@ def split(a, method, omega=None, block_size=None) -> Splitting:
     * block forms   the same with the block partition of A
 
     The point methods need a nonzero diagonal, and SOR and SSOR need omega
-    in (0, 2).  Block sizes must divide n (None means round(sqrt(n))); a
-    singular diagonal block raises ValueError.
+    in (0, 2).  A storage operand keeps its GS/SOR/SSOR sweeps, one per
+    triangle, like its IC pattern: a later split, any omega, builds none.
+    Block sizes must divide n (None means round(sqrt(n))); a singular
+    diagonal block raises ValueError.
     """
     a_apply, _, n = operator(a)
     if method in ("sor", "ssor") and (omega is None or not (0.0 < omega < 2.0)):
@@ -83,6 +85,8 @@ def split(a, method, omega=None, block_size=None) -> Splitting:
         d, rows, cols, vals = _point_parts(to_triplets(a).coalesced())
         if np.any(d == 0.0):
             raise ValueError("matrix has a zero diagonal entry")
+        sweep = lambda lower: _kernel(a, "_lower_sweep" if lower else "_upper_sweep", None,
+                                      lambda: _Sweep(n, rows, cols, vals, lower))
         if method == "jacobi":
             def m_solve(r):
                 r = _check_dim(r, n, block=True)
@@ -90,7 +94,7 @@ def split(a, method, omega=None, block_size=None) -> Splitting:
             m_apply = lambda x: _column(d, x) * x
         elif method == "ssor":
             dw = d / omega
-            lower, upper = (_Sweep(d.size, rows, cols, vals, side) for side in (True, False))
+            lower, upper = (sweep(side) for side in (True, False))
             dl, du = lower.parts(dw), upper.parts(dw)
 
             def m_solve(r):
@@ -102,7 +106,7 @@ def split(a, method, omega=None, block_size=None) -> Splitting:
                 return omega / (2.0 - omega) * lower.accumulate(_column(dw, y) * y, y)
         else:
             d = d / omega if method == "sor" else d
-            lower = _Sweep(d.size, rows, cols, vals, lower=True)
+            lower = sweep(True)
             parts = lower.parts(d)
             m_solve = lambda r: lower.solve(parts, r)
             m_apply = lambda x: lower.accumulate(_column(d, x) * x, x)

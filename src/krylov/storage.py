@@ -20,9 +20,9 @@ Each action adds the same terms in the same order from zero as the numpy
 loop it replaced (``tests/test_storage.py`` keeps those loops), so its bits
 are that loop's.  All but the row format's A x from 8 slots on and the col
 format's A' x for n = 1 run scipy's compiled loops on ``scipy.sparse``
-arrays.  What a kernel keeps (a CSR or DIA copy, or the IC/MIC pattern of
-:mod:`krylov.precond`) is built on first use and again once a field it
-reads is reassigned: assign new arrays, never mutate them in place.
+arrays.  What a kernel keeps (a CSR or DIA copy, the IC/MIC pattern, the
+GS/SOR/SSOR sweeps) is built on first use and again once a field it reads
+is reassigned: assign new arrays, never mutate them in place.
 """
 
 import bisect
@@ -365,24 +365,47 @@ class _Sweep(_Panels):
     T is the strict lower (or upper) triangle of the entries given as int64
     (rows, cols) and values, each row's entries in the order a row-by-row
     loop subtracts them.  The groups are levels: a row's level is one more
-    than the highest level of the rows it reads, unless ``level`` gives
-    another schedule in which every row comes after the rows it reads (the
-    levels of the transposed sweep, last to first, are one).  :meth:`solve`
-    is the panel sweep with a division by D as its finish: four numpy calls
-    and a view a level, whatever its width, in the loop's operation order,
+    than the highest level of the rows it reads (:meth:`levels`), unless
+    ``level`` gives another schedule in which every row comes after the rows
+    it reads (the levels of the transposed sweep, last to first, are one).
+    :meth:`solve` is the panel sweep with a division by D as its finish: four
+    numpy calls and a view a level, whatever its width, in the loop's order,
     so results are bitwise the loop's, on any schedule.  An (n, k) block runs
     the same calls on its k columns at once, each bitwise its vector sweep."""
 
     def __init__(self, n, rows, cols, vals, lower, level=None):
         keep = cols < rows if lower else cols > rows
         rows, cols, vals = rows[keep], cols[keep], np.asarray(vals, dtype=float)[keep]
-        if level is None:
-            seq = np.argsort(rows if lower else -rows, kind="stable")
-            level = [0] * n
-            for i, j in zip(rows[seq].tolist(), cols[seq].tolist()):
-                level[i] = max(level[i], level[j] + 1)
-        self.level = np.asarray(level, dtype=np.int64)
+        self.level = self.levels(n, rows, cols, lower) if level is None else level
         super().__init__(n, rows, cols, vals, self.level)
+
+    @staticmethod
+    def levels(n, rows, cols, lower):
+        """Each row's level in a strict triangle, by one scan over blocks of
+        rows in sweep order.  A block's rows read no row of it but the one
+        just above: it ends at the first row reading farther back into it.
+        Inside, level_i - i is a running maximum, along those links, of one
+        more than the highest level row i reads in earlier blocks, minus i,
+        lifted by n past each row without a link above."""
+        order = np.argsort(rows, kind="stable")[::1 if lower else -1]  # sweep order
+        rows, cols = rows[order], cols[order]
+        if not lower:  # row i as row n - 1 - i: the upper triangle as a lower one
+            rows, cols = n - 1 - rows, n - 1 - cols
+        count = np.bincount(rows, minlength=n)
+        reads = np.full((count.max(initial=0), n), n)  # by slot; padding reads g[n] = 0
+        reads[np.arange(rows.size) - (np.cumsum(count) - count)[rows], rows] = cols
+        above = np.arange(-1, n - 1)  # the row above each row
+        reach = np.maximum.accumulate(np.where(reads < above, reads, -1).max(axis=0, initial=-1))
+        lift = n * np.cumsum(~(reads == above).any(axis=0)) - np.arange(n)
+        drop = lift - 1  # g = level + 1 = running maximum - lift + 1
+        g, s = np.zeros(n + 1, dtype=np.int64), 0  # level + 1 of the rows done, else 0
+        while s < n:
+            e = reach.searchsorted(s)  # the first row reading farther back into the block
+            m = g.take(reads[:, s:e]).max(axis=0, initial=0)
+            m += lift[s:e]
+            np.subtract(np.maximum.accumulate(m, out=m), drop[s:e], out=g[s:e])
+            s = e
+        return g[:n][::1 if lower else -1] - 1
 
     def parts(self, diag):
         """The levels' parts of D = diag(diag), as :meth:`solve` reads them."""

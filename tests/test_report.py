@@ -137,9 +137,14 @@ def test_negative_or_nan_tolerance_is_rejected(name, tol):
         KW_SOLVERS[name](inst.a, inst.b, tol=tol, max_iter=5)
 
 
-@pytest.mark.parametrize("kw", [{"tol": -1e-8}, {"tol": np.nan}, {"tol_kind": "rel"},
-                                {"max_iter": -1}], ids=["negative", "nan", "kind", "cap"])
-@pytest.mark.parametrize("solve", [gmres, bicg, bicgstab], ids=["gmres", "bicg", "bicgstab"])
+BAD_SETTINGS = {"negative": {"tol": -1e-8}, "nan": {"tol": np.nan}, "kind": {"tol_kind": "rel"},
+                "cap": {"max_iter": -1}}
+
+
+@pytest.mark.parametrize("solve,kw", [
+    pytest.param(solve, kw, id=f"{solve.__name__}-{name}")
+    for solve in (gmres, bicg, bicgstab) for name, kw in BAD_SETTINGS.items()
+] + [pytest.param(gmres, {"restart": 0}, id="gmres-restart")])
 def test_a_bad_setting_is_rejected_before_any_work(solve, kw):
     calls = []
 

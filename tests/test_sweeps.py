@@ -5,6 +5,7 @@ kernel must reproduce them bit for bit (zero signs included where the
 kernel keeps every entry the loop reads).
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krylov import cavity_laplace, poisson_test, stationary
+from krylov import cavity_laplace, hilbert, poisson_test, random_sparse, stationary
 from krylov.precond import (IcBreakdownError, apply_ic_solve, ic0_pentadiagonal,
                             ic_matrix_apply, mic_pentadiagonal)
 from krylov.stationary import iteration_matrix_applier, split
-from krylov.storage import Triplets, _Panels, _Sweep, build, to_triplets
+from krylov.storage import Triplets, _Panels, _Sweep, build, to_dense, to_triplets
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -51,6 +52,19 @@ def ref_accumulate(n, rows, cols, vals, base, x):
         for j, v in entries[i]:
             y[i] += v * x[j]
     return y
+
+
+def ref_levels(n, rows, cols, lower):
+    """Each row's level in the strict lower (or upper) triangle of the
+    entries, one entry at a time in sweep order: one more than the highest
+    level of the rows it reads, 0 for a row that reads none."""
+    keep = cols < rows if lower else cols > rows
+    rows, cols = rows[keep], cols[keep]
+    seq = np.argsort(rows if lower else -rows, kind="stable")
+    level = [0] * n
+    for i, j in zip(rows[seq].tolist(), cols[seq].tolist()):
+        level[i] = max(level[i], level[j] + 1)
+    return level
 
 
 def ref_ic_pivots(a, band, modified):
@@ -197,16 +211,20 @@ def _cut_poisson(N):
     return Triplets(t.n, t.rows, t.cols, np.where(cut, 0.0, t.vals))
 
 
-def _factor_recording_sweeps(a, band, modified):
-    """The IC/MIC factors of a, and the (args, kwargs) of each _Sweep built."""
+def _recording_sweeps(make, *args, **kwargs):
+    """make(*args, **kwargs), and the (args, kwargs) of each _Sweep it built."""
     built = []
 
-    def recording(*args, **kwargs):
-        built.append((args, kwargs))
-        return _Sweep(*args, **kwargs)
-    with mock.patch("krylov.precond._Sweep", recording):
-        f = (mic_pentadiagonal if modified else ic0_pentadiagonal)(a, band)
-    return f, built
+    def recording(*a, **kw):
+        built.append((a, kw))
+        return _Sweep(*a, **kw)
+    with mock.patch(f"{make.__module__}._Sweep", recording):
+        return make(*args, **kwargs), built
+
+
+def _factor_recording_sweeps(a, band, modified):
+    """The IC/MIC factors of a, and the (args, kwargs) of each _Sweep built."""
+    return _recording_sweeps(mic_pentadiagonal if modified else ic0_pentadiagonal, a, band)
 
 
 @pytest.mark.parametrize("modified", [False, True], ids=["ic", "mic"])
@@ -229,12 +247,13 @@ def test_ic_backward_sweep_on_reversed_levels_is_its_own_levels_bit_for_bit(kind
 @pytest.mark.parametrize("modified", [False, True], ids=["ic", "mic"])
 @pytest.mark.parametrize("kind,N", IC_CASES + [("cut", 6)])
 def test_ic_sweeps_are_given_their_levels(kind, N, modified):
-    """Structural: both IC/MIC sweeps get a schedule, so neither runs
-    _Sweep's per-entry level loop (which runs only when ``level`` is None)."""
+    """Structural: the forward IC/MIC sweep finds its own levels, and only
+    the backward sweep is given a schedule, the forward's reversed."""
     a = _cut_poisson(N) if kind == "cut" else _ic_problem(kind, N)
-    _, built = _factor_recording_sweeps(a, N, modified)
-    assert sorted(kwargs["lower"] for _, kwargs in built) == [False, True]
-    assert all(kwargs.get("level") is not None for _, kwargs in built)
+    f, built = _factor_recording_sweeps(a, N, modified)
+    given = {kwargs["lower"]: kwargs.get("level") for _, kwargs in built}
+    assert len(built) == 2 and given[True] is None
+    assert given[False].tolist() == (f.lower.level.max() - f.lower.level).tolist()
 
 
 link = st.one_of(st.just(0.0), st.floats(-1.0, -1.0 / 64))
@@ -262,7 +281,7 @@ def test_band_scan_levels_pivots_and_solve_match_the_loops(case, modified, seed)
     a, band = case
     f, built = _factor_recording_sweeps(a, band, modified)
     (args, _), = [call for call in built if call[1]["lower"] is True]
-    assert f.lower.level.tolist() == _Sweep(*args, lower=True).level.tolist()
+    assert f.lower.level.tolist() == ref_levels(*args[:3], lower=True)
     assert np.array_equal(bits(f.dt), bits(ref_ic_pivots(a, band, modified)))
     r = np.random.default_rng(seed).uniform(-1e3, 1e3, f.n)
     assert np.array_equal(bits(apply_ic_solve(f, r)), bits(ref_ic_apply(f, r)))
@@ -397,3 +416,93 @@ def test_ssor_sweeps_match_row_loop(t, omega, seed):
     dense(v)
     for j, e in enumerate(np.eye(t.n)):
         assert np.array_equal(bits(dense.matrix[:, j]), bits(ref_g(e)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(triangles(), point_matrices())
+def test_sweep_levels_are_the_loops(case, t):
+    """The level scan gives the entry loop's levels: on a strict triangle
+    with repeats, explicit zeros and empty rows, and on both triangles of a
+    matrix."""
+    n, rows, cols, vals, _, _, forward = case
+    assert _Sweep(n, rows, cols, vals, forward).level.tolist() == ref_levels(n, rows, cols, forward)
+    for lower in (True, False):
+        got = _Sweep(t.n, t.rows, t.cols, t.vals, lower).level.tolist()
+        assert got == ref_levels(t.n, t.rows, t.cols, lower)
+
+
+@pytest.mark.parametrize("make", [lambda: poisson_test(23).a, lambda: cavity_laplace(17, 0.3).a,
+                                  lambda: random_sparse(300, 0.02, 1).a, lambda: hilbert(8).a],
+                         ids=["poisson23", "cavity17", "random300", "hilbert8"])
+def test_sweep_levels_of_model_problems_are_the_loops(make):
+    t = to_triplets(make()).coalesced()
+    for lower in (True, False):
+        got = _Sweep(t.n, t.rows, t.cols, t.vals, lower).level.tolist()
+        assert got == ref_levels(t.n, t.rows, t.cols, lower)
+
+
+POINT_SPLITS = [("gauss_seidel", None), ("sor", 1.3), ("ssor", 1.3),
+                ("gauss_seidel", None), ("sor", 0.7), ("ssor", 1.6)]
+
+
+def _splitting_bits(sp, v, block):
+    return [bits(f(x)).tobytes() for f in (sp.m_solve, sp.n_apply) for x in (v, block)]
+
+
+@SETTINGS
+@given(point_matrices(), st.sampled_from(["triplets", "row", "col", "diag"]),
+       st.integers(0, 2**32 - 1))
+def test_point_splittings_of_one_matrix_keep_its_sweeps(t, kind, seed):
+    """GS, SOR and SSOR of one operand build each triangle's sweep once, on
+    first use; every later split, any omega, builds none, and its m_solve and
+    n_apply of a vector and a block are bitwise those of a fresh copy's."""
+    copy = (lambda: Triplets(t.n, t.rows.copy(), t.cols.copy(), t.vals.copy())) \
+        if kind == "triplets" else (lambda: build(t, kind))
+    rng = np.random.default_rng(seed)
+    v, block = rng.standard_normal(t.n), rng.standard_normal((t.n, 3))
+    a = copy()
+    built = []
+    for method, omega in POINT_SPLITS:
+        sp, new = _recording_sweeps(split, a, method, omega=omega)
+        built.append(len(new))
+        fresh = split(copy(), method, omega=omega)
+        assert _splitting_bits(sp, v, block) == _splitting_bits(fresh, v, block)
+    assert built == [1, 0, 1, 0, 0, 0]
+
+
+def test_a_reassigned_field_rebuilds_the_kept_sweeps():
+    a = build(to_triplets(cavity_laplace(5, 0.3).a), "row")
+    split(a, "ssor", omega=1.2)
+    a.vals = np.where(a.cols < np.arange(a.n)[:, None], 0.5 * a.vals, a.vals)  # new lower entries
+    sp, built = _recording_sweeps(split, a, "gauss_seidel")
+    assert len(built) == 1
+    r = np.random.default_rng(5).standard_normal(a.n)
+    t = a.to_triplets()
+    rows, cols, vals = _triangle_of(t.coalesced(), lower=True)
+    assert np.array_equal(bits(sp.m_solve(r)),
+                          bits(ref_triangular(a.n, rows, cols, vals, _diag_of(t), r)))
+    _, built = _recording_sweeps(split, a, "ssor", omega=1.2)
+    assert [args[4] for args, _ in built] == [False]  # the stale upper sweep, and only it
+
+
+def test_a_dense_operand_jacobi_and_block_splits_keep_no_sweep():
+    dense = to_dense(poisson_test(4).a)
+    for _ in range(2):
+        assert len(_recording_sweeps(split, dense, "ssor", omega=1.2)[1]) == 2
+    a = build(to_triplets(poisson_test(4).a), "row")
+    held = dict(vars(a))
+    for method in ("jacobi", "block_jacobi", "block_gs"):
+        split(a, method)
+    assert vars(a).keys() == held.keys()
+
+
+def test_kept_ssor_sweeps_at_poisson_100_take_under_2_5_mb():
+    a = poisson_test(100).a
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        split(a, "ssor", omega=1.9)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 2.5e6
