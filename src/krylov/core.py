@@ -217,21 +217,21 @@ def spectral_radius_estimate(g_apply, n):
     apply_ = operator(g_apply)[0]
     v = np.random.default_rng(_POWER_SEED).standard_normal(n)
     v /= np.linalg.norm(v)
-    logs = []
+    logs = np.empty(_POWER_STEPS)  # log of each step norm, step m at m - 1
     previous = None
     for m in range(1, _POWER_STEPS + 1):
         w = apply_(v)
-        s = float(np.linalg.norm(w))
+        s = math.sqrt(w @ w)  # np.linalg.norm of a 1-D float array, bit for bit
         if s <= 1e-300:
             return 0.0
-        logs.append(math.log(s))
+        logs[m - 1] = math.log(s)
         v = w / s
         if m >= 100 and m % 20 == 0:
             window = (m // 2) & ~1  # even-length tail window
-            estimate = math.exp(float(np.mean(logs[-window:])))
+            estimate = math.exp(float(np.mean(logs[m - window:m])))
             if previous is not None and (abs(estimate - previous)
                                          <= _POWER_RTOL * max(estimate, 1e-30)):
                 return estimate
             previous = estimate
-    window = (len(logs) // 2) & ~1
-    return math.exp(float(np.mean(logs[-window:])))
+    window = (_POWER_STEPS // 2) & ~1
+    return math.exp(float(np.mean(logs[_POWER_STEPS - window:])))

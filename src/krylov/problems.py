@@ -3,6 +3,9 @@
 All generators return a :class:`ProblemInstance` holding the matrix (sparse
 diagonal format where the structure warrants it, dense for the Hilbert
 family), the right-hand side, and the exact solution when one is built in.
+The five-point generators (Poisson, cavity, indefinite Kronecker sum) know
+their five diagonals and write them straight into the diag format's grid
+(:func:`_five_point`); only :func:`random_sparse` assembles from triplets.
 """
 
 import math
@@ -10,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .storage import Triplets, build
+from .storage import DiagCompressed, Triplets, build
 
 
 @dataclass
@@ -25,25 +28,31 @@ class ProblemInstance:
         return self.b.size
 
 
-def _five_point(N):
-    """Entries (rows, cols) of the five-point stencil on an N x N grid, the
-    first grid index fastest: each node, then its four neighbours in the grid."""
-    p = np.arange(N * N)
-    i = p % N
-    pairs = [(p[keep], p[keep] + step) for step, keep in
-             ((0, p >= 0), (-1, i > 0), (1, i < N - 1), (-N, p >= N), (N, p < N * N - N))]
-    return np.concatenate([r for r, _ in pairs]), np.concatenate([c for _, c in pairs])
+def _five_point(N, center, off):
+    """The five-point stencil on an N x N grid, the first grid index fastest,
+    as its diagonals (offsets -N, -1, 0, 1, N): ``center`` (a scalar or one
+    value per node) on the main one, ``off`` on the others where the
+    neighbour lies on the grid and +0.0 where it does not, as :func:`build`
+    leaves it.  N = 1 has no neighbours: the main diagonal alone."""
+    n = N * N  # node p = i + N j, i = p % N
+    vals = np.zeros((n, 5), order="F")
+    vals[N:, 0] = vals[:n - N, 4] = off  # offsets -N and N: p >= N and p < n - N
+    vals[:, 1] = vals[:, 3] = off  # offsets -1 and 1: i > 0 and i < N - 1
+    vals[::N, 1] = vals[N - 1::N, 3] = 0.0
+    vals[:, 2] = center
+    offsets = np.array([-N, -1, 0, 1, N], dtype=np.int64)
+    if N == 1:
+        return DiagCompressed(1, 1, vals[:, 2:3], offsets[2:3])
+    return DiagCompressed(n, 5, vals, offsets)
 
 
 def _kron_sum(N, t_diag):
     """A = T (x) I_N + I_N (x) T, T = tridiag(-1, t_diag, -1), in diag format.
 
     This is the five-point stencil with center 2 t_diag on an N x N grid,
-    the first grid index fastest.
+    the first grid index fastest, written as its diagonals by :func:`_five_point`.
     """
-    rows, cols = _five_point(N)
-    vals = np.where(rows == cols, 2.0 * t_diag, -1.0)
-    return build(Triplets(N * N, rows, cols, vals), "diag")
+    return _five_point(N, 2.0 * t_diag, -1.0)
 
 
 def poisson_test(N: int) -> ProblemInstance:
@@ -82,7 +91,8 @@ def cavity_laplace(N: int, delta: float) -> ProblemInstance:
 
     The number of Neumann nodes on the bottom wall is nu = floor((1-delta)/h),
     i.e. the count of grid abscissae with i*h <= 1 - delta; it must land in
-    [1, N-1] so both boundary regimes are present.
+    [1, N-1] so both boundary regimes are present.  The matrix is written
+    as its five diagonals by :func:`_five_point`.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
@@ -96,10 +106,8 @@ def cavity_laplace(N: int, delta: float) -> ProblemInstance:
     # Neumann faces: the right wall, the closed part of the bottom wall (the
     # outlet i > nu is Dirichlet p = 0) and the top wall.
     diag = 4.0 - (i == N) - ((j == 1) & (i <= nu)) - (j == N)
-    rows, cols = _five_point(N)
-    vals = np.where(rows == cols, (diag * scale)[rows], -scale)
     b = np.where(i == 1, scale, 0.0)  # left wall: p(0, y) = 1
-    a = build(Triplets(n, rows, cols, vals), "diag")
+    a = _five_point(N, diag * scale, -scale)
     return ProblemInstance(a, b, None, f"cavity(N={N}, delta={delta})")
 
 

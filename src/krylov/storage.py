@@ -181,7 +181,7 @@ class DiagCompressed:
     ``offsets[r]`` holds the signed index (column - row) of the diagonal
     stored in ``vals[:, r]``; ``vals[i, r]`` is the entry on row ``i`` of
     that diagonal.  A slot where ``i + offsets[r]`` leaves the grid is never
-    read (:func:`build` leaves it 0).  Offsets are kept sorted ascending.
+    read (:func:`build` leaves it 0).  Offsets are kept strictly ascending.
 
     ``vals`` is stored column-major (Fortran order; an array given in any
     other layout is copied into it), so each diagonal ``vals[:, r]`` is
@@ -191,15 +191,29 @@ class DiagCompressed:
     column-indexed DIA data of A' (offsets ``-offsets``): ``rmatvec`` runs
     on it as it is, ``matvec`` on scipy's transpose of it, a (k, n) copy.
     Both add one diagonal at a time, in ascending offset order, from zero.
+
+    The constructor raises a ``ValueError`` naming the field unless ``vals``
+    is (n, k) and ``offsets`` is 1-D of length k, strictly ascending, with
+    every offset in [1 - n, n - 1]; it costs O(k).
     """
 
     n: int
     k: int
     vals: np.ndarray     # (n, k), column-major
-    offsets: np.ndarray  # (k,) signed, pairwise distinct
+    offsets: np.ndarray  # (k,) signed, strictly ascending
 
     def __post_init__(self):
         self.vals = np.asfortranarray(self.vals, dtype=float)
+        self.offsets = offs = np.asarray(self.offsets)
+        if self.vals.shape != (self.n, self.k):
+            raise ValueError(f"vals must be (n, k) = ({self.n}, {self.k}), not {self.vals.shape}")
+        if offs.shape != (self.k,):
+            raise ValueError(f"offsets must be 1-D of length k = {self.k}, not {offs.shape}")
+        if np.any(offs[1:] <= offs[:-1]):
+            raise ValueError(f"offsets must be strictly ascending, not {offs.tolist()}")
+        if self.k and not (1 - self.n <= offs[0] and offs[-1] <= self.n - 1):
+            raise ValueError(f"offsets must lie in [{1 - self.n}, {self.n - 1}], "
+                             f"not {offs.tolist()}")
 
     def matvec(self, x):
         x = _check_dim(x, self.n, block=True)

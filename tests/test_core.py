@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from krylov.chebyshev import estimate_interval
-from krylov.core import (TridiagSym, a_norm, induced_matrix_norm, make_givens,
-                         spectral_radius_estimate, sturm_count,
-                         sturm_extreme_eigs, vec_norm)
+from krylov.core import (_POWER_RTOL, _POWER_SEED, _POWER_STEPS, TridiagSym, a_norm,
+                         induced_matrix_norm, make_givens, spectral_radius_estimate,
+                         sturm_count, sturm_extreme_eigs, vec_norm)
 from krylov.problems import poisson_test
+from krylov.stationary import iteration_matrix_applier
 from krylov.storage import Triplets, build, to_dense, to_triplets
 from krylov.symmetric import lanczos
 
@@ -159,6 +160,59 @@ def test_spectral_radius_complex_pair():
     g = 0.9 * np.array([[math.cos(th), -math.sin(th)],
                         [math.sin(th), math.cos(th)]])
     assert spectral_radius_estimate(g, 2) == pytest.approx(0.9, abs=1e-3)
+
+
+def _ref_spectral_radius(g, n):
+    """Reference: the power loop as first written, logs kept in a list.
+    Returns the estimate and the number of applications of ``g``."""
+    v = np.random.default_rng(_POWER_SEED).standard_normal(n)
+    v /= np.linalg.norm(v)
+    logs = []
+    previous = None
+    for m in range(1, _POWER_STEPS + 1):
+        w = g @ v
+        s = float(np.linalg.norm(w))
+        if s <= 1e-300:
+            return 0.0, m
+        logs.append(math.log(s))
+        v = w / s
+        if m >= 100 and m % 20 == 0:
+            window = (m // 2) & ~1
+            estimate = math.exp(float(np.mean(logs[-window:])))
+            if previous is not None and (abs(estimate - previous)
+                                         <= _POWER_RTOL * max(estimate, 1e-30)):
+                return estimate, m
+            previous = estimate
+    window = (len(logs) // 2) & ~1
+    return math.exp(float(np.mean(logs[-window:]))), _POWER_STEPS
+
+
+def _gauss_seidel_g():
+    apply_ = iteration_matrix_applier(poisson_test(6).a, "gauss_seidel")
+    return np.column_stack([apply_(e) for e in np.eye(36)])
+
+
+_POWER_CASES = {  # name: (G, how the run ends)
+    "scalar": (lambda: 0.5 * np.eye(4), "early"),
+    "rotation": (lambda: 0.9 * np.array([[math.cos(0.7), -math.sin(0.7)],
+                                         [math.sin(0.7), math.cos(0.7)]]), "early"),
+    "random": (lambda: np.random.default_rng(3).standard_normal((9, 9)) / 3.0, "early"),
+    "gauss-seidel": (_gauss_seidel_g, "early"),
+    "jordan": (lambda: np.array([[0.9, 1.0], [0.0, 0.9]]), "all"),  # settles too slowly
+    "nilpotent": (lambda: np.triu(np.arange(1.0, 10.0).reshape(3, 3), 1), "zero"),
+}
+
+
+@pytest.mark.parametrize("case", list(_POWER_CASES))
+def test_power_loop_is_the_list_loop_bit_for_bit(case):
+    make, ends = _POWER_CASES[case]
+    g = make()
+    calls = []
+    rho = spectral_radius_estimate(lambda x: calls.append(1) or g @ x, g.shape[0])
+    ref, steps = _ref_spectral_radius(g, g.shape[0])
+    assert rho.hex() == ref.hex() and len(calls) == steps
+    assert {"early": 100 < steps < _POWER_STEPS, "all": steps == _POWER_STEPS,
+            "zero": steps < 100 and ref == 0.0}[ends]
 
 
 def test_spectral_radius_dominated_by_induced_norms(rng):

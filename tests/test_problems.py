@@ -90,7 +90,7 @@ def test_cavity_rejects_bad_outlet():
         cavity_laplace(2, 0.05)  # nu = N: no Dirichlet node left
 
 
-def _row_loop_stencil(N, diag_of, off):
+def _row_loop_triplets(N, diag_of, off):
     """Reference: the five-point matrix built node by node, as the grid
     generators once did, with diagonal ``diag_of(i, j)`` and off-diagonal ``off``."""
     rows, cols, vals = [], [], []
@@ -105,28 +105,50 @@ def _row_loop_stencil(N, diag_of, off):
             rows.append(p)
             cols.append(p)
             vals.append(diag_of(i, j))
-    return build(Triplets(N * N, rows, cols, vals), "diag")
+    return Triplets(N * N, rows, cols, vals)
 
 
-def _same_diag_format(a, ref):
-    return all(u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
-               for u, v in ((a.vals, ref.vals), (a.offsets, ref.offsets)))
+def _assert_matches_row_loop(a, N, diag_of, off):
+    """``a`` is bitwise the diag-format build of the row loop's triplets:
+    n, k, int64 offsets, a column-major grid, and the same triplets back."""
+    t = _row_loop_triplets(N, diag_of, off)
+    ref, entries, back = build(t, "diag"), t.coalesced(), a.to_triplets()
+    assert (a.n, a.k) == (ref.n, ref.k) == (N * N, 1 if N == 1 else 5)
+    assert a.offsets.dtype == np.int64 and a.vals.flags.f_contiguous
+    for u, v in ((a.vals, ref.vals), (a.offsets, ref.offsets), (back.rows, entries.rows),
+                 (back.cols, entries.cols), (back.vals, entries.vals)):
+        assert u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 7, 20])
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 20, 33])
 def test_grid_generators_match_row_loop_bitwise(N):
-    assert _same_diag_format(poisson_test(N).a, _row_loop_stencil(N, lambda i, j: 4.0, -1.0))
+    _assert_matches_row_loop(poisson_test(N).a, N, lambda i, j: 4.0, -1.0)
     if N == 1:
         return
-    assert _same_diag_format(indefinite_kron(N).a, _row_loop_stencil(N, lambda i, j: 2.0, -1.0))
-    inst = cavity_laplace(N, 0.5)
+    _assert_matches_row_loop(indefinite_kron(N).a, N, lambda i, j: 2.0, -1.0)
     h = 1.0 / (N + 1)
-    scale, nu = 1.0 / (h * h), math.floor(0.5 / h + 1e-12)
-    ref = _row_loop_stencil(
-        N, lambda i, j: (4.0 - (i == N) - (j == 1 and i <= nu) - (j == N)) * scale, -scale)
-    assert _same_diag_format(inst.a, ref)
-    b = np.array([scale if i == 1 else 0.0 for j in range(N) for i in range(1, N + 1)])
-    assert inst.b.tobytes() == b.tobytes()
+    scale = 1.0 / (h * h)
+    for delta in (0.1, 0.3, 0.5, 0.8):
+        nu = math.floor((1.0 - delta) / h + 1e-12)
+        if not 1 <= nu <= N - 1:
+            continue
+        inst = cavity_laplace(N, delta)
+        _assert_matches_row_loop(
+            inst.a, N, lambda i, j: (4.0 - (i == N) - (j == 1 and i <= nu) - (j == N)) * scale,
+            -scale)
+        b = np.array([scale if i == 1 else 0.0 for j in range(N) for i in range(1, N + 1)])
+        assert inst.b.tobytes() == b.tobytes()
+
+
+def test_poisson_316_is_assembled_in_under_10_mb():
+    # the (n, 5) grid is 4.0 MB; a round trip through n * 5 triplets took 38.5 MB
+    tracemalloc.start()
+    try:
+        poisson_test(316)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_hilbert_small():

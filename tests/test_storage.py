@@ -74,6 +74,31 @@ def test_diag_single_diagonal():
     np.testing.assert_allclose(a.matvec(x), d * x)
 
 
+@pytest.mark.parametrize("n,k,shape,offsets,field", [
+    pytest.param(4, 3, (4, 2), [-1, 0, 1], "vals", id="k3-on-2-columns"),
+    pytest.param(4, 2, (3, 2), [0, 1], "vals", id="3-rows-at-n4"),
+    pytest.param(4, 2, (4, 2), [-1, 0, 1], "offsets", id="more-offsets-than-k"),
+    pytest.param(4, 2, (4, 2), [[0, 1]], "offsets", id="not-1d"),
+    pytest.param(4, 1, (4, 1), [5], "offsets", id="offset-5-at-n4"),  # its values were dropped
+    pytest.param(4, 2, (4, 2), [-4, 0], "offsets", id="offset-minus-4-at-n4"),
+    pytest.param(4, 2, (4, 2), [1, 0], "offsets", id="descending"),  # breaks the summation order
+    pytest.param(4, 2, (4, 2), [1, 1], "offsets", id="repeated"),
+])
+def test_diag_constructor_rejects_a_malformed_grid_naming_the_field(n, k, shape, offsets, field):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        DiagCompressed(n, k, np.zeros(shape), np.array(offsets))
+
+
+def test_diag_constructor_takes_every_build_and_the_extreme_offsets(rng):
+    for t in (Triplets(4, [], [], []), to_triplets(poisson_test(4).a),
+              random_triplets(9, 0.3, rng)[0], Triplets(1, [0], [0], [2.0])):
+        a = build(t, "diag")
+        b = DiagCompressed(a.n, a.k, a.vals, a.offsets)
+        assert b.offsets is a.offsets and np.array_equal(b.vals, a.vals)
+    a = DiagCompressed(5, 2, np.ones((5, 2)), np.array([-4, 4]))
+    np.testing.assert_array_equal(a.matvec(np.arange(5.0)), [4.0, 0.0, 0.0, 0.0, 0.0])
+
+
 def test_diag_tridiagonal_row_sums():
     # T_4 = tridiag(-1, 2, -1): row sums are (1, 0, 0, 1)
     t = Triplets(4,
