@@ -103,7 +103,7 @@ def cmd_generate(args, parser):
     _write_text(args.out, storage.write_matrix_market(t, symmetric=diags["symmetric"]))
     rhs_path = args.rhs_out or _default_rhs_path(args.out)
     _write_text(rhs_path, storage.write_vector_market(inst.b))
-    print(f"n={t.n} nnz={t.nnz} matrix={args.out} rhs={rhs_path}")
+    print(f"n={t.n} nnz={np.count_nonzero(t.vals)} matrix={args.out} rhs={rhs_path}")
     for key, val in sorted(diags.items()):
         print(f"{key}={val}")
     return 0

@@ -22,8 +22,8 @@ import numpy as np
 from .core import _ZERO, _negligible
 from .report import SolveReport, _Run
 from .stationary import split
-from .storage import (_Blocks, _check_dim, _column, _kernel, _lu_solve, _Sweep, operator,
-                      to_triplets)
+from .storage import (_Blocks, _check_dim, _column, _diagonals, _kernel, _lu_solve, _Sweep,
+                      operator)
 
 
 class IcBreakdownError(RuntimeError):
@@ -111,7 +111,8 @@ def _pcg(run, op, r, c_apply, true_residual=False):
 
 def jacobi_preconditioner(a):
     """Diagonal scaling C = inv(diag(A)): the Jacobi splitting's ``m_solve``,
-    which takes an (n,) vector or an (n, k) block."""
+    which takes an (n,) vector or an (n, k) block.  A diag-format A gives D
+    from its own column, with no triplets built."""
     return split(a, "jacobi").m_solve
 
 
@@ -141,18 +142,15 @@ class IcFactors:
 
 
 def _pentadiagonal_bands(a, band):
-    """Extract (diag, sub1, subN) from a pentadiagonal Stieltjes matrix."""
+    """Extract (diag, sub1, subN) from a pentadiagonal Stieltjes matrix, read
+    in place from a diag-format ``a`` (:func:`storage._diagonals`); entries
+    off the pattern raise ValueError naming the first by (row, col)."""
     if band < 1:
         raise ValueError(f"band offset must be at least 1, got {band}")
-    t = to_triplets(a).coalesced()
-    off = t.cols - t.rows
-    outside = np.flatnonzero(~np.isin(off, (0, -1, -band, 1, band)))
-    if outside.size:
-        k = outside[0]
-        raise ValueError(f"entry ({t.rows[k]}, {t.cols[k]}) off the pentadiagonal pattern")
-    diag, b, c = np.zeros((3, t.n))
-    for v, mask in zip((diag, b, c), (off == 0, off == -1, (off == -band) & (off != -1))):
-        v[t.rows[mask]] = t.vals[mask]
+    bands, outside = _diagonals(a, (0, -1, -band, 1, band))  # band 1: c repeats b, reads 0.0
+    if outside:
+        raise ValueError(f"entry ({outside[0]}, {outside[1]}) off the pentadiagonal pattern")
+    diag, b, c = bands[:3].copy()  # the upper bands, read for the pattern only, are dropped
     if np.any(diag <= 0.0) or np.any(b > 0.0) or np.any(c > 0.0):
         raise ValueError("expected positive diagonal and nonpositive bands")
     return diag, b, c

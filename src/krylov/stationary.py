@@ -13,6 +13,7 @@ sparse entries (:class:`krylov.storage._Blocks`): block GS sweeps the blocks
 as groups, block Jacobi solves each block alone; no n x n array is formed.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -20,8 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .report import SolveReport, _Run
-from .storage import (_Blocks, _built, _check_dim, _column, _kernel, _point_parts, _Sweep,
-                      operator, to_triplets)
+from .storage import (_Blocks, _built, _check_dim, _column, _diagonals, _kernel, _point_parts,
+                      _Sweep, operator, to_triplets)
 
 POINT_METHODS = ("jacobi", "gauss_seidel", "sor", "ssor")
 BLOCK_METHODS = ("block_jacobi", "block_gs")
@@ -75,6 +76,8 @@ def split(a, method, omega=None, block_size=None) -> Splitting:
     The point methods need a nonzero diagonal, and SOR and SSOR need omega
     in (0, 2).  A storage operand keeps its GS/SOR/SSOR sweeps, one per
     triangle, like its IC pattern: a later split, any omega, builds none.
+    D comes from a diag-format operand's own column, so Jacobi, and any
+    later split of one, build no triplets.
     Block sizes must divide n (None means round(sqrt(n))); a singular
     diagonal block raises ValueError.
     """
@@ -82,11 +85,12 @@ def split(a, method, omega=None, block_size=None) -> Splitting:
     if method in ("sor", "ssor") and (omega is None or not (0.0 < omega < 2.0)):
         raise ValueError(f"{method} requires omega in (0, 2)")
     if method in POINT_METHODS:
-        d, rows, cols, vals = _point_parts(to_triplets(a).coalesced())
+        (d,), _ = _diagonals(a, (0,))
         if np.any(d == 0.0):
             raise ValueError("matrix has a zero diagonal entry")
+        entries = functools.cache(lambda: _point_parts(to_triplets(a).coalesced())[1:])
         sweep = lambda lower: _kernel(a, "_lower_sweep" if lower else "_upper_sweep", None,
-                                      lambda: _Sweep(n, rows, cols, vals, lower))
+                                      lambda: _Sweep(n, *entries(), lower))
         if method == "jacobi":
             def m_solve(r):
                 r = _check_dim(r, n, block=True)

@@ -22,7 +22,9 @@ are that loop's.  All but the row format's A x from 8 slots on and the col
 format's A' x for n = 1 run scipy's compiled loops on ``scipy.sparse``
 arrays.  What a kernel keeps (a CSR or DIA copy, the IC/MIC pattern, the
 GS/SOR/SSOR sweeps) is built on first use and again once a field it reads
-is reassigned: assign new arrays, never mutate them in place.
+is reassigned: assign new arrays, never mutate them in place.  Set-up reads
+the diagonals it needs (Jacobi's and the splittings' D, the IC/MIC bands)
+from a diag-format matrix's own columns (:func:`_diagonals`), no triplets.
 """
 
 import bisect
@@ -292,6 +294,32 @@ def _point_parts(t):
     diag = np.zeros(t.n)
     diag[t.rows[on]] = t.vals[on]
     return diag, t.rows[~on], t.cols[~on], t.vals[~on]
+
+
+def _diagonals(a, offsets):
+    """A's diagonals at ``offsets``, one row each (entry i of the one at o is
+    A[i, i + o], 0.0 off the grid; a repeated offset's later rows read 0.0),
+    and the first (row, col) of an entry on none of them (None if none),
+    bitwise as coalesced triplets give them: a -0.0 reads 0.0.  A diag-format
+    ``a`` is read in place, its slots on the grid checked finite as
+    :class:`Triplets` checks them; other operands go through their triplets."""
+    if not isinstance(a, DiagCompressed):
+        t = to_triplets(a).coalesced()
+        out, off = np.zeros((len(offsets), t.n)), t.cols - t.rows
+        for o in set(offsets):
+            out[offsets.index(o), t.rows[off == o]] = t.vals[off == o]
+        k = np.flatnonzero(~np.isin(off, offsets))[:1]
+        return out, next(zip(t.rows[k], t.cols[k]), None)
+    out, firsts = np.zeros((len(offsets), a.n)), []
+    for o, col in zip(a.offsets.tolist(), a.vals.T):
+        lo, seg = max(0, -o), col[max(0, -o):a.n - max(0, o)]  # the rows on the grid
+        if not np.isfinite(seg).all():
+            raise ValueError("non-finite triplet value")
+        if o in offsets:
+            np.add(seg, 0.0, out=out[offsets.index(o), lo:lo + seg.size])
+        elif seg[i := int(np.argmax(seg != 0.0))] != 0.0:  # its first nonzero entry
+            firsts.append((lo + i, lo + i + o))
+    return out, min(firsts, default=None)
 
 
 class _Panels:
