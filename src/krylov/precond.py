@@ -141,21 +141,6 @@ class IcFactors:
     upper: _Sweep
 
 
-def _pentadiagonal_bands(a, band):
-    """Extract (diag, sub1, subN) from a pentadiagonal Stieltjes matrix, read
-    in place from a diag-format ``a`` (:func:`storage._diagonals`); entries
-    off the pattern raise ValueError naming the first by (row, col)."""
-    if band < 1:
-        raise ValueError(f"band offset must be at least 1, got {band}")
-    bands, outside = _diagonals(a, (0, -1, -band, 1, band))  # band 1: c repeats b, reads 0.0
-    if outside:
-        raise ValueError(f"entry ({outside[0]}, {outside[1]}) off the pentadiagonal pattern")
-    diag, b, c = bands[:3].copy()  # the upper bands, read for the pattern only, are dropped
-    if np.any(diag <= 0.0) or np.any(b > 0.0) or np.any(c > 0.0):
-        raise ValueError("expected positive diagonal and nonpositive bands")
-    return diag, b, c
-
-
 def ic0_pentadiagonal(a, band) -> IcFactors:
     """Incomplete Cholesky keeping exactly the sparsity pattern of A.
 
@@ -182,13 +167,22 @@ def mic_pentadiagonal(a, band) -> IcFactors:
 
 
 def _ic_pattern(a, band):
-    """All of IC and MIC but the pivots: the bands, the kept (nonzero) links
-    and both sweeps, on the levels of the lower triangle without its zero
-    entries (the 2N-1 anti-diagonals of the five-point grid), the backward
-    sweep's last to first.  Pivots stay bitwise the same (each starts from a
-    positive a_i); in a sweep 0.0 * y_j could only flip a zero's sign or
-    spread a non-finite y_j."""
-    diag, b, c = _pentadiagonal_bands(a, band)
+    """All of IC and MIC but the pivots: the bands (diag, sub1, subN), read in
+    place from a diag-format ``a`` (:func:`storage._diagonals`) and checked
+    (the first entry off the pentadiagonal pattern is named by (row, col)),
+    the kept (nonzero) links and both sweeps, on the levels of the lower
+    triangle without its zero entries (the 2N-1 anti-diagonals of the
+    five-point grid), the backward sweep's last to first.  Pivots stay
+    bitwise the same (each starts from a positive a_i); in a sweep 0.0 * y_j
+    could only flip a zero's sign or spread a non-finite y_j."""
+    if band < 1:
+        raise ValueError(f"band offset must be at least 1, got {band}")
+    bands, outside = _diagonals(a, (0, -1, -band, 1, band))  # band 1: c repeats b, reads 0.0
+    if outside:
+        raise ValueError(f"entry ({outside[0]}, {outside[1]}) off the pentadiagonal pattern")
+    diag, b, c = bands = bands[:3].copy()  # frees the upper bands, read for the pattern only
+    if np.any(diag <= 0.0) or np.any(b > 0.0) or np.any(c > 0.0):
+        raise ValueError("expected positive diagonal and nonpositive bands")
     n = diag.size
     rows = np.tile(np.arange(n), 2)
     cols = rows - np.repeat((1, band), n)
@@ -278,12 +272,11 @@ def block_precond(a, block_size, sigma_rule="tridiagonal") -> BlockFactors:
     blocks = _Blocks(a, block_size, band=1)
     bs, d_blocks, factors = blocks.bs, blocks.diag.copy(), []
     rows, cols, vals = blocks.coupling  # at band 1, every one lies in some B_i
+    sub = np.zeros_like(d_blocks)  # sub[i] = B_i, rows of block i by columns of block i-1
+    sub[rows // bs, rows % bs, cols % bs] = vals
     for i, d_i in enumerate(d_blocks):
         if i:
-            on = rows // bs == i
-            sub = np.zeros((bs, bs))
-            sub[rows[on] % bs, cols[on] % bs] = vals[on]
-            d_i -= sub @ sigma @ sub.T
+            d_i -= sub[i] @ sigma @ sub[i].T
         try:
             factors.append(blocks.factor(d_i, i))
         except ValueError as exc:

@@ -46,15 +46,6 @@ def _five_point(N, center, off):
     return DiagCompressed(n, 5, vals, offsets)
 
 
-def _kron_sum(N, t_diag):
-    """A = T (x) I_N + I_N (x) T, T = tridiag(-1, t_diag, -1), in diag format.
-
-    This is the five-point stencil with center 2 t_diag on an N x N grid,
-    the first grid index fastest, written as its diagonals by :func:`_five_point`.
-    """
-    return _five_point(N, 2.0 * t_diag, -1.0)
-
-
 def poisson_test(N: int) -> ProblemInstance:
     """Five-point Poisson model problem on the unit square.
 
@@ -72,7 +63,7 @@ def poisson_test(N: int) -> ProblemInstance:
         raise ValueError("N must be at least 1")
     n = N * N
     h = 1.0 / (N + 1)
-    a = _kron_sum(N, 2.0)
+    a = _five_point(N, 4.0, -1.0)
     ij = np.add.outer(np.arange(1, N + 1), np.arange(1, N + 1))  # [j, i] -> i + j
     b = (h ** 3) * ij.reshape(n).astype(float)
     return ProblemInstance(a, b, None, f"poisson(N={N})")
@@ -139,7 +130,7 @@ def indefinite_kron(N: int) -> ProblemInstance:
     if N < 2:
         raise ValueError("N must be at least 2")
     n = N * N
-    a = _kron_sum(N, 1.0)
+    a = _five_point(N, 2.0, -1.0)
     x_true = np.ones(n)
     return ProblemInstance(a, a.matvec(x_true), x_true, f"indefinite_kron(N={N})")
 

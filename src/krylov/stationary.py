@@ -21,8 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .report import SolveReport, _Run
-from .storage import (_Blocks, _built, _check_dim, _column, _diagonals, _kernel, _point_parts,
-                      _Sweep, operator, to_triplets)
+from .storage import (_Blocks, _check_dim, _column, _diagonals, _kernel, _Sweep, operator,
+                      to_triplets)
 
 POINT_METHODS = ("jacobi", "gauss_seidel", "sor", "ssor")
 BLOCK_METHODS = ("block_jacobi", "block_gs")
@@ -88,9 +88,9 @@ def split(a, method, omega=None, block_size=None) -> Splitting:
         (d,), _ = _diagonals(a, (0,))
         if np.any(d == 0.0):
             raise ValueError("matrix has a zero diagonal entry")
-        entries = functools.cache(lambda: _point_parts(to_triplets(a).coalesced())[1:])
+        t = functools.cache(lambda: to_triplets(a).coalesced())  # each sweep keeps its triangle
         sweep = lambda lower: _kernel(a, "_lower_sweep" if lower else "_upper_sweep", None,
-                                      lambda: _Sweep(n, *entries(), lower))
+                                      lambda: _Sweep(n, t().rows, t().cols, t().vals, lower))
         if method == "jacobi":
             def m_solve(r):
                 r = _check_dim(r, n, block=True)
@@ -136,7 +136,6 @@ def iterate(a, b, cfg: StationaryConfig, x0=None) -> SolveReport:
     The history records true residual 2-norms (recomputed every sweep, not
     recurrence estimates), starting with the initial residual.
     """
-    a = _built(a)  # one build serves the splitting and the run
     sp = split(a, cfg.method, omega=cfg.omega, block_size=cfg.block_size)
     run = _Run(a, b, x0, cfg.tol, cfg.tol_kind, cfg.max_iter, sweeps=100)
     x, r = run.x, run.r
@@ -180,7 +179,6 @@ def iteration_matrix_applier(a, method, omega=None, block_size=None):
     agree with the vector path to rounding.  Past the bound each call runs
     the vector path on v.
     """
-    a = _built(a)  # one build serves the size and the splitting
     n = operator(a)[2]
     sp = split(a, method, omega=omega, block_size=block_size)
     g_apply = lambda v: v - sp.m_solve(sp.a_apply(v))
@@ -225,8 +223,8 @@ def diagnostics(a) -> dict:
     is decided by those float sums.
     """
     t = to_triplets(a).coalesced()
-    n, mag = t.n, np.abs(t.vals)
-    diag, _, _, off = _point_parts(t)
+    n, mag, on = t.n, np.abs(t.vals), t.rows == t.cols
+    diag, off = np.bincount(t.rows[on], t.vals[on], n), t.vals[~on]  # ints if no diagonal
     absd = np.abs(diag)
     row_off = np.bincount(t.rows, weights=mag, minlength=n) - absd
     col_off = np.bincount(t.cols, weights=mag, minlength=n) - absd

@@ -21,8 +21,9 @@ loop it replaced (``tests/test_storage.py`` keeps those loops), so its bits
 are that loop's.  All but the row format's A x from 8 slots on and the col
 format's A' x for n = 1 run scipy's compiled loops on ``scipy.sparse``
 arrays.  What a kernel keeps (a CSR or DIA copy, the IC/MIC pattern, the
-GS/SOR/SSOR sweeps) is built on first use and again once a field it reads
-is reassigned: assign new arrays, never mutate them in place.  Set-up reads
+GS/SOR/SSOR sweeps, a Triplets operand's row-compressed build) is built on
+first use and again once a field it reads is reassigned: assign new
+arrays, never mutate them in place.  Set-up reads
 the diagonals it needs (Jacobi's and the splittings' D, the IC/MIC bands)
 from a diag-format matrix's own columns (:func:`_diagonals`), no triplets.
 """
@@ -106,6 +107,9 @@ class RowCompressed:
     vals: np.ndarray  # (n, k) floats, unused slots 0
     cols: np.ndarray  # (n, k) column indices, padded by repetition
 
+    def __post_init__(self):
+        _check_panels(self, "cols", "(n, k)", (self.n, self.k))
+
     def matvec(self, x):
         x = _check_dim(x, self.n, block=True)
         if self.k < 8:
@@ -151,6 +155,9 @@ class ColCompressed:
     vals: np.ndarray  # (k, n) floats, unused slots 0
     rows: np.ndarray  # (k, n) row indices, padded by repetition
 
+    def __post_init__(self):
+        _check_panels(self, "rows", "(k, n)", (self.k, self.n))
+
     def matvec(self, x):
         x = _check_dim(x, self.n, block=True)
         return _kernel(self, "_a", (self.vals, self.rows), self._by_rows) @ x
@@ -195,7 +202,8 @@ class DiagCompressed:
     Both add one diagonal at a time, in ascending offset order, from zero.
 
     The constructor raises a ``ValueError`` naming the field unless ``vals``
-    is (n, k) and ``offsets`` is 1-D of length k, strictly ascending, with
+    is (n, k) and ``offsets`` is 1-D of length k, of a signed integer dtype
+    (an unsigned one would wrap when negated), strictly ascending, with
     every offset in [1 - n, n - 1]; it costs O(k).
     """
 
@@ -211,6 +219,8 @@ class DiagCompressed:
             raise ValueError(f"vals must be (n, k) = ({self.n}, {self.k}), not {self.vals.shape}")
         if offs.shape != (self.k,):
             raise ValueError(f"offsets must be 1-D of length k = {self.k}, not {offs.shape}")
+        if not np.issubdtype(offs.dtype, np.signedinteger):
+            raise ValueError(f"offsets must hold signed integers, not {offs.dtype}")
         if np.any(offs[1:] <= offs[:-1]):
             raise ValueError(f"offsets must be strictly ascending, not {offs.tolist()}")
         if self.k and not (1 - self.n <= offs[0] and offs[-1] <= self.n - 1):
@@ -236,6 +246,22 @@ class DiagCompressed:
         c = r + self.offsets
         mask = (vals != 0.0) & (c >= 0) & (c < self.n)  # slots off the grid are unused
         return Triplets(self.n, r[mask], c[mask], vals[mask])
+
+
+def _check_panels(a, index, dims, shape):
+    """The row or col format's check: ``a.vals`` as floats, its index grid
+    ``index`` as an array, and a ValueError naming the field unless both are
+    ``shape`` (``dims``) and every index is an integer in [0, n), as scipy's
+    loops read x at an index unchecked.  Costs a min and a max of the grid."""
+    a.vals, grid = np.asarray(a.vals, dtype=float), np.asarray(getattr(a, index))
+    setattr(a, index, grid)
+    for name, got in (("vals", a.vals.shape), (index, grid.shape)):
+        if got != shape:
+            raise ValueError(f"{name} must be {dims} = {shape}, not {got}")
+    if not np.issubdtype(grid.dtype, np.integer):
+        raise ValueError(f"{index} must hold integers, not {grid.dtype}")
+    if grid.size and not (0 <= grid.min() and grid.max() < a.n):
+        raise ValueError(f"{index} must lie in [0, {a.n}), not [{grid.min()}, {grid.max()}]")
 
 
 def _kernel(a, name, fields, make):
@@ -285,15 +311,6 @@ def _column(a, x):
     """``a`` with a trailing unit axis when x is an (n, k) block, so that its
     entries, one per row, broadcast along each row of x."""
     return a if x.ndim == 1 else a[..., None]
-
-
-def _point_parts(t):
-    """Diagonal of coalesced triplets and their off-diagonal entries (rows,
-    cols, vals), by row."""
-    on = t.rows == t.cols
-    diag = np.zeros(t.n)
-    diag[t.rows[on]] = t.vals[on]
-    return diag, t.rows[~on], t.cols[~on], t.vals[~on]
 
 
 def _diagonals(a, offsets):
@@ -603,19 +620,17 @@ def to_dense(a):
     return to_triplets(a).to_dense()
 
 
-def _built(a):
-    """Triplets as their row-compressed build, any other operand as it is."""
-    return build(a, "row") if isinstance(a, Triplets) else a
-
-
 def operator(a):
     """``(matvec, rmatvec, n)`` of an operand: x -> A x, x -> A' x, dimension.
 
-    Triplets act through their row-compressed build; an object with a
-    ``matvec`` or a bare callable gives its own actions (``rmatvec`` and ``n``
-    None when absent); anything else is read as a dense matrix.
+    Triplets act through their row-compressed build, kept on them by
+    :func:`_kernel`: their splittings, preconditioners and solves share one;
+    an object with a ``matvec`` or a bare callable gives its own actions
+    (``rmatvec`` and ``n`` None when absent); anything else is read as a
+    dense matrix.
     """
-    a = _built(a)
+    if isinstance(a, Triplets):
+        a = _kernel(a, "_row", None, lambda: build(a, "row"))
     if hasattr(a, "matvec") or callable(a):
         return getattr(a, "matvec", a), getattr(a, "rmatvec", None), getattr(a, "n", None)
     arr = np.asarray(a, dtype=float)
@@ -736,6 +751,7 @@ def read_vector_market(text: str, n: int) -> np.ndarray:
 
 def write_vector_market(b) -> str:
     """Serialize a vector as an n x 1 MatrixMarket coordinate real general
-    file listing every entry, 1-based, with 17 significant digits."""
-    b = np.asarray(b, dtype=float)
+    file listing every entry, 1-based, with 17 significant digits; a ``b``
+    that is not 1-D raises a ValueError naming its shape."""
+    b = _check_dim(b, np.size(b))
     return _coordinate(_MM_GENERAL, b.size, 1, np.arange(b.size), np.zeros(b.size, int), b)

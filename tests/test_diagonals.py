@@ -19,7 +19,7 @@ from krylov import cavity_laplace, poisson_test, stationary, storage
 from krylov.precond import (apply_ic_solve, ic0_pentadiagonal, jacobi_preconditioner,
                             mic_pentadiagonal)
 from krylov.stationary import split
-from krylov.storage import DiagCompressed, Triplets, _point_parts, build, to_dense, to_triplets
+from krylov.storage import DiagCompressed, Triplets, build, to_dense, to_triplets
 
 SETTINGS = settings(max_examples=200, deadline=None)
 SPLITS = [("jacobi", None), ("gauss_seidel", None), ("sor", 0.7), ("sor", 1.6), ("ssor", 1.3)]
@@ -45,7 +45,12 @@ def _outcome(make):
 
 def _triplet_split(a, method, omega):
     """The splitting of ``a`` with D read from its coalesced triplets."""
-    by_triplets = lambda op, offsets: ([_point_parts(to_triplets(op).coalesced())[0]], None)
+    def by_triplets(op, offsets):
+        t = to_triplets(op).coalesced()
+        d, on = np.zeros(t.n), t.rows == t.cols
+        d[t.rows[on]] = t.vals[on]
+        return [d], None
+
     with mock.patch.object(stationary, "_diagonals", by_triplets):
         return split(a, method, omega=omega)
 

@@ -20,7 +20,7 @@ from krylov.precond import (IcBreakdownError, apply_block_solve,
                             poly_apply_pmA, poly_monomial_coeffs,
                             poly_precond_build, solve_poly_pcg)
 from krylov.problems import cavity_laplace, poisson_test
-from krylov.storage import Triplets, build, to_dense
+from krylov.storage import Triplets, _Blocks, _lu_solve, build, to_dense
 
 
 def tridiag_stieltjes(n, rng):
@@ -391,6 +391,37 @@ def test_block_size_defaults_to_grid_side():
     assert f.d_blocks.tobytes() == g.d_blocks.tobytes()
     r = np.linspace(-1.0, 1.0, 36)
     assert apply_block_solve(f, r).tobytes() == apply_block_solve(g, r).tobytes()
+
+
+def _masked_block_pivots(a, bs, sigma_rule):
+    """d_blocks and LU factors of :func:`block_precond` with each B_i masked
+    out of the whole coupling in turn, block by block."""
+    blocks = _Blocks(a, bs, band=1)
+    d_blocks, factors = blocks.diag.copy(), []
+    rows, cols, vals = blocks.coupling
+    for i, d_i in enumerate(d_blocks):
+        if i:
+            on = rows // bs == i
+            sub = np.zeros((bs, bs))
+            sub[rows[on] % bs, cols[on] % bs] = vals[on]
+            d_i -= sub @ sigma @ sub.T
+        factors.append(blocks.factor(d_i, i))
+        sigma = _lu_solve(factors[-1], np.eye(bs))
+        if sigma_rule == "tridiagonal":
+            sigma = np.triu(np.tril(sigma, 1), -1)
+    return d_blocks, factors
+
+
+@pytest.mark.parametrize("sigma_rule", ["tridiagonal", "full"])
+@pytest.mark.parametrize("case", [("poisson", N) for N in range(4, 13)] + [("cavity", 9)], ids=str)
+def test_block_pivots_are_those_of_the_per_block_mask(case, sigma_rule):
+    kind, N = case
+    a = poisson_test(N).a if kind == "poisson" else cavity_laplace(N, 0.3).a
+    f = block_precond(a, N, sigma_rule)
+    d_blocks, factors = _masked_block_pivots(a, N, sigma_rule)
+    assert f.d_blocks.tobytes() == d_blocks.tobytes()
+    for (lu, piv), (lu_ref, piv_ref) in zip(f.factors, factors, strict=True):
+        assert lu.tobytes() == lu_ref.tobytes() and piv.tobytes() == piv_ref.tobytes()
 
 
 def test_block_sigma_rule_checked_before_any_work():

@@ -1,13 +1,15 @@
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from krylov import (StationaryConfig, Triplets, bicg, bicgstab, bidiag_solve, build, cg,
-                    cg_basic, cgs, gmres, iterate, iteration_matrix_applier, minres, pcg,
-                    poisson_test, qmr, qmr_alt, random_sparse, semi_iterative,
-                    solve_poly_pcg, split, ssor_iterate, storage, to_dense, to_triplets)
+                    cg_basic, cgs, gmres, iterate, iteration_matrix_applier,
+                    jacobi_preconditioner, minres, pcg, poisson_test, qmr, qmr_alt,
+                    random_sparse, semi_iterative, solve_poly_pcg, split, ssor_iterate,
+                    storage, to_dense, to_triplets)
 
 SOLVERS = {
     "cg": cg, "cg_basic": cg_basic, "pcg": pcg, "minres": minres,
@@ -209,6 +211,54 @@ def test_triplets_are_built_once_per_solve(name, monkeypatch):
     t = to_triplets(poisson_test(4).a)
     SOLVERS[name](t, np.ones(t.n), max_iter=10)
     assert built == ["row"]
+
+
+_GS = StationaryConfig("gauss_seidel", max_iter=5)
+USES_OF_ONE_TRIPLETS = {  # name: (the calls, the GS sweeps they need)
+    "iterate-twice": (lambda t, b: [iterate(t, b, _GS) for _ in range(2)], 1),
+    "split-then-iterate": (lambda t, b: (split(t, "gauss_seidel"), iterate(t, b, _GS)), 1),
+    "applier-then-iterate": (lambda t, b: (iteration_matrix_applier(t, "gauss_seidel"),
+                                           iterate(t, b, _GS)), 1),
+    "pcg-jacobi": (lambda t, b: pcg(t, b, jacobi_preconditioner(t), max_iter=10), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(USES_OF_ONE_TRIPLETS))
+def test_one_triplets_keeps_its_row_build_and_sweep_across_calls(name, monkeypatch):
+    built, swept = [], []
+    real_build, real_sweep = storage.build, storage._Sweep.__init__
+    monkeypatch.setattr(storage, "build", lambda t, target: built.append(target) or real_build(t, target))
+    monkeypatch.setattr(storage._Sweep, "__init__",
+                        lambda self, *args, **kw: swept.append(1) or real_sweep(self, *args, **kw))
+    uses, sweeps = USES_OF_ONE_TRIPLETS[name]
+    t = to_triplets(poisson_test(5).a)
+    uses(t, np.ones(t.n))
+    assert built == ["row"] and len(swept) == sweeps
+
+
+def test_triplets_given_new_values_solve_as_fresh_triplets():
+    t = to_triplets(poisson_test(5).a)
+    b = np.linspace(-1.0, 1.0, t.n)
+    solves = [lambda a: iterate(a, b, _GS), lambda a: cg(a, b, max_iter=8),
+              lambda a: pcg(a, b, jacobi_preconditioner(a), max_iter=8)]
+    for solve in solves:
+        solve(t)
+    t.vals = 2.0 * t.vals  # a new array: what t keeps is built again
+    fresh = Triplets(t.n, t.rows, t.cols, t.vals)
+    for solve in solves:
+        assert _bits(solve(t)) == _bits(solve(fresh))
+
+
+def test_triplets_keep_one_row_build_under_10_mb_after_cg():
+    t = to_triplets(poisson_test(316).a)
+    tracemalloc.start()
+    try:
+        cg(t, np.ones(t.n), max_iter=2)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(t.__dict__["_row"][1], storage.RowCompressed)
+    assert kept < 10e6  # the build and its CSR copy's row pointer
 
 
 def test_bare_callable_has_no_transpose_for_bicg():

@@ -1,4 +1,5 @@
 import io
+import re
 import tracemalloc
 import warnings
 
@@ -83,10 +84,49 @@ def test_diag_single_diagonal():
     pytest.param(4, 2, (4, 2), [-4, 0], "offsets", id="offset-minus-4-at-n4"),
     pytest.param(4, 2, (4, 2), [1, 0], "offsets", id="descending"),  # breaks the summation order
     pytest.param(4, 2, (4, 2), [1, 1], "offsets", id="repeated"),
+    pytest.param(3, 2, (3, 2), [0.5, 1.0], "offsets", id="fractional"),  # read as offset 0
+    pytest.param(3, 2, (3, 2), np.array([0, 1], np.uint8), "offsets", id="unsigned"),  # wraps
 ])
 def test_diag_constructor_rejects_a_malformed_grid_naming_the_field(n, k, shape, offsets, field):
     with pytest.raises(ValueError, match=f"^{field} must"):
         DiagCompressed(n, k, np.zeros(shape), np.array(offsets))
+
+
+@pytest.mark.parametrize("make,field", [
+    pytest.param(lambda: RowCompressed(3, 2, np.ones((3, 2)), [[0, 5], [1, 2], [2, 2]]), "cols",
+                 id="row-index-5-at-n3"),  # matvec read x[5]
+    pytest.param(lambda: RowCompressed(3, 2, np.ones((3, 2)), [[0, -1], [1, 2], [2, 2]]), "cols",
+                 id="row-index-minus-1"),
+    pytest.param(lambda: RowCompressed(3, 2, np.ones((3, 3)), np.zeros((3, 2), int)), "vals",
+                 id="row-vals-3x3-at-k2"),
+    pytest.param(lambda: RowCompressed(3, 2, np.ones((3, 2)), np.zeros((3, 3), int)), "cols",
+                 id="row-cols-3x3-at-k2"),
+    pytest.param(lambda: RowCompressed(3, 2, np.ones((3, 2)), np.zeros((3, 2))), "cols",
+                 id="row-float-indices"),
+    pytest.param(lambda: ColCompressed(3, 1, np.ones((1, 3)), [[0, 7, 1]]), "rows",
+                 id="col-index-7-at-n3"),  # matvec dropped it, rmatvec read x[7]
+    pytest.param(lambda: ColCompressed(3, 1, np.ones((1, 3)), [[0, -1, 1]]), "rows",
+                 id="col-index-minus-1"),
+    pytest.param(lambda: ColCompressed(3, 1, np.ones((3, 1)), np.zeros((1, 3), int)), "vals",
+                 id="col-vals-as-n-by-k"),
+    pytest.param(lambda: ColCompressed(3, 1, np.ones((1, 3)), np.zeros((3, 1), int)), "rows",
+                 id="col-rows-as-n-by-k"),
+    pytest.param(lambda: ColCompressed(3, 1, np.ones((1, 3)), np.zeros((1, 3), bool)), "rows",
+                 id="col-bool-indices"),
+])
+def test_row_and_col_constructors_reject_a_malformed_grid_naming_the_field(make, field):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        make()
+
+
+def test_row_and_col_constructors_take_every_build(rng):
+    for t in (Triplets(4, [], [], []), to_triplets(poisson_test(4).a),
+              random_triplets(9, 0.3, rng)[0], Triplets(1, [0], [0], [2.0])):
+        row, col = build(t, "row"), build(t, "col")
+        a = RowCompressed(row.n, row.k, row.vals, row.cols)
+        assert a.vals is row.vals and a.cols is row.cols
+        b = ColCompressed(col.n, col.k, col.vals, col.rows)
+        assert b.vals is col.vals and b.rows is col.rows
 
 
 def test_diag_constructor_takes_every_build_and_the_extreme_offsets(rng):
@@ -249,6 +289,12 @@ def test_vector_market_round_trip(rng):
     text = write_vector_market(b)
     assert text.splitlines()[:2] == ["%%MatrixMarket matrix coordinate real general", "7 1 7"]
     np.testing.assert_array_equal(read_vector_market(text, 7), b)
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (1, 3), ()], ids=str)
+def test_write_vector_market_rejects_a_non_vector_naming_its_shape(shape):
+    with pytest.raises(ValueError, match=re.escape(f"vector has shape {shape}, expected")):
+        write_vector_market(np.ones(shape))
 
 
 def test_vector_market_sparse_entries_and_duplicates():
