@@ -126,16 +126,37 @@ def _parse_method(spec):
     return name, restart
 
 
+def _band(a):
+    """The band offset for IC/MIC: the largest |col - row| of A's nonzero
+    entries, at least 1.  A diag-format A is read by its diagonals
+    (:func:`storage._diagonals`), other operands by their triplets."""
+    if isinstance(a, storage.DiagCompressed):
+        offs = a.offsets.tolist()
+        d, _ = storage._diagonals(a, offs)
+        return max([1] + [abs(o) for o, row in zip(offs, d) if row.any()])
+    t = storage.to_triplets(a)
+    return max(1, int(np.max(np.abs(t.cols - t.rows), initial=0)))
+
+
+def _symmetric(a):
+    """Whether A = A' entry for entry, as :func:`stationary._is_symmetric`
+    reads it; a diag-format A by its diagonals at +-offsets, no triplets."""
+    if not isinstance(a, storage.DiagCompressed):
+        return stationary._is_symmetric(storage.to_triplets(a).coalesced())
+    offs = sorted({*a.offsets.tolist(), *(-a.offsets).tolist()})
+    d, _ = storage._diagonals(a, offs)
+    return all(np.array_equal(d[offs.index(o)][:a.n - o], d[offs.index(-o)][o:])
+               for o in offs if o > 0)
+
+
 def _build_preconditioner(spec, inst, block_size, parser):
     if spec in (None, "none"):
         return None, None
     if spec == "jacobi":
         return pcmod.jacobi_preconditioner(inst.a), None
     if spec in ("ic", "mic"):
-        t = storage.to_triplets(inst.a)  # the band offset is that of the outermost entry
-        band = max(1, int(np.max(np.abs(t.cols - t.rows), initial=0)))
         factory = pcmod.ic0_pentadiagonal if spec == "ic" else pcmod.mic_pentadiagonal
-        factors = factory(inst.a, band)
+        factors = factory(inst.a, _band(inst.a))
         return (lambda r: pcmod.apply_ic_solve(factors, r)), None
     if spec == "block":
         factors = pcmod.block_precond(inst.a, block_size)
@@ -149,8 +170,7 @@ def cmd_solve(args, parser):
     inst = _load_problem(args, parser)
     method, restart = _parse_method(args.method)
     symmetric_methods = ("cg", "cg-basic", "minres", "chebyshev")
-    if method in symmetric_methods and not stationary._is_symmetric(
-            storage.to_triplets(inst.a).coalesced()):
+    if method in symmetric_methods and not _symmetric(inst.a):
         print(f"warning: method {method} assumes a symmetric matrix", file=sys.stderr)
 
     spec = args.precond

@@ -156,8 +156,10 @@ class _Lcg:
 
 
 # Draws per jump-ahead block in random_sparse.  Larger blocks run slightly
-# faster but leave more memory with the allocator: 2**16-draw blocks raised
-# the peak RSS of perfbench's general-random2000 workload by about 3 MB.
+# faster but leave more memory with the allocator: 2**16-draw blocks took the
+# general-random2000 workload's set-up from 11.3-11.9 to 10.6-11.0 ms and
+# raised its peak RSS from 69.0-69.1 to 71.5-72.2 MB (two 8 s runs each on
+# a shared 2-vCPU host).
 _LCG_BLOCK = 1 << 13
 
 
@@ -174,6 +176,16 @@ def _lcg_tables(size):
         a_tab, c_tab = (np.concatenate([a_tab, a_tab * a_tab[-1]]),
                         np.concatenate([c_tab, a_tab * c_tab[-1] + c_tab]))
     return a_tab[:size], c_tab[:size]
+
+
+def _accepted(t):
+    """Which candidates t (ascending positions of draws below p_off) are
+    accepted tests: a run of consecutive ones opens on a test, and an accepted
+    test's successor is its value draw, so those an even distance from their
+    run's first."""
+    first = np.where(np.diff(t, prepend=-2) != 1, t, 0)
+    np.maximum.accumulate(first, out=first)
+    return ((t - first) & 1) == 0
 
 
 def random_sparse(n: int, density: float, seed: int = 0) -> ProblemInstance:
@@ -196,7 +208,10 @@ def random_sparse(n: int, density: float, seed: int = 0) -> ProblemInstance:
 
     (Knuth, TAOCP Vol. 2, section 3.2.1; F. Brown, "Random number generation
     with arbitrary strides", Trans. Am. Nucl. Soc. 71, 1994), and the result
-    is bitwise that of calling ``_Lcg.next_uniform`` cell by cell.
+    is bitwise that of calling ``_Lcg.next_uniform`` cell by cell.  A block is
+    one multiply, one add and one compare of raw states; its candidates (draws
+    below p_off) and their successors, a look-ahead state included, are kept
+    for one scan (:func:`_accepted`) that tells tests from value draws.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -206,39 +221,37 @@ def random_sparse(n: int, density: float, seed: int = 0) -> ProblemInstance:
     p_off = (target - n) / (n * n - n) if n > 1 else 0.0
     p_off = min(max(p_off, 0.0), 1.0)
     cells = n * (n - 1)
-    a_tab, c_tab = _lcg_tables(_LCG_BLOCK)
+    a_tab, c_tab = _lcg_tables(_LCG_BLOCK + 1)
     state = np.uint64(seed & _Lcg.MASK)
-    # A draw is top / 2**53 with top = state >> 11, so for an integer top,
-    # draw < p_off exactly when top < ceil(p_off 2**53); no draw is rounded.
-    limit = np.uint64(math.ceil(p_off * 2.0 ** 53))
-    # start: stream position of the next block; accepted: tests accepted so
-    # far; pending: the last accepted test's value draw opens the next block.
-    start = accepted = 0
-    pending = False
-    picked, values = [np.zeros(0, np.int64)], [np.zeros(0)]
-    top, hit = np.empty(_LCG_BLOCK, np.uint64), np.empty(_LCG_BLOCK, bool)
-    while start - accepted < cells:  # a cell, or a pending value, still to draw
-        np.multiply(a_tab, state, out=top)
-        top += c_tab
-        state = top[-1]
-        top >>= np.uint64(11)
-        head = np.arange(int(pending))  # [0] when the block opens on a value draw
-        t = np.flatnonzero(np.less(top, limit, out=hit))
-        t = t[t >= head.size]
-        # Greedy scan of the candidates: in a run of consecutive positions the
-        # first is a test, and each accepted test's successor is its value draw.
-        k = np.arange(t.size)
-        run_start = np.maximum.accumulate(np.where(np.diff(t, prepend=-2) != 1, k, 0))
-        t = t[(k - run_start) % 2 == 0]
-        picked.append(start + t - accepted - np.arange(t.size))  # cell of each test
-        pending = t.size > 0 and t[-1] == _LCG_BLOCK - 1
-        w = top[np.concatenate([head, t[:t.size - pending] + 1])]
-        values.append(2.0 * (w.astype(float) / float(1 << 53)) - 1.0)
-        accepted += t.size
-        start += _LCG_BLOCK
-    cell = np.concatenate(picked)
+    # A draw (state >> 11) / 2**53 is below p_off exactly when state >> 11 <
+    # L = ceil(p_off 2**53), that is when state <= 2**11 L - 1 (2**64 - 1 at p_off = 1).
+    bound = np.uint64(max(0, (math.ceil(p_off * 2.0 ** 53) << 11) - 1))
+    t, w, ok = np.zeros(0, np.int64), np.zeros(0, np.uint64), np.zeros(0, bool)
+    picked, after = [t], [w]
+    # Tests are counted past the expected length (m short, again 2 m draws on,
+    # where at least m are tests: each value draw but a first follows its test).
+    drawn, need = 0, math.ceil(cells * (1.0 + p_off))
+    draws = np.empty(_LCG_BLOCK + 1, np.uint64)
+    while p_off:  # p_off = 0 draws nothing
+        np.multiply(a_tab, state, out=draws)
+        draws += c_tab
+        state = draws[-2]
+        c = (draws[:-1] <= bound).nonzero()[0]
+        picked.append(c + drawn)
+        after.append(draws[c + 1])  # a test's value draw, if it is accepted
+        drawn += _LCG_BLOCK
+        if drawn >= need:  # tests: the draws less the value draws among them
+            picked, after = [t := np.concatenate(picked)], [w := np.concatenate(after)]
+            ok = _accepted(t)
+            short = cells - drawn + np.count_nonzero(ok & (t < drawn - 1))
+            if short <= 0:
+                break
+            need = drawn + 2 * short
+    del picked, after  # the candidates go once t and w hold the accepted tests
+    t, w = t[ok], w[ok] >> np.uint64(11)
+    cell = t - np.arange(t.size)  # a test's position less the value draws before it
     keep = np.count_nonzero(cell < cells)
-    cell, vals = cell[:keep], np.concatenate(values)[:keep]
+    cell, vals = cell[:keep], 2.0 * (w[:keep].astype(float) / float(1 << 53)) - 1.0
     rows, j = np.divmod(cell, max(n - 1, 1))  # n = 1: no off-diagonal cell
     cols = j + (j >= rows)  # the j-th off-diagonal column of the row
     diag = 1.0 + np.bincount(rows, weights=np.abs(vals), minlength=n)

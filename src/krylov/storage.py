@@ -39,12 +39,23 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.sparse import csr_array, dia_array
 
 
+class _Fields:
+    """The storage dataclasses' base: a pickle or copy holds the fields
+    alone, not the kernels kept on the operand (:func:`_kernel`), which are
+    built again on first use."""
+
+    def __getstate__(self):
+        return {f: self.__dict__[f] for f in self.__dataclass_fields__}
+
+
 @dataclass
-class Triplets:
+class Triplets(_Fields):
     """Coordinate-form matrix: entry lists (rows, cols, vals) on an n x n grid.
 
     Duplicate coordinates are allowed; they are summed when a storage format
-    is built (see :func:`build`).
+    is built (see :func:`build`).  Indices of any dtype are taken when every
+    one is an integer (2.0 is 2); a fractional or NaN one raises a
+    ``ValueError`` naming ``rows`` or ``cols``.
     """
 
     n: int
@@ -53,8 +64,7 @@ class Triplets:
     vals: np.ndarray
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.int64).ravel()
-        self.cols = np.asarray(self.cols, dtype=np.int64).ravel()
+        self.rows, self.cols = (_indices(getattr(self, f), f, self.n) for f in ("rows", "cols"))
         self.vals = np.asarray(self.vals, dtype=float).ravel()
         if not (self.rows.size == self.cols.size == self.vals.size):
             raise ValueError("rows, cols, vals must have equal length")
@@ -88,7 +98,7 @@ class Triplets:
 
 
 @dataclass
-class RowCompressed:
+class RowCompressed(_Fields):
     """Row-compressed padded storage (k = max nonzeros per row).
 
     The panels, padding kept, are read as one scipy CSR array on views of
@@ -139,7 +149,7 @@ class RowCompressed:
 
 
 @dataclass
-class ColCompressed:
+class ColCompressed(_Fields):
     """Column-compressed padded storage (k = max nonzeros per column).
 
     Both actions run scipy's CSR loop, each sum adding its products in turn
@@ -184,7 +194,7 @@ class ColCompressed:
 
 
 @dataclass
-class DiagCompressed:
+class DiagCompressed(_Fields):
     """Diagonal-compressed padded storage (k = number of stored diagonals).
 
     ``offsets[r]`` holds the signed index (column - row) of the diagonal
@@ -246,6 +256,18 @@ class DiagCompressed:
         c = r + self.offsets
         mask = (vals != 0.0) & (c >= 0) & (c < self.n)  # slots off the grid are unused
         return Triplets(self.n, r[mask], c[mask], vals[mask])
+
+
+def _indices(v, name, n):
+    """v as a flat int64 array; a ValueError naming it unless every entry is
+    an integer.  Non-integer dtypes are clipped to [-1, n] first, so an index
+    off the grid, inf too, stays off it."""
+    v = np.asarray(v).ravel()
+    if v.dtype.kind in "biu":
+        return v.astype(np.int64, copy=False)
+    if not np.array_equal(v, np.trunc(v)):  # NaN too
+        raise ValueError(f"{name} must hold integers, not {v[v != np.trunc(v)][0]}")
+    return np.clip(v, -1, n).astype(np.int64)
 
 
 def _check_panels(a, index, dims, shape):

@@ -5,11 +5,11 @@ import shlex
 import numpy as np
 import pytest
 
-from krylov import stationary
+from krylov import cli, stationary, storage
 from krylov.cli import main
 from krylov.precond import apply_ic_solve, mic_pentadiagonal, pcg
-from krylov.problems import cavity_laplace
-from krylov.storage import read_matrix_market
+from krylov.problems import cavity_laplace, indefinite_kron, poisson_test, random_sparse
+from krylov.storage import DiagCompressed, build, read_matrix_market, to_triplets
 
 
 def run(args):
@@ -451,3 +451,47 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert run(argv) == 0, argv
+
+
+def _diag(n, offsets, columns):
+    vals = np.zeros((n, len(offsets)))
+    for r, col in enumerate(columns):
+        vals[:, r] = col
+    return DiagCompressed(n, len(offsets), vals, np.array(offsets))
+
+
+_N = 36
+_OPERANDS = {
+    "poisson": poisson_test(6).a,
+    "cavity": cavity_laplace(9, 0.3).a,
+    "cavity-narrow": cavity_laplace(10, 0.15).a,
+    "indefinite": indefinite_kron(5).a,
+    "random": random_sparse(40, 0.1, seed=3).a,
+    "poisson-row": build(to_triplets(poisson_test(6).a), "row"),
+    # stored all-zero outermost diagonals, one of -0.0: the band is 6
+    "zero-outer": _diag(_N, [-35, -6, -1, 0, 1, 6, 35], [0.0, -1.0, -1.0, 4.0, -1.0, -1.0, -0.0]),
+    "one-sided": _diag(_N, [-1, 0, 2], [-1.0, 4.0, 0.5]),
+    "one-entry-off": _diag(_N, [-1, 0, 1], [-1.0, 4.0, np.where(np.arange(_N) == 7, -2.0, -1.0)]),
+    "main-only": _diag(_N, [0, 3], [2.0, 0.0]),
+    "zero": _diag(_N, [-2, 0], [0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OPERANDS))
+def test_band_and_symmetry_of_an_operand_match_its_triplets(name, monkeypatch):
+    a = _OPERANDS[name]
+    t = to_triplets(a)
+    band = max(1, int(np.max(np.abs(t.cols - t.rows), initial=0)))
+    symmetric = stationary._is_symmetric(t.coalesced())
+    built = []
+    monkeypatch.setattr(storage, "to_triplets", lambda op: built.append(op) or to_triplets(op))
+    assert (cli._band(a), cli._symmetric(a)) == (band, symmetric)
+    assert bool(built) != isinstance(a, DiagCompressed)  # a diag operand is read in place
+    assert (name in ("random", "one-sided", "one-entry-off")) != symmetric
+
+
+def test_a_diag_operand_with_a_non_finite_entry_raises_as_its_triplets_do():
+    a = _diag(_N, [-1, 0, 1], [-1.0, np.where(np.arange(_N) == 3, np.nan, 4.0), -1.0])
+    for f in (cli._band, cli._symmetric, to_triplets):
+        with pytest.raises(ValueError, match="non-finite triplet value"):
+            f(a)

@@ -283,7 +283,8 @@ def test_random_sparse_matches_scalar_lcg_bitwise(n, density, seed):
 def test_random_sparse_block_boundaries_bitwise(block, monkeypatch):
     monkeypatch.setattr(problems, "_LCG_BLOCK", block)
     on_boundary = 0
-    for n, density, seed in _SCALAR_CASES[:-1] + [(30, 0.5, 1), (20, 0.3, 2)]:
+    for n, density, seed in _SCALAR_CASES[:-1] + [(30, 0.5, 1), (20, 0.3, 2),
+                                                  (120, 1.0, 1), (120, 0.9, 1)]:
         value_at = _assert_matches_scalar(n, density, seed)
         on_boundary += sum(pos % block == 0 for pos in value_at)
     assert on_boundary > 0  # some value draw opened a block
@@ -321,6 +322,22 @@ def test_random_sparse_benchmark_matrices_unchanged(n, density, digest):
     inst = random_sparse(n, density, seed=1)
     data = inst.a.vals.tobytes() + inst.a.cols.tobytes() + inst.b.tobytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n,density,block", [
+    (2000, 0.003, None), (1000, 0.04, None),  # the benchmark's matrices
+    (120, 1.0, None), (120, 0.9, 1), (120, 0.9, 7), (300, 0.5, 16),  # dense streams
+])
+def test_random_sparse_scans_its_candidates_at_most_twice(n, density, block, monkeypatch):
+    # The tests drawn are counted by a scan of every candidate kept: once the
+    # stream passes its expected length, and once more at most, so a dense
+    # stream stays linear in its length.
+    if block is not None:
+        monkeypatch.setattr(problems, "_LCG_BLOCK", block)
+    scanned, accepted = [], problems._accepted
+    monkeypatch.setattr(problems, "_accepted", lambda t: scanned.append(t.size) or accepted(t))
+    random_sparse(n, density, seed=1)
+    assert 1 <= len(scanned) <= 2
 
 
 def test_random_sparse_draws_in_bounded_memory():

@@ -1,4 +1,5 @@
 import io
+import pickle
 import re
 import tracemalloc
 import warnings
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from krylov import cg, split
 from krylov.storage import (ColCompressed, DiagCompressed, RowCompressed,
                             Triplets, build, operator, read_matrix_market, to_dense,
                             to_triplets, write_matrix_market)
@@ -835,3 +837,53 @@ def test_coalesced_sorted_entries_match_the_unique_path(n, density, seed, signed
     for field in ("rows", "cols", "vals"):
         have, expect = getattr(got, field), getattr(want, field)
         assert have.dtype == expect.dtype and have.tobytes() == expect.tobytes(), field
+
+
+@pytest.mark.parametrize("rows,cols,field", [
+    ([0.5, 2.9], [1.7, 0], "rows"),
+    ([0, 2], [1.7, 0], "cols"),
+    (np.array([0.0, np.nan]), [1, 0], "rows"),
+    ([0, 2], np.array([[1.0], [0.25]]), "cols"),
+])
+def test_triplets_reject_fractional_indices_naming_the_field(rows, cols, field):
+    with pytest.raises(ValueError, match=f"^{field} must hold integers"):
+        Triplets(3, rows, cols, [1.0, 2.0])
+
+
+def test_triplets_take_integer_valued_indices_of_any_dtype():
+    want = Triplets(3, [0, 2], [1, 0], [1.0, 2.0])
+    for rows, cols in (([0.0, 2.0], [1.0, 0.0]), (np.array([[0], [2]]), (1, 0)),
+                       (np.array([0, 2], np.int32), np.array([1, 0], np.uint8))):
+        t = Triplets(3, rows, cols, [1.0, 2.0])
+        for field in ("rows", "cols"):
+            assert getattr(t, field).dtype == np.int64
+            assert getattr(t, field).tolist() == getattr(want, field).tolist()
+    empty = Triplets(3, [], [], [])
+    assert empty.rows.dtype == empty.cols.dtype == np.int64 and empty.rows.size == 0
+    for off_grid in ([-1.0, 0.0], [3.0, 0.0], [np.inf, 0.0], [1e300, 0.0]):
+        with pytest.raises(ValueError, match="triplet index out of range"):
+            Triplets(3, off_grid, [0, 1], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: poisson_test(12).a,
+    lambda: to_triplets(poisson_test(12).a),
+    lambda: build(to_triplets(poisson_test(12).a), "row"),
+    lambda: build(to_triplets(poisson_test(12).a), "col"),
+    lambda: random_sparse(300, 0.03, 2).a,  # the row format from 8 slots on
+])
+def test_a_pickle_of_an_operand_holds_its_fields_alone(make):
+    a = make()
+    x = np.random.default_rng(0).standard_normal(a.n)
+    before = pickle.dumps(a)
+    cg(a, np.ones(a.n), max_iter=2)
+    split(a, "ssor", omega=1.2)
+    matvec, rmatvec, _ = operator(a)
+    want = matvec(x).tobytes(), rmatvec(x).tobytes()
+    assert set(a.__dict__) > set(a.__dataclass_fields__)  # kernels are kept on it
+    after = pickle.dumps(a)
+    assert len(after) == len(before)
+    back = pickle.loads(after)
+    assert set(back.__dict__) == set(a.__dataclass_fields__)
+    matvec, rmatvec, _ = operator(back)
+    assert (matvec(x).tobytes(), rmatvec(x).tobytes()) == want
